@@ -9,14 +9,16 @@ failed, 2 means the arguments were unusable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import math
 import os
 import sys
 
 from .functor import build_ladder, check_recollement
 from .grading import WeightSystem
-from .linalg import DEFAULT_MODULUS
+from .linalg import DEFAULT_MODULUS, check_modulus
 from .mforacle import oracle_hom
 from .qalg import (
     coxeter_polynomial,
@@ -33,26 +35,43 @@ from .tilting import UnknownHomError, family, glue, hom_matrix, hom_matrix_csv, 
 MAX_CUBOID = 512
 
 
+class UsageError(Exception):
+    """Arguments a command cannot use; reported with exit code 2."""
+
+
+@contextlib.contextmanager
+def _reading(what: str):
+    """Report a ValueError raised while reading an argument as unusable."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{what}: {exc}") from None
+
+
+def _cuboid_size(ws: WeightSystem) -> int:
+    return math.prod(w - 1 for w in ws.p)
+
+
 def _weights(text: str, force: bool) -> WeightSystem:
-    ws = WeightSystem(tuple(int(t) for t in text.split(",")))
-    size = 1
-    for w in ws.p:
-        size *= w - 1
+    with _reading(f"weights {text!r}"):
+        ws = WeightSystem(tuple(int(t) for t in text.split(",")))
+    size = _cuboid_size(ws)
     if size > MAX_CUBOID and not force:
-        raise SystemExit(f"cuboid size {size} exceeds the cap {MAX_CUBOID}; pass --force to override")
+        raise UsageError(f"cuboid size {size} exceeds the cap {MAX_CUBOID}; pass --force to override")
     return ws
 
 
 def _family_from_kind(ws: WeightSystem, kind: str):
-    if kind in ("cuboid", "koszul"):
-        return family(ws, kind)
-    if kind.startswith("extended:"):
-        arg = kind.split(":", 1)[1]
-        subset = tuple(int(t) - 1 for t in arg.split(",")) if arg else ()
-        return family(ws, "extended", subset=subset)
-    if kind.startswith("replicated:"):
-        return family(ws, "replicated", t=int(kind.split(":", 1)[1]) - 1)
-    raise SystemExit(f"unknown family kind {kind!r}")
+    with _reading(f"family kind {kind!r}"):
+        if kind in ("cuboid", "koszul"):
+            return family(ws, kind)
+        if kind.startswith("extended:"):
+            arg = kind.split(":", 1)[1]
+            subset = tuple(int(t) - 1 for t in arg.split(",")) if arg else ()
+            return family(ws, "extended", subset=subset)
+        if kind.startswith("replicated:"):
+            return family(ws, "replicated", t=int(kind.split(":", 1)[1]) - 1)
+    raise UsageError(f"unknown family kind {kind!r}")
 
 
 def _emit(payload: dict) -> None:
@@ -70,9 +89,7 @@ def cmd_describe(args) -> int:
             continue
         seen.add(a)
         dims.append({"degree": a.to_json(), "dim_R": a.dim_r(), "dim_S": a.dim_s()})
-    size = 1
-    for w in ws.p:
-        size *= w - 1
+    size = _cuboid_size(ws)
     _emit({"weights": ws.to_json(), "specials": specials, "dims": dims, "cuboid_size": size})
     print(f"weights {ws}: cuboid size {size}, delta = {ws.delta()}", file=sys.stderr)
     return 0
@@ -126,7 +143,8 @@ def cmd_verify(args) -> int:
 
 def cmd_ladder(args) -> int:
     ws = _weights(args.weights, args.force)
-    ladder = build_ladder(ws, args.split)
+    with _reading(f"split {args.split}"):
+        ladder = build_ladder(ws, args.split)
     report = check_recollement(ladder, level_bound=args.level_bound)
     print(report.to_json())
     print(f"ladder over {ws} split {report.split}: {'pass' if report.passed else 'FAIL'}", file=sys.stderr)
@@ -136,7 +154,7 @@ def cmd_ladder(args) -> int:
 def cmd_glue(args) -> int:
     ws = _weights(args.weights, args.force)
     if ws.p != (3, 4):
-        raise SystemExit("the glue workflow is wired for weights 3,4")
+        raise UsageError("the glue workflow is wired for weights 3,4")
     ladder = build_ladder(ws, 3)
     results = {}
     ok = True
@@ -206,7 +224,7 @@ def _coxeter_suite(name: str):
             ]
             rows.append(((l, m), polys))
     else:
-        raise SystemExit(f"unknown suite {name!r}")
+        raise UsageError(f"unknown suite {name!r}")
     return rows
 
 
@@ -232,10 +250,13 @@ def cmd_coxeter(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     ws = _weights(args.weights, args.force)
-    q = args.modulus
+    with _reading(f"modulus {args.modulus!r}"):
+        q = int(args.modulus)
+        check_modulus(q)
     if args.pair:
-        a = parse_object(ws, args.pair[0])
-        b = parse_object(ws, args.pair[1])
+        with _reading("pair"):
+            a = parse_object(ws, args.pair[0])
+            b = parse_object(ws, args.pair[1])
         h = hom_dim(a, b)
         o = None if (a.is_zero or b.is_zero) else oracle_hom(a.canonical(), b.canonical(), 0, q)
         o = 0 if o is None else o
@@ -280,21 +301,22 @@ def cmd_oracle_check(args) -> int:
 
 def cmd_quiver(args) -> int:
     descriptor = args.algebra
-    if descriptor.startswith("lambda:"):
-        ws = _weights(args.weights, args.force)
-        qvec = tuple(int(t) for t in descriptor.split(":", 1)[1].split(","))
-        alg = lambda_q(ws, qvec)
-    elif descriptor.startswith("gamma:"):
-        ws = _weights(args.weights, args.force)
-        alg = gamma_quiver(ws, int(descriptor.split(":", 1)[1]) - 1)
-    elif descriptor.startswith("nakayama:"):
-        n, m = (int(t) for t in descriptor.split(":", 1)[1].split(","))
-        alg = nakayama(n, m)
-    elif descriptor.startswith("dynkin:"):
-        letter = descriptor.split(":", 1)[1]
-        alg = dynkin_path_algebra(letter[0], int(letter[1:]))
-    else:
-        raise SystemExit(f"unknown algebra descriptor {descriptor!r}")
+    with _reading(f"algebra {descriptor!r}"):
+        if descriptor.startswith("lambda:"):
+            ws = _weights(args.weights, args.force)
+            qvec = tuple(int(t) for t in descriptor.split(":", 1)[1].split(","))
+            alg = lambda_q(ws, qvec)
+        elif descriptor.startswith("gamma:"):
+            ws = _weights(args.weights, args.force)
+            alg = gamma_quiver(ws, int(descriptor.split(":", 1)[1]) - 1)
+        elif descriptor.startswith("nakayama:"):
+            n, m = (int(t) for t in descriptor.split(":", 1)[1].split(","))
+            alg = nakayama(n, m)
+        elif descriptor.startswith("dynkin:"):
+            letter = descriptor.split(":", 1)[1]
+            alg = dynkin_path_algebra(letter[0], int(letter[1:]))
+        else:
+            raise UsageError(f"unknown algebra descriptor {descriptor!r}")
     if args.dot:
         sys.stdout.write(alg.to_dot())
     elif args.csv:
@@ -353,7 +375,11 @@ def main(argv=None) -> int:
     add_weights(p)
     p.add_argument("--pair", nargs=2, metavar=("A", "B"), help='audit one pair, e.g. --pair "U[2,3]" "U[1,1](1,0;-1)[2]"')
     p.add_argument("--shift-window", type=int, default=2)
-    p.add_argument("--modulus", type=int, default=int(os.environ.get("BPSING_MODULUS", DEFAULT_MODULUS)))
+    p.add_argument(
+        "--modulus",
+        default=os.environ.get("BPSING_MODULUS", str(DEFAULT_MODULUS)),
+        help=f"a prime below 2**31 (default: $BPSING_MODULUS or {DEFAULT_MODULUS})",
+    )
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("quiver", help="emit a quiver presentation")
@@ -364,7 +390,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_quiver)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,9 @@ normal form
     sum(lam_i x_i) + lam c,   0 <= lam_i < p_i,  lam in Z,
 
 and that normal form is the ONLY representation stored here; raw
-coefficient combinations are normalized at the boundary.  The partial
+coefficient combinations are normalized at the boundary.  Sums,
+differences and negatives of normal forms need no division: each
+coordinate carries (or borrows) at most one c into the level.  The partial
 order is x <= y iff y - x lies in the submonoid generated by the x_i
 and c, which in normal form just means level(y - x) >= 0.
 """
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class NotInImageError(ValueError):
@@ -72,17 +74,6 @@ class WeightSystem:
     def specials(self) -> dict[str, GradeElement]:
         return {"c": self.c(), "omega": self.omega(), "delta": self.delta(), "s": self.s()}
 
-    def level_zero_box(self, upper: GradeElement) -> Iterator[GradeElement]:
-        """All level-0 elements z with 0 <= z <= upper (upper of level 0)."""
-        assert upper.level == 0
-        def rec(i: int, acc: list[int]) -> Iterator[GradeElement]:
-            if i == self.n:
-                yield GradeElement(self, tuple(acc), 0)
-                return
-            for v in range(upper.coeffs[i] + 1):
-                yield from rec(i + 1, acc + [v])
-        yield from rec(0, [])
-
     def to_json(self) -> dict:
         return {"p": list(self.p)}
 
@@ -108,18 +99,43 @@ class GradeElement:
                 raise ValueError(f"coefficient {lam} out of range for weight {w}")
 
     def _check_same(self, other: GradeElement) -> None:
-        if self.weights != other.weights:
+        if self.weights is not other.weights and self.weights != other.weights:
             raise ValueError("mismatched weight systems")
 
     def __add__(self, other: GradeElement) -> GradeElement:
         self._check_same(other)
-        return normalize(self.weights, [a + b for a, b in zip(self.coeffs, other.coeffs)], self.level + other.level)
+        out = []
+        level = self.level + other.level
+        for a, b, w in zip(self.coeffs, other.coeffs, self.weights.p):
+            t = a + b
+            if t >= w:
+                t -= w
+                level += 1
+            out.append(t)
+        return GradeElement(self.weights, tuple(out), level)
 
     def __neg__(self) -> GradeElement:
-        return normalize(self.weights, [-a for a in self.coeffs], -self.level)
+        out = []
+        level = -self.level
+        for a, w in zip(self.coeffs, self.weights.p):
+            if a:
+                out.append(w - a)
+                level -= 1
+            else:
+                out.append(0)
+        return GradeElement(self.weights, tuple(out), level)
 
     def __sub__(self, other: GradeElement) -> GradeElement:
-        return self + (-other)
+        self._check_same(other)
+        out = []
+        level = self.level - other.level
+        for a, b, w in zip(self.coeffs, other.coeffs, self.weights.p):
+            t = a - b
+            if t < 0:
+                t += w
+                level -= 1
+            out.append(t)
+        return GradeElement(self.weights, tuple(out), level)
 
     def __mul__(self, k: int) -> GradeElement:
         return normalize(self.weights, [k * a for a in self.coeffs], k * self.level)
@@ -203,7 +219,8 @@ def dichotomy(a: GradeElement) -> tuple[Dichotomy, GradeElement | None]:
     witness = bound - a
     nonneg = a.level >= 0
     below = witness.level >= 0
-    assert nonneg != below, "dichotomy must be exclusive"
+    if nonneg == below:
+        raise RuntimeError(f"dichotomy is not exclusive at {a}")
     return (Dichotomy.NON_NEGATIVE, None) if nonneg else (Dichotomy.BELOW_BOUND, witness)
 
 

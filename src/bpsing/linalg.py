@@ -2,7 +2,8 @@
 
 All ranks computed here feed dimension counts, so the arithmetic must be
 exact.  The default working field is F_q with q = 32003; a second prime
-and a rational mode exist for paranoia runs.
+and a rational mode exist for paranoia runs.  Moduli are primes below
+2**31, so that a product of two residues fits in int64.
 """
 
 from __future__ import annotations
@@ -28,41 +29,44 @@ def is_prime(q: int) -> bool:
     return True
 
 
-def rank_mod(a: np.ndarray, q: int) -> int:
-    """Rank of an integer matrix over F_q by Gaussian elimination."""
+def check_modulus(q: int) -> None:
+    """Reject a modulus that is not a prime below 2**31.
+
+    Residues of a larger modulus can have products beyond int64, and
+    numpy would wrap them silently.
+    """
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
+    if q >= 2**31:
+        raise ValueError(f"modulus {q} is not below 2**31")
+
+
+def rank_mod(a: np.ndarray, q: int) -> int:
+    """Rank of an integer matrix over F_q by Gaussian elimination."""
+    check_modulus(q)
     if a.size == 0:
         return 0
     m = np.asarray(a, dtype=np.int64) % q
     rows, cols = m.shape
     r = 0
     for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c]:
-                piv = i
-                break
-        if piv is None:
+        # rows from r on are zero left of column c
+        nz = np.flatnonzero(m[r:, c])
+        if not nz.size:
             continue
+        piv = r + nz[0]
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
         inv = pow(int(m[r, c]), -1, q)
-        m[r] = (m[r] * inv) % q
-        below = m[r + 1 :, c]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            m[r + 1 + nz] = (m[r + 1 + nz] - np.outer(below[nz], m[r])) % q
+        m[r, c:] = (m[r, c:] * inv) % q
+        # after the swap, row piv holds the old row r, zero in column c
+        below = r + nz[1:]
+        if below.size:
+            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % q
         r += 1
         if r == rows:
             break
     return r
-
-
-def nullity_mod(a: np.ndarray, q: int) -> int:
-    if a.size == 0:
-        return a.shape[1] if a.ndim == 2 else 0
-    return a.shape[1] - rank_mod(a, q)
 
 
 def rank_exact(a) -> int:
@@ -125,7 +129,8 @@ def charpoly_int(a) -> tuple[int, ...]:
     for k in range(1, n + 1):
         am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
         tr = sum(am[i][i] for i in range(n))
-        assert tr % k == 0, "Faddeev-LeVerrier division must be exact"
+        if tr % k:
+            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
         c = -tr // k
         coeffs.append(c)
         m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]

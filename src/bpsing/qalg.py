@@ -11,13 +11,12 @@ with transposed duality blocks on the subdiagonal.
 Coxeter polynomials are characteristic polynomials of -C^(-T) C in
 exact integer arithmetic.  They are invariant under simultaneous
 vertex permutation and under the transpose convention, which is
-asserted rather than assumed.
+checked on every call rather than assumed.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,9 +327,7 @@ def coxeter_polynomial(a: AlgebraPresentation) -> IntPolynomial:
     # transpose convention gives the same polynomial; keep that pinned
     c_inv = inverse_unimodular(c)
     phi2 = [[-sum(c_inv[i][t] * ct[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
-    assert charpoly_int(phi2) == coeffs, "Coxeter polynomial must not depend on the transpose convention"
+    if charpoly_int(phi2) != coeffs:
+        raise RuntimeError("Coxeter polynomial must not depend on the transpose convention")
     return IntPolynomial(coeffs)
 
-
-def coxeter_json(a: AlgebraPresentation) -> str:
-    return json.dumps({"algebra": a.name, "coxeter": list(coxeter_polynomial(a).coeffs)}, sort_keys=True)

@@ -12,10 +12,13 @@ A double reflection at any coordinate is exactly one fold, so the
 identifications are generated by single reflections alone.  The orbit
 of a triple under them is finite once folds are normalized away: it is
 indexed by the subset of coordinates reflected an odd number of times.
-Canonical forms minimize over the subsets whose parity matches the
-shift, which is deterministic and idempotent; object equality means
-equality of canonical forms and is audited against the matrix
-factorization oracle.
+Canonical forms take the least key over the subsets whose parity
+matches the shift, which is deterministic and idempotent.  Reflection
+acts coordinatewise, so the least key is found coordinate by
+coordinate in O(n) steps; the parity constraint couples coordinates
+only through one forced reflection (see ``StableObject.canonical``).
+Object equality means equality of canonical forms and is audited
+against the matrix factorization oracle.
 
 Hom dimensions are computed by matching the pair, after twist and
 shift equivariance and reflections on either argument, against two
@@ -104,27 +107,64 @@ class StableObject:
 
         Among the finitely many shift-zero representatives (reflection
         subsets of parity matching the shift, folds absorbed into the
-        twist level) pick the lexicographically least.
+        twist level) pick the one with the lexicographically least key
+        (ell, twist coefficients, twist level).  The key is found in
+        O(n) integer steps, without enumerating subsets:
+
+          * coordinate i alone decides key positions i (its ell) and
+            n + i (its twist coefficient), and its two options always
+            differ at one of them: at i when ell_i != p_i - ell_i, at
+            n + i otherwise (the coefficients then differ by p_i / 2);
+          * so each coordinate strictly prefers one option, and the
+            level never decides;
+          * if the preferred reflections have the wrong parity, exactly
+            one coordinate takes its other option: every admissible
+            subset leaves the optimum at its earliest deviating
+            position, so the least key deviates only at the coordinate
+            whose options differ latest.  A reflection there does it,
+            since reflecting twice is one fold.
+
+        A reflection adds p_i - ell_i to a coefficient below p_i, so it
+        carries at most one c into the level; the remaining shift, even
+        by construction, folds into the level as shift / 2 copies of c.
         """
         if self.is_zero:
             return zero_object(self.weights)
         ws = self.weights
-        best = None
-        for subset in itertools.product((0, 1), repeat=ws.n):
-            if sum(subset) % 2 != self.shift % 2:
-                continue
-            obj = self
-            for i, flip in enumerate(subset):
-                if flip:
-                    obj = obj.reflect(i)
-            folds, rem = divmod(obj.shift, 2)
-            assert rem == 0
-            twist = obj.twist + folds * ws.c()
-            key = (obj.ell, twist.coeffs, twist.level)
-            if best is None or key < best:
-                best = key
-        ell, coeffs, level = best
-        return StableObject(ws, ell, GradeElement(ws, coeffs, level), 0)
+        ell = list(self.ell)
+        coeffs = list(self.twist.coeffs)
+        level = self.twist.level
+        reflections = 0
+        undo = ws.n - 1  # the coordinate whose options differ latest in the key
+        for i, p in enumerate(ws.p):
+            e, u = ell[i], coeffs[i]
+            v = u + p - e
+            carry = v >= p
+            if carry:
+                v -= p
+            if (p - e, v) < (e, u):
+                ell[i], coeffs[i] = p - e, v
+                level += carry
+                reflections += 1
+            if 2 * e == p:
+                undo = i
+        if (reflections - self.shift) % 2:
+            # one more reflection at undo; after a first one it is a fold
+            p = ws.p[undo]
+            e = ell[undo]
+            v = coeffs[undo] + p - e
+            if v >= p:
+                v -= p
+                level += 1
+            ell[undo], coeffs[undo] = p - e, v
+            reflections += 1
+        elif reflections == 0 and self.shift == 0:
+            return self
+        level += (self.shift - reflections) // 2
+        new_ell = tuple(ell)
+        if new_ell == self.ell:
+            new_ell = self.ell  # share the tuple: the Hom cache keeps these objects
+        return StableObject(ws, new_ell, GradeElement(ws, tuple(coeffs), level), 0)
 
     def is_same(self, other: StableObject) -> bool:
         """Object equality, i.e. equality of canonical forms."""

@@ -96,6 +96,46 @@ def test_weight_cap():
         main(["describe", "-p", "100,100"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["describe", "-p", "a,b"],
+        ["describe", "-p", "1,3"],
+        ["describe", "-p", "100,100"],
+        ["ladder", "-p", "3,4", "--split", "9"],
+        ["oracle-check", "-p", "2,2", "--modulus", "32004"],
+        ["oracle-check", "-p", "2,2", "--modulus", "4294967311"],
+        ["oracle-check", "-p", "3,4", "--pair", "foo", "bar"],
+        ["glue", "-p", "3,5"],
+        ["endo", "-p", "3,4", "--kind", "replicated:9"],
+        ["endo", "-p", "3,4", "--kind", "nonsense"],
+        ["quiver", "--algebra", "nakayama:3"],
+    ],
+)
+def test_unusable_arguments_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert len(out.err.splitlines()) == 1 and out.err.startswith("bpsing: error: ")
+
+
+@pytest.mark.parametrize("value", ["32004", "4294967311", "abc"])
+def test_modulus_from_environment_checked(capsys, monkeypatch, value):
+    monkeypatch.setenv("BPSING_MODULUS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "-p", "2,2", "--shift-window", "0"])
+    assert exc.value.code == 2
+    assert "modulus" in capsys.readouterr().err
+
+
+def test_modulus_from_environment_used(capsys, monkeypatch):
+    monkeypatch.setenv("BPSING_MODULUS", "65537")
+    code, out, _ = run(capsys, "oracle-check", "-p", "2,2", "--shift-window", "0")
+    assert code == 0 and json.loads(out)["modulus"] == 65537
+
+
 def test_deterministic_output(capsys):
     _, out1, _ = run(capsys, "endo", "-p", "3,3", "--kind", "cuboid")
     _, out2, _ = run(capsys, "endo", "-p", "3,3", "--kind", "cuboid")

@@ -73,6 +73,25 @@ def test_group_laws(data):
     assert a + (-a) == ws.zero()
 
 
+@given(st.data())
+def test_carry_arithmetic_matches_normalize(data):
+    ws = data.draw(weight_systems)
+    a = data.draw(elements(ws))
+    b = data.draw(elements(ws))
+    raw_sum = [x + y for x, y in zip(a.coeffs, b.coeffs)]
+    raw_diff = [x - y for x, y in zip(a.coeffs, b.coeffs)]
+    assert a + b == normalize(ws, raw_sum, a.level + b.level)
+    assert a - b == normalize(ws, raw_diff, a.level - b.level)
+    assert -a == normalize(ws, [-x for x in a.coeffs], -a.level)
+
+
+def test_carry_arithmetic_extremes():
+    top = GradeElement(W345, (2, 3, 4), -7)
+    assert top + top == normalize(W345, (4, 6, 8), -14)
+    assert W345.zero() - top == normalize(W345, (-2, -3, -4), 7)
+    assert -W345.zero() == W345.zero()
+
+
 def test_leq_examples():
     assert W34.zero() <= W34.delta()
     assert not (W34.x(0) <= W34.x(1))

@@ -1,8 +1,11 @@
 """Stable objects: rewriting, canonical forms, and the Hom calculus."""
 
+import itertools
+import random
+
 import pytest
 
-from bpsing.grading import GradeElement, WeightSystem
+from bpsing.grading import GradeElement, WeightSystem, normalize
 from bpsing.stable import (
     StableObject,
     U,
@@ -52,6 +55,51 @@ def test_canonical_equates_full_reflection():
 def test_canonical_idempotent():
     o = StableObject(W34, (2, 1), W34.element((1, 3), -2), 5)
     assert o.canonical() == o.canonical().canonical()
+
+
+def _canonical_by_subsets(o):
+    """The least key over all reflection subsets of matching parity."""
+    ws = o.weights
+    best = None
+    for subset in itertools.product((0, 1), repeat=ws.n):
+        if sum(subset) % 2 != o.shift % 2:
+            continue
+        obj = o
+        for i, flip in enumerate(subset):
+            if flip:
+                obj = obj.reflect(i)
+        twist = obj.twist + (obj.shift // 2) * ws.c()
+        key = (obj.ell, twist.coeffs, twist.level)
+        if best is None or key < best:
+            best = key
+    ell, coeffs, level = best
+    return StableObject(ws, ell, GradeElement(ws, coeffs, level), 0)
+
+
+CANONICAL_TYPES = [
+    (2,), (3,), (6,), (2, 2), (2, 5), (3, 4), (4, 4),
+    (2, 2, 2), (3, 4, 5), (2, 4, 6), (2, 2, 2, 2), (2, 3, 4, 5), (4, 2, 6, 3, 2),
+]
+
+
+def test_canonical_matches_subset_minimum():
+    rng = random.Random(20251209)
+    for _ in range(3000):
+        ws = WeightSystem(rng.choice(CANONICAL_TYPES))
+        ell = tuple(rng.randint(1, w - 1) for w in ws.p)
+        twist = normalize(ws, [rng.randint(-15, 15) for _ in ws.p], rng.randint(-9, 9))
+        o = StableObject(ws, ell, twist, rng.randint(-9, 9))
+        c = o.canonical()
+        assert c == _canonical_by_subsets(o), o
+        assert c.canonical() == c
+
+
+def test_canonical_parity_flip_back():
+    # preferred reflections at both coordinates, odd shift: the later
+    # coordinate with equal ell options (index 1, p = 4, ell = 2) flips back
+    o = StableObject(W34, (2, 2), W34.element((0, 3)), 1)
+    assert o.canonical() == _canonical_by_subsets(o)
+    assert o.canonical().ell == (1, 2)
 
 
 def test_suspend_rules():
