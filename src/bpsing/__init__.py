@@ -12,7 +12,7 @@ from .grading import (
 )
 from .gmod import GradedModule, adjunction_check, make_E, make_simple, module_hom_dim, phi0_module, psi0_module
 from .stable import StableObject, U, cuboid_objects, hom_dim, knorrer_transport, parse_object, rho_k, zero_object
-from .functor import Ladder, build_ladder, check_recollement, insert, predict_projective_image, reduce
+from .functor import Ladder, check_recollement, insert, predict_projective_image, reduce
 from .tilting import TiltingFamily, UnknownHomError, family, glue, hom_matrix, predicted_cartan, verify_tilting
 from .qalg import (
     AlgebraPresentation,
@@ -24,6 +24,7 @@ from .qalg import (
     nakayama,
     replicated,
     tensor,
+    tensor_chain,
 )
 from .mforacle import GradedMF, hom_profile, mf_of, oracle_hom, rank1_mf, stable_hom_dim_oracle, tensor_mf
 from .linalg import DEFAULT_MODULUS, PARANOIA_MODULUS

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
 import sys
 
-from .functor import build_ladder, check_recollement
+from .functor import Ladder, check_recollement
 from .grading import WeightSystem
 from .linalg import DEFAULT_MODULUS, check_modulus
-from .mforacle import oracle_hom
+from .mforacle import oracle_hom, probe_objects
 from .qalg import (
     coxeter_polynomial,
     dynkin_path_algebra,
@@ -28,6 +27,7 @@ from .qalg import (
     nakayama,
     replicated,
     tensor,
+    tensor_chain,
 )
 from .stable import StableObject, cuboid_objects, hom_dim, parse_object
 from .tilting import UnknownHomError, family, glue, hom_matrix, hom_matrix_csv, predicted_cartan, same_family, verify_tilting
@@ -144,7 +144,7 @@ def cmd_verify(args) -> int:
 def cmd_ladder(args) -> int:
     ws = _weights(args.weights, args.force)
     with _reading(f"split {args.split}"):
-        ladder = build_ladder(ws, args.split)
+        ladder = Ladder(ws, args.split)
     report = check_recollement(ladder, level_bound=args.level_bound)
     print(report.to_json())
     print(f"ladder over {ws} split {report.split}: {'pass' if report.passed else 'FAIL'}", file=sys.stderr)
@@ -155,31 +155,20 @@ def cmd_glue(args) -> int:
     ws = _weights(args.weights, args.force)
     if ws.p != (3, 4):
         raise UsageError("the glue workflow is wired for weights 3,4")
-    ladder = build_ladder(ws, 3)
+    ladder = Ladder(ws, 3)
     results = {}
     ok = True
-    if args.variant in ("cuboid", "both"):
-        fam1 = family(ladder.emb1.source, "cuboid")
-        fam2 = family(ladder.emb2.source, "cuboid")
-        glued, report = glue(ladder, fam1, fam2, 2, 0)
-        target = family(ws, "cuboid")
-        match = same_family(glued, target)
-        results["cuboid"] = {
+    for kind, k1, k2 in (("cuboid", 2, 0), ("koszul", 1, -1)):
+        if args.variant not in (kind, "both"):
+            continue
+        fam1 = family(ladder.emb1.source, kind)
+        fam2 = family(ladder.emb2.source, kind)
+        glued, report = glue(ladder, fam1, fam2, k1, k2)
+        match = same_family(glued, family(ws, kind))
+        results[kind] = {
             "summands": list(glued.labels),
             "obstruction_vanishes": report.tilting,
-            "equals_cuboid": match,
-        }
-        ok = ok and report.tilting and match
-    if args.variant in ("koszul", "both"):
-        fam1 = family(ladder.emb1.source, "koszul")
-        fam2 = family(ladder.emb2.source, "koszul")
-        glued, report = glue(ladder, fam1, fam2, 1, -1)
-        target = family(ws, "koszul")
-        match = same_family(glued, target)
-        results["koszul"] = {
-            "summands": list(glued.labels),
-            "obstruction_vanishes": report.tilting,
-            "equals_koszul": match,
+            f"equals_{kind}": match,
         }
         ok = ok and report.tilting and match
     _emit(results)
@@ -201,11 +190,7 @@ def _coxeter_suite(name: str):
     elif name == "replicated":
         for p in ((3, 4), (3, 4, 5), (2, 3, 4)):
             ws = WeightSystem(p)
-            cub = None
-            for w in p:
-                piece = nakayama(w - 1, w - 1)
-                cub = piece if cub is None else tensor(cub, piece)
-            target = coxeter_polynomial(cub)
+            target = coxeter_polynomial(tensor_chain(nakayama(w - 1, w - 1) for w in p))
             polys = [("cuboid", target)]
             for t in range(len(p)):
                 polys.append((f"Gamma^{t + 1}", coxeter_polynomial(gamma_quiver(ws, t))))
@@ -264,24 +249,22 @@ def cmd_oracle_check(args) -> int:
         print(f"Hom({a}, {b}): calculus {h}, oracle {o}", file=sys.stderr)
         return 0 if (h is None or h == o) else 1
     cub = cuboid_objects(ws)
-    twists = [ws.element(bits) for bits in itertools.product((0, 1), repeat=ws.n)]
     shifts = range(-args.shift_window, args.shift_window + 1)
     checked = disagreements = unknown = 0
     bad = []
-    for a_base in cub:
-        for u in twists:
-            for m in shifts:
-                a = StableObject(ws, a_base.ell, u, m)
-                for b in cub:
-                    h = hom_dim(a, b)
-                    checked += 1
-                    if h is None:
-                        unknown += 1
-                        continue
-                    o = oracle_hom(a.canonical(), b, 0, q)
-                    if h != o:
-                        disagreements += 1
-                        bad.append({"pair": [str(a), str(b)], "calculus": h, "oracle": o})
+    for probe in probe_objects(ws):
+        for m in shifts:
+            a = StableObject(ws, probe.ell, probe.twist, m)
+            for b in cub:
+                h = hom_dim(a, b)
+                checked += 1
+                if h is None:
+                    unknown += 1
+                    continue
+                o = oracle_hom(a.canonical(), b, 0, q)
+                if h != o:
+                    disagreements += 1
+                    bad.append({"pair": [str(a), str(b)], "calculus": h, "oracle": o})
     payload = {
         "weights": ws.to_json(),
         "modulus": q,
@@ -335,24 +318,27 @@ def main(argv=None) -> int:
     def add_weights(p):
         p.add_argument("-p", "--weights", required=True, help="comma-separated weights, e.g. 3,4")
 
+    def add_kind(p):
+        p.add_argument("--kind", default="cuboid", help="cuboid | koszul | extended:I | replicated:t (1-based)")
+
     p = sub.add_parser("describe", help="special elements and graded dimensions")
     add_weights(p)
     p.set_defaults(func=cmd_describe)
 
     p = sub.add_parser("tilt", help="list a tilting family")
     add_weights(p)
-    p.add_argument("--kind", default="cuboid", help="cuboid | koszul | extended:I | replicated:t (1-based)")
+    add_kind(p)
     p.set_defaults(func=cmd_tilt)
 
     p = sub.add_parser("endo", help="endomorphism matrix against the predicted Cartan")
     add_weights(p)
-    p.add_argument("--kind", default="cuboid")
+    add_kind(p)
     p.add_argument("--csv", action="store_true", help="emit the Hom matrix as CSV")
     p.set_defaults(func=cmd_endo)
 
     p = sub.add_parser("verify", help="rigidity and exceptionality report")
     add_weights(p)
-    p.add_argument("--kind", default="cuboid")
+    add_kind(p)
     p.add_argument("--window", type=int, default=0, help="half-width of the shift window")
     p.set_defaults(func=cmd_verify)
 

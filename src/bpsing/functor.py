@@ -54,10 +54,6 @@ class Ladder:
         return self.weights.p[-1]
 
 
-def build_ladder(weights: WeightSystem, p1n: int) -> Ladder:
-    return Ladder(weights, p1n)
-
-
 def _median(a: int, b: int, c: int) -> int:
     return sorted((a, b, c))[1]
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grading import GradeElement, GroupEmbedding, WeightSystem, normalize
-from .linalg import DEFAULT_MODULUS, is_prime, rank_exact, rank_mod
+from .linalg import DEFAULT_MODULUS, check_modulus, rank_exact, rank_mod
 
 
 class GradedModule:
@@ -26,8 +26,7 @@ class GradedModule:
         q: int = DEFAULT_MODULUS,
         check: bool = True,
     ):
-        if not is_prime(q):
-            raise ValueError(f"working modulus {q} must be prime")
+        check_modulus(q)
         self.weights = weights
         self.q = q
         self.dims = {x: int(d) for x, d in dims.items() if d > 0}

@@ -8,6 +8,7 @@ and a rational mode exist for paranoia runs.  Moduli are primes below
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -29,11 +30,14 @@ def is_prime(q: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=8)
 def check_modulus(q: int) -> None:
     """Reject a modulus that is not a prime below 2**31.
 
     Residues of a larger modulus can have products beyond int64, and
-    numpy would wrap them silently.
+    numpy would wrap them silently.  A valid modulus is remembered, so
+    the trial division runs once per value; a rejected one raises on
+    every call.
     """
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")

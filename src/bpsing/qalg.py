@@ -16,6 +16,9 @@ checked on every call rather than assumed.
 
 from __future__ import annotations
 
+import csv
+import functools
+import io
 import itertools
 from dataclasses import dataclass
 
@@ -82,13 +85,7 @@ class AlgebraPresentation:
         return len(self.vertices)
 
     def cartan_csv(self) -> str:
-        def cell(text: str) -> str:
-            return '"' + text.replace('"', '""') + '"' if "," in text else text
-
-        lines = ["," + ",".join(cell(v) for v in self.vertices)]
-        for v, row in zip(self.vertices, self.cartan):
-            lines.append(cell(v) + "," + ",".join(str(int(x)) for x in row))
-        return "\n".join(lines) + "\n"
+        return matrix_csv(self.vertices, self.cartan)
 
     def to_dot(self) -> str:
         out = [f'digraph "{self.name}" {{']
@@ -116,6 +113,17 @@ class AlgebraPresentation:
             "relations": list(self.relations),
             "cartan": self.cartan.tolist(),
         }
+
+
+def matrix_csv(labels, matrix) -> str:
+    """A square integer matrix as CSV, with its labels as header row
+    and header column."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["", *labels])
+    for label, row in zip(labels, matrix):
+        writer.writerow([label, *(int(x) for x in row)])
+    return out.getvalue()
 
 
 def nakayama(n: int, m: int) -> AlgebraPresentation:
@@ -146,6 +154,13 @@ def tensor(a: AlgebraPresentation, b: AlgebraPresentation) -> AlgebraPresentatio
     relations += [f"left {r}" for r in a.relations] + [f"right {r}" for r in b.relations]
     cartan = np.kron(a.cartan, b.cartan)
     return AlgebraPresentation(f"{a.name}(x){b.name}", vertices, tuple(arrows), tuple(relations), cartan)
+
+
+def tensor_chain(factors) -> AlgebraPresentation:
+    """Tensor product of the factors, left to right; the ground field
+    A1(1) for no factors."""
+    factors = list(factors)
+    return functools.reduce(tensor, factors) if factors else nakayama(1, 1)
 
 
 def _box_descending(ws: WeightSystem):
@@ -269,12 +284,7 @@ def gamma_quiver(ws: WeightSystem, t: int) -> AlgebraPresentation:
         arrows.append((connecting, label[(top, copy)], label[(bottom, copy + 1)]))
     relations = [f"x{i + 1}x{j + 1}=x{j + 1}x{i + 1}" for i in others for j in others if i < j]
     relations += [f"x{i + 1}^{ws.p[i]}=0" for i in others]
-    base = None
-    for i in others:
-        piece = nakayama(ws.p[i] - 1, ws.p[i] - 1)
-        base = piece if base is None else tensor(base, piece)
-    if base is None:  # n = 1, the slab is a point
-        base = nakayama(1, 1)
+    base = tensor_chain(nakayama(ws.p[i] - 1, ws.p[i] - 1) for i in others)
     cartan = replicated(base, pt - 2).cartan
     return AlgebraPresentation(f"Gamma^{t + 1}{ws}", tuple(vertices), tuple(arrows), tuple(relations), cartan)
 

@@ -71,14 +71,6 @@ class StableObject:
         ell = self.ell[:i] + (p - e,) + self.ell[i + 1 :]
         return StableObject(self.weights, ell, self.twist + (p - e) * self.weights.x(i), self.shift - 1)
 
-    def reflect_inv(self, i: int) -> StableObject:
-        if self.is_zero:
-            raise ValueError("cannot reflect the zero object")
-        p = self.weights.p[i]
-        e = self.ell[i]
-        ell = self.ell[:i] + (p - e,) + self.ell[i + 1 :]
-        return StableObject(self.weights, ell, self.twist - e * self.weights.x(i), self.shift + 1)
-
     def suspend(self, m: int) -> StableObject:
         if self.is_zero:
             return self

@@ -19,7 +19,7 @@ import numpy as np
 
 from .functor import Ladder, insert, reduce
 from .grading import WeightSystem, normalize
-from .qalg import AlgebraPresentation, nakayama, replicated, tensor
+from .qalg import AlgebraPresentation, matrix_csv, nakayama, replicated, tensor_chain
 from .stable import StableObject, U, hom_dim
 
 
@@ -119,40 +119,31 @@ def hom_matrix(fam: TiltingFamily) -> np.ndarray:
 
 
 def predicted_cartan(fam: TiltingFamily) -> AlgebraPresentation:
-    """The algebra whose Cartan the endomorphism matrix must equal."""
+    """The algebra whose Cartan the endomorphism matrix must equal.
+
+    Extended families over I (the cuboid: all, Koszul: none) predict
+    A_(p_i-1)(p_i-1) for i in I, tensored with A_(p_i-1)(2) for the rest.
+    """
     ws = fam.weights
-    if fam.kind == "cuboid":
-        return _tensor_chain([nakayama(w - 1, w - 1) for w in ws.p])
-    if fam.kind == "koszul":
-        return _tensor_chain([nakayama(w - 1, 2) for w in ws.p])
-    if fam.kind.startswith("extended:"):
-        subset = {int(s) for s in fam.kind.split(":")[1].split(",")}
-        factors = [nakayama(w - 1, w - 1) for i, w in enumerate(ws.p) if i in subset]
-        factors += [nakayama(w - 1, 2) for i, w in enumerate(ws.p) if i not in subset]
-        return _tensor_chain(factors)
     if fam.kind.startswith("replicated:"):
         t = int(fam.kind.split(":")[1])
-        factors = [nakayama(w - 1, w - 1) for i, w in enumerate(ws.p) if i != t]
-        base = _tensor_chain(factors) if factors else nakayama(1, 1)
+        base = tensor_chain(nakayama(w - 1, w - 1) for i, w in enumerate(ws.p) if i != t)
         return replicated(base, ws.p[t] - 2)
-    raise ValueError(f"no Cartan prediction for kind {fam.kind!r}")
-
-
-def _tensor_chain(factors):
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor(out, f)
-    return out
+    if fam.kind == "cuboid":
+        subset = set(range(ws.n))
+    elif fam.kind == "koszul":
+        subset = set()
+    elif fam.kind.startswith("extended:"):
+        subset = {int(s) for s in fam.kind.split(":")[1].split(",")}
+    else:
+        raise ValueError(f"no Cartan prediction for kind {fam.kind!r}")
+    factors = [nakayama(w - 1, w - 1) for i, w in enumerate(ws.p) if i in subset]
+    factors += [nakayama(w - 1, 2) for i, w in enumerate(ws.p) if i not in subset]
+    return tensor_chain(factors)
 
 
 def hom_matrix_csv(fam: TiltingFamily, mat: np.ndarray) -> str:
-    def cell(text: str) -> str:
-        return '"' + text.replace('"', '""') + '"' if "," in text else text
-
-    lines = ["," + ",".join(cell(lab) for lab in fam.labels)]
-    for lab, row in zip(fam.labels, mat):
-        lines.append(cell(lab) + "," + ",".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
+    return matrix_csv(fam.labels, mat)
 
 
 @dataclass

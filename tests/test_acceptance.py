@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from bpsing.functor import build_ladder, insert, reduce
+from bpsing.functor import Ladder, insert, reduce
 from bpsing.gmod import adjunction_check, make_E, make_simple
 from bpsing.grading import Dichotomy, GradeElement, WeightSystem, dichotomy, normalize
 from bpsing.mforacle import hom_profile, mf_of, rank1_mf, stable_hom_dim_oracle, tensor_mf
@@ -138,7 +138,7 @@ def test_criterion_3_ladder_verification():
         ws = WeightSystem(p)
         pn = p[-1]
         for q in range(2, pn):
-            lad = build_ladder(ws, q)
+            lad = Ladder(ws, q)
             src1, src2 = lad.emb1.source, lad.emb2.source
             for coeffs in itertools.product(*(range(w) for w in src2.p)):
                 for lev in (-2, -1, 0, 1, 2):
@@ -301,7 +301,7 @@ def test_criterion_6_worked_examples():
             if not (srcv.startswith(top) and tgtv.startswith(bottom)):
                 failures.append(("gamma-arrow", t, srcv, tgtv))
     ws = WeightSystem((3, 4))
-    lad = build_ladder(ws, 3)
+    lad = Ladder(ws, 3)
     glued, rep = glue(lad, family(lad.emb1.source, "cuboid"), family(lad.emb2.source, "cuboid"), 2, 0)
     if not (rep.tilting and same_family(glued, family(ws, "cuboid"))):
         failures.append(("glue-cuboid",))

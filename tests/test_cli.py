@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -38,6 +40,18 @@ def test_endo_pass(capsys):
 def test_endo_replicated_kind_parsing(capsys):
     code, out, _ = run(capsys, "endo", "-p", "3,4", "--kind", "replicated:2")
     assert code == 0 and json.loads(out)["equal"]
+
+
+def test_endo_csv_matches_json(capsys):
+    code, out, _ = run(capsys, "endo", "-p", "3,4", "--kind", "koszul", "--csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    _, listing, _ = run(capsys, "tilt", "-p", "3,4", "--kind", "koszul")
+    labels = json.loads(listing)["summands"]
+    assert rows[0] == [""] + labels
+    assert [r[0] for r in rows[1:]] == labels
+    _, endo, _ = run(capsys, "endo", "-p", "3,4", "--kind", "koszul")
+    assert [[int(x) for x in r[1:]] for r in rows[1:]] == json.loads(endo)["hom_matrix"]
 
 
 def test_verify(capsys):

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from bpsing.functor import build_ladder, check_recollement, insert, predict_projective_image, reduce
+from bpsing.functor import Ladder, check_recollement, insert, predict_projective_image, reduce
 from bpsing.grading import WeightSystem, normalize
 from bpsing.stable import StableObject, U, cuboid_objects, rho_k, zero_object
 
@@ -12,19 +12,19 @@ W34 = WeightSystem((3, 4))
 
 
 def test_build_ladder_splits():
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     assert lad.emb1.source == WeightSystem((3, 3))
     assert lad.emb2.source == WeightSystem((3, 2))
-    assert build_ladder(W34, 2).emb2.source == WeightSystem((3, 3))
-    assert build_ladder(WeightSystem((3, 3)), 2).emb1.source == WeightSystem((3, 2))
+    assert Ladder(W34, 2).emb2.source == WeightSystem((3, 3))
+    assert Ladder(WeightSystem((3, 3)), 2).emb1.source == WeightSystem((3, 2))
     with pytest.raises(ValueError):
-        build_ladder(WeightSystem((3, 2)), 2)
+        Ladder(WeightSystem((3, 2)), 2)
     with pytest.raises(ValueError):
-        build_ladder(W34, 4)
+        Ladder(W34, 4)
 
 
 def test_reduce_cases():
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     src2 = lad.emb2.source
     assert reduce(lad, 2, 0, U(W34, (2, 3))).is_same(U(src2, (2, 1)))
     assert reduce(lad, 2, 0, rho_k(W34)).is_zero
@@ -33,7 +33,7 @@ def test_reduce_cases():
 
 
 def test_reduce_case_three():
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     src2 = lad.emb2.source
     # twist coefficient at the split coordinate in [p_jn, p_n)
     y = 3 * W34.x(1)
@@ -46,7 +46,7 @@ def test_reduce_case_three():
 
 
 def test_insert_cases():
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     src1, src2 = lad.emb1.source, lad.emb2.source
     assert insert(lad, 2, 0, rho_k(src2)).is_same(U(W34, (1, 3)))
     for ell in ((2, 1), (1, 2), (2, 2), (1, 1)):
@@ -55,7 +55,7 @@ def test_insert_cases():
 
 
 def test_functors_commute_with_shift():
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     o = U(W34, (1, 3), W34.x(0))
     assert reduce(lad, 2, 0, o.suspend(2)).is_same(reduce(lad, 2, 0, o).suspend(2))
     o2 = U(lad.emb1.source, (2, 2))
@@ -68,7 +68,7 @@ def test_decomposition_partition():
         ws = WeightSystem(p)
         pn = p[-1]
         for q in range(2, pn):
-            lad = build_ladder(ws, q)
+            lad = Ladder(ws, q)
             src1, src2 = lad.emb1.source, lad.emb2.source
             gap = pn - lad.emb2.split_weight
             for obj in cuboid_objects(ws):
@@ -82,7 +82,7 @@ def test_decomposition_partition():
 
 
 def test_projective_images():
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     src2 = lad.emb2.source
     assert predict_projective_image(lad, "reduce", 2, 0, W34.zero()) == src2.zero()
     assert predict_projective_image(lad, "reduce", 2, 0, 3 * W34.x(1)) == src2.c()
@@ -91,7 +91,7 @@ def test_projective_images():
 
 def test_projective_images_conjugation():
     # the k-twisted image formula degenerates to the k = 0 one
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     for j in (1, 2):
         srcj = lad.emb(j).source
         for coeffs in itertools.product(range(3), range(4)):
@@ -102,7 +102,7 @@ def test_projective_images_conjugation():
 
 def test_composite_zero():
     for q in (2, 3):
-        lad = build_ladder(W34, q)
+        lad = Ladder(W34, q)
         src2 = lad.emb2.source
         for coeffs in itertools.product(*(range(p) for p in src2.p)):
             for lev in (-2, -1, 0, 1, 2):
@@ -111,7 +111,7 @@ def test_composite_zero():
 
 
 def test_periodicity():
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     pn = lad.period
     for j in (1, 2):
         srcj = lad.emb(j).source
@@ -126,7 +126,7 @@ def test_periodicity():
 
 
 def test_recollement_report():
-    report = check_recollement(build_ladder(W34, 3))
+    report = check_recollement(Ladder(W34, 3))
     assert report.passed
     assert report.composite_zero and report.periodicity
     assert all(s["match"] for s in report.fully_faithful_samples if s["match"] is not None)

@@ -206,3 +206,11 @@ def test_module_hom_exact_mode_agrees():
     ]
     for a, b in pairs:
         assert module_hom_dim(a, b) == module_hom_dim(a, b, exact=True)
+
+
+def test_modulus_rule_matches_rank_mod():
+    # 2147483659 is prime but not below 2**31: int64 products could wrap
+    with pytest.raises(ValueError):
+        make_simple(W34, q=2147483659)
+    with pytest.raises(ValueError):
+        make_simple(W34, q=32004)

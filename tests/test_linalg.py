@@ -47,3 +47,14 @@ def test_largest_modulus_is_exact():
         v = rng.integers(q // 2, q, (1, 5))
         a = (u * v) % q
         assert rank_mod(a, q) == 1
+
+
+def test_valid_modulus_checked_once():
+    q = 2**31 - 1
+    a = np.eye(3, dtype=np.int64)
+    assert rank_mod(a, q) == rank_mod(a, q) == 3
+    assert check_modulus.cache_info().hits >= 1
+    # a rejected modulus is not remembered
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            rank_mod(a, 32004)

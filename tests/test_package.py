@@ -6,10 +6,39 @@ from pathlib import Path
 import bpsing
 
 
+def _trees():
+    paths = sorted(Path(bpsing.__file__).parent.rglob("*.py"))
+    return {path.name: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+
+
 def test_no_assert_statements():
     # invariant checks must survive python -O, which strips asserts
     found = []
-    for path in sorted(Path(bpsing.__file__).parent.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    for name, tree in _trees().items():
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _referenced(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_private_definitions_are_used():
+    # no dead functions: a module-level private function or class must be
+    # referenced somewhere in the package outside its own definition
+    trees = _trees()
+    dead = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            own = {id(n) for n in ast.walk(node)}
+            if not any(id(n) not in own and _referenced(n) == node.name for t in trees.values() for n in ast.walk(t)):
+                dead.append(f"{name}:{node.name}")
+    assert dead == []

@@ -34,13 +34,6 @@ def test_reflect_weight_two():
     assert r == StableObject(W22, (1, 1), W22.x(0), -1)
 
 
-def test_reflect_inverse():
-    o = U(W34, (2, 3), W34.element((1, 2), -1), 2)
-    for i in (0, 1):
-        assert o.reflect(i).reflect_inv(i) == o
-        assert o.reflect_inv(i).reflect(i) == o
-
-
 def test_canonical_fold():
     a = StableObject(W34, (1, 1), W34.c(), -2).canonical()
     assert a == rho_k(W34).canonical()

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bpsing.functor import build_ladder
+from bpsing.functor import Ladder
 from bpsing.grading import WeightSystem
 from bpsing.qalg import nakayama, tensor
 from bpsing.stable import StableObject, U, rho_k
@@ -107,7 +107,7 @@ def test_csv_export():
 
 
 def test_glue_cuboid_workflow():
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     f1 = family(lad.emb1.source, "cuboid")
     f2 = family(lad.emb2.source, "cuboid")
     glued, report = glue(lad, f1, f2, 2, 0)
@@ -116,7 +116,7 @@ def test_glue_cuboid_workflow():
 
 
 def test_glue_koszul_workflow():
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     f1 = family(lad.emb1.source, "koszul")
     f2 = family(lad.emb2.source, "koszul")
     glued, report = glue(lad, f1, f2, 1, -1)
@@ -126,7 +126,7 @@ def test_glue_koszul_workflow():
 
 def test_glue_image_splits_cuboid():
     # the two insertion images partition the cuboid family
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     f1 = family(lad.emb1.source, "cuboid")
     f2 = family(lad.emb2.source, "cuboid")
     glued, _ = glue(lad, f1, f2, 2, 0)
@@ -134,7 +134,7 @@ def test_glue_image_splits_cuboid():
 
 
 def test_glue_with_empty_second_family():
-    lad = build_ladder(W34, 3)
+    lad = Ladder(W34, 3)
     f1 = family(lad.emb1.source, "cuboid")
     empty = TiltingFamily(lad.emb2.source, "empty", (), ())
     glued, report = glue(lad, f1, empty, 2, 0)
