@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 
@@ -49,19 +50,23 @@ class WeightSystem:
     def zero(self) -> GradeElement:
         return GradeElement(self, (0,) * self.n, 0)
 
+    @cached_property
+    def _basics(self) -> tuple[tuple[GradeElement, ...], GradeElement, GradeElement]:
+        """(x_1, ..., x_n), c and s, built on first use."""
+        xs = tuple(normalize(self, [int(j == i) for j in range(self.n)], 0) for i in range(self.n))
+        return xs, GradeElement(self, (0,) * self.n, 1), normalize(self, [1] * self.n, 0)
+
     def x(self, i: int) -> GradeElement:
         """The generator x_i (0-based index)."""
-        c = [0] * self.n
-        c[i] = 1
-        return normalize(self, c, 0)
+        return self._basics[0][i]
 
     def c(self) -> GradeElement:
         """The canonical element c = p_i x_i."""
-        return GradeElement(self, (0,) * self.n, 1)
+        return self._basics[1]
 
     def s(self) -> GradeElement:
         """The coordinate sum s = x_1 + ... + x_n."""
-        return normalize(self, [1] * self.n, 0)
+        return self._basics[2]
 
     def omega(self) -> GradeElement:
         """The dualizing element c - s."""
@@ -253,8 +258,9 @@ class GroupEmbedding:
     def split_weight(self) -> int:
         return self.split[self.j - 1]
 
-    @property
+    @cached_property
     def source(self) -> WeightSystem:
+        # one instance per embedding, so that its cached x_i, c and s are reused
         return WeightSystem(self.target.p[:-1] + (self.split_weight,))
 
     def theta(self, a: GradeElement) -> GradeElement:

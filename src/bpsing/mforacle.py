@@ -11,6 +11,17 @@ dimension minus an incoming rank over the working field.
 Every entry produced here is a signed monomial, so ranks are expected
 to be field independent; a second-prime mode guards that expectation.
 
+Each factorization keeps private tables built once from its fields:
+every generator degree unboxed from its ``GradeElement`` normal form to
+a plain ``(coeffs, level)`` pair, and the nonzero entries of d0 and d1
+listed by row and by column as ``(index, coeff, exponents)``.  The Hom
+complex reads only these tables: the c-shift of position k is an
+integer offset on the level, degree differences borrow coordinatewise
+as ``GradeElement.__sub__`` does, the differentials visit only nonzero
+entries, and the factorization check compares unboxed degrees and
+multiplies along the row lists.  No ``GradeElement`` is built per
+generator pair or per matrix entry.
+
 Conventions are pinned by self-checks rather than trusted: the
 suspension is the twisted rotation
 
@@ -39,17 +50,23 @@ symbolic calculus (both directions must be suspected):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
-from .grading import GradeElement, WeightSystem, normalize
+from .grading import GradeElement, WeightSystem
 from .linalg import DEFAULT_MODULUS, rank_mod
 from .stable import StableObject, cuboid_objects
 
 # A matrix entry is None (zero) or a signed monomial (coeff, exponents).
 Entry = "tuple[int, tuple[int, ...]] | None"
+# A degree unboxed from its normal form: (coeffs, level).
+Degree = "tuple[tuple[int, ...], int]"
+# The nonzero entries of a matrix, one tuple per row (or per column) of
+# (column or row index, coeff, exponents).
+Nonzero = "tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]"
 
 
 @dataclass(frozen=True)
@@ -60,10 +77,25 @@ class GradedMF:
     d0: tuple[tuple[Entry, ...], ...]  # rows indexed by even, cols by odd
     d1: tuple[tuple[Entry, ...], ...]  # rows indexed by odd, cols by even
     variables: frozenset[int] = None  # summands of the potential being factored
+    # unboxed tables built from the fields above (see the module docstring)
+    _even: tuple[Degree, ...] = field(init=False, repr=False, compare=False)
+    _odd: tuple[Degree, ...] = field(init=False, repr=False, compare=False)
+    _d0_rows: Nonzero = field(init=False, repr=False, compare=False)
+    _d0_cols: Nonzero = field(init=False, repr=False, compare=False)
+    _d1_rows: Nonzero = field(init=False, repr=False, compare=False)
+    _d1_cols: Nonzero = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.variables is None:
             object.__setattr__(self, "variables", frozenset(range(self.weights.n)))
+        tables = {
+            "_even": tuple((g.coeffs, g.level) for g in self.even),
+            "_odd": tuple((g.coeffs, g.level) for g in self.odd),
+        }
+        tables["_d0_rows"], tables["_d0_cols"] = _nonzero(self.d0, len(self.even), len(self.odd))
+        tables["_d1_rows"], tables["_d1_cols"] = _nonzero(self.d1, len(self.odd), len(self.even))
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)
         _check_factorization(self)
 
     def twist(self, y: GradeElement) -> GradedMF:
@@ -77,65 +109,67 @@ class GradedMF:
         )
 
     def shift(self, m: int = 1) -> GradedMF:
-        out = self
-        for _ in range(abs(m)):
-            out = _shift_once(out) if m > 0 else _unshift_once(out)
-        return out
+        # [2] = (c): twist by (m // 2) c, then rotate once if m is odd
+        out = self.twist((m // 2) * self.weights.c()) if m // 2 else self
+        return _shift_once(out) if m % 2 else out
 
 
-def _exps_degree(ws: WeightSystem, exps: tuple[int, ...]) -> GradeElement:
-    return normalize(ws, exps, 0)
+def _nonzero(mat, nrows: int, ncols: int) -> tuple[Nonzero, Nonzero]:
+    """The nonzero entries of a signed-monomial matrix, by row and by column."""
+    if len(mat) != nrows or any(len(row) != ncols for row in mat):
+        raise ValueError(f"differential is not a {nrows}x{ncols} matrix over the generators")
+    rows = tuple(tuple((j, e[0], e[1]) for j, e in enumerate(row) if e is not None) for row in mat)
+    cols = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, coeff, exps in row:
+            cols[j].append((i, coeff, exps))
+    return rows, tuple(map(tuple, cols))
+
+
+def _borrow_sub(p: tuple[int, ...], x: Degree, y: Degree) -> Degree:
+    """x - y for unboxed normal forms: the rule of ``GradeElement.__sub__``."""
+    level = x[1] - y[1]
+    out = []
+    for a, b, w in zip(x[0], y[0], p):
+        if a < b:
+            a += w
+            level -= 1
+        out.append(a - b)
+    return tuple(out), level
+
+
+def _exps_degree(p: tuple[int, ...], exps: tuple[int, ...]) -> Degree:
+    return tuple(e % w for e, w in zip(exps, p)), sum(e // w for e, w in zip(exps, p))
 
 
 def _neg(mat):
     return tuple(tuple(None if e is None else (-e[0], e[1]) for e in row) for row in mat)
 
 
-def _mat_mul_poly(ws: WeightSystem, a, b) -> list[list[dict]]:
-    """Multiply signed-monomial matrices into polynomial dictionaries."""
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[{} for _ in range(cols)] for _ in range(rows)]
-    for r in range(rows):
-        for t in range(mid):
-            e1 = a[r][t]
-            if e1 is None:
-                continue
-            for c in range(cols):
-                e2 = b[t][c]
-                if e2 is None:
-                    continue
-                exps = tuple(x + y for x, y in zip(e1[1], e2[1]))
-                acc = out[r][c]
-                acc[exps] = acc.get(exps, 0) + e1[0] * e2[0]
-    for row in out:
-        for cell in row:
-            for k in [k for k, v in cell.items() if v == 0]:
-                del cell[k]
-    return out
-
-
 def _check_factorization(f: GradedMF) -> None:
-    ws = f.weights
-    c = ws.c()
-    for row, g_even in zip(f.d0, f.even):
-        for entry, g_odd in zip(row, f.odd):
-            if entry is not None and _exps_degree(ws, entry[1]) != g_odd - g_even:
-                raise ValueError("d0 entry is not homogeneous of the required degree")
-    for row, g_odd in zip(f.d1, f.odd):
-        for entry, g_even in zip(row, f.even):
-            if entry is not None and _exps_degree(ws, entry[1]) != g_even + c - g_odd:
-                raise ValueError("d1 entry is not homogeneous of the required degree")
-    potential = {}
+    p = f.weights.p
+    # d0 maps odd to even in degree 0, d1 maps even to odd in degree c
+    for name, rows, row_degs, col_degs, lift in (("d0", f._d0_rows, f._even, f._odd, 0), ("d1", f._d1_rows, f._odd, f._even, 1)):
+        for row, row_deg in zip(rows, row_degs):
+            for j, _, exps in row:
+                coeffs, level = _borrow_sub(p, col_degs[j], row_deg)
+                if _exps_degree(p, exps) != (coeffs, level + lift):
+                    raise ValueError(f"{name} entry is not homogeneous of the required degree")
+    potential = []
     for i in sorted(f.variables):
-        exps = [0] * ws.n
-        exps[i] = ws.p[i]
-        potential[tuple(exps)] = 1
-    for prod, size in ((_mat_mul_poly(ws, f.d0, f.d1), len(f.even)), (_mat_mul_poly(ws, f.d1, f.d0), len(f.odd))):
-        for r in range(size):
-            for cidx in range(size):
-                expect = potential if r == cidx else {}
-                if prod[r][cidx] != expect:
-                    raise ValueError("composite of the factorization pair is not f times identity")
+        exps = [0] * len(p)
+        exps[i] = p[i]
+        potential.append(tuple(exps))
+    for a_rows, b_rows in ((f._d0_rows, f._d1_rows), (f._d1_rows, f._d0_rows)):
+        for r, row in enumerate(a_rows):
+            # row r of the product, as {(column, exponents): coeff}
+            acc = {}
+            for t, c1, e1 in row:
+                for j, c2, e2 in b_rows[t]:
+                    key = (j, tuple(map(add, e1, e2)))
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            if {key: v for key, v in acc.items() if v} != {(r, exps): 1 for exps in potential}:
+                raise ValueError("composite of the factorization pair is not f times identity")
 
 
 def rank1_mf(ws: WeightSystem, i: int, a: int) -> GradedMF:
@@ -220,11 +254,6 @@ def _shift_once(f: GradedMF) -> GradedMF:
     return GradedMF(f.weights, tuple(g - c for g in f.odd), f.even, _neg(f.d1), _neg(f.d0), f.variables)
 
 
-def _unshift_once(f: GradedMF) -> GradedMF:
-    c = f.weights.c()
-    return GradedMF(f.weights, f.odd, tuple(g + c for g in f.even), _neg(f.d1), _neg(f.d0), f.variables)
-
-
 @lru_cache(maxsize=None)
 def mf_of(obj: StableObject) -> GradedMF:
     """Realize U^ell(x)[k] as the twisted, shifted tensor factorization.
@@ -250,13 +279,14 @@ def mf_of(obj: StableObject) -> GradedMF:
 # -- the Hom complex --------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _monomial_basis(ws: WeightSystem, deg: GradeElement) -> tuple[tuple[int, ...], ...]:
-    """Monomials of the ambient polynomial ring in one graded degree."""
-    if deg.level < 0:
+def _monomial_basis(ws: WeightSystem, coeffs: tuple[int, ...], level: int) -> tuple[tuple[int, ...], ...]:
+    """Monomials of the ambient polynomial ring in the graded degree with
+    normal form (coeffs, level)."""
+    if level < 0:
         return ()
     out = []
-    for comp in _weak_compositions(deg.level, ws.n):
-        out.append(tuple(lam + d * p for lam, d, p in zip(deg.coeffs, comp, ws.p)))
+    for comp in _weak_compositions(level, ws.n):
+        out.append(tuple(lam + d * p for lam, d, p in zip(coeffs, comp, ws.p)))
     return tuple(out)
 
 
@@ -269,27 +299,27 @@ def _weak_compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def _gens_at(f: GradedMF, k: int) -> tuple[GradeElement, ...]:
-    c = f.weights.c()
+def _gens_at(f: GradedMF, k: int) -> tuple[Degree, ...]:
+    """Generator degrees at position k of the unrolled factorization:
+    position 2j is F0 and 2j - 1 is F1, both twisted down by j c."""
     if k % 2 == 0:
-        return tuple(g - (k // 2) * c for g in f.even)
-    return tuple(g - ((k + 1) // 2) * c for g in f.odd)
-
-
-def _diff_at(f: GradedMF, k: int):
-    """Matrix of the unrolled map at position k (rows at k+1, cols at k)."""
-    return f.d1 if k % 2 == 0 else f.d0
+        gens, j = f._even, k // 2
+    else:
+        gens, j = f._odd, (k + 1) // 2
+    return tuple((coeffs, level - j) for coeffs, level in gens)
 
 
 def _term_basis(f: GradedMF, g: GradedMF, k: int):
     """Basis of Hom(F at 0/1, G at k/k+1) in graded degree zero."""
     ws = f.weights
     basis = []
-    for slot, (fa, gb) in enumerate(((_gens_at(f, 0), _gens_at(g, k)), (_gens_at(f, 1), _gens_at(g, k + 1)))):
-        for a, ga in enumerate(fa):
+    for slot in (0, 1):
+        gb = _gens_at(g, k + slot)
+        for a, fa in enumerate(_gens_at(f, slot)):
             for b, gb_deg in enumerate(gb):
-                for exps in _monomial_basis(ws, ga - gb_deg):
-                    basis.append((slot, a, b, exps))
+                coeffs, level = _borrow_sub(ws.p, fa, gb_deg)
+                if level >= 0:  # a negative degree has no monomials
+                    basis.extend((slot, a, b, exps) for exps in _monomial_basis(ws, coeffs, level))
     return basis
 
 
@@ -307,39 +337,26 @@ def stable_hom_dim_oracle(f: GradedMF, g: GradedMF, m: int, q: int = DEFAULT_MOD
 
 def _differential(f: GradedMF, g: GradedMF, k: int, cols, rows, q: int) -> np.ndarray:
     index = {key: i for i, key in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
     # alternating sign on the phi o d_F terms; squares to zero
     sign = -1 if k % 2 else 1
-    dg_k = _diff_at(g, k)
-    dg_k1 = _diff_at(g, k + 1)
-    df0 = f.d1  # position 0 -> 1
-    df1 = f.d0  # position 1 -> 2
+    # by slot: columns of d_G at positions k and k+1, and rows of d_F
+    # from positions 0 and 1 (F even to F odd, F odd to F even)
+    dg = (g._d1_cols, g._d0_cols) if k % 2 == 0 else (g._d0_cols, g._d1_cols)
+    df = (f._d0_rows, f._d1_rows)
+    at_row, at_col, values = [], [], []
     for ci, (slot, a, b, exps) in enumerate(cols):
-        if slot == 0:
-            # component d_G o phi_0, rows over G gens at position k+1
-            for r, row in enumerate(dg_k):
-                e = row[b]
-                if e is not None:
-                    key = (0, a, r, tuple(x + y for x, y in zip(exps, e[1])))
-                    mat[index[key], ci] += e[0]
-            # component -(-1)^k phi_0 o d_F at position 1, cols over F odd gens
-            for a2 in range(len(f.odd)):
-                e = df1[a][a2]
-                if e is not None:
-                    key = (1, a2, b, tuple(x + y for x, y in zip(exps, e[1])))
-                    mat[index[key], ci] += sign * e[0]
-        else:
-            for r, row in enumerate(dg_k1):
-                e = row[b]
-                if e is not None:
-                    key = (1, a, r, tuple(x + y for x, y in zip(exps, e[1])))
-                    mat[index[key], ci] += e[0]
-            # component -(-1)^k phi_1 o d_F at position 0, cols over F even gens
-            for a0 in range(len(f.even)):
-                e = df0[a][a0]
-                if e is not None:
-                    key = (0, a0, b, tuple(x + y for x, y in zip(exps, e[1])))
-                    mat[index[key], ci] += sign * e[0]
+        # component d_G o phi, rows over G gens at position k+1+slot
+        for r, coeff, e in dg[slot][b]:
+            at_row.append(index[(slot, a, r, tuple(map(add, exps, e)))])
+            at_col.append(ci)
+            values.append(coeff)
+        # component -(-1)^k phi o d_F, from F gens at the other position
+        for a2, coeff, e in df[slot][a]:
+            at_row.append(index[(1 - slot, a2, b, tuple(map(add, exps, e)))])
+            at_col.append(ci)
+            values.append(sign * coeff)
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    np.add.at(mat, (np.array(at_row, dtype=np.intp), np.array(at_col, dtype=np.intp)), np.array(values, dtype=np.int64))
     return mat % q
 
 

@@ -197,3 +197,17 @@ def test_serialization_round_trip():
     a = normalize(W345, (7, -2, 11), 3)
     assert GradeElement.from_json(W345, a.to_json()) == a
     assert WeightSystem.from_json(W345.to_json()) == W345
+
+
+@pytest.mark.parametrize("ws", [W34, W345, W222])
+def test_basic_elements_are_built_once(ws):
+    for i in range(ws.n):
+        assert ws.x(i) == normalize(ws, [int(j == i) for j in range(ws.n)]) and ws.x(i) is ws.x(i)
+    assert ws.c() == normalize(ws, [ws.p[0]] + [0] * (ws.n - 1)) and ws.c() is ws.c()
+    assert ws.s() == normalize(ws, [1] * ws.n) and ws.s() is ws.s()
+
+
+def test_embedding_source_is_built_once():
+    emb = GroupEmbedding(W345, 1, (2, 4))
+    assert emb.source == WeightSystem((3, 4, 2)) and emb.source is emb.source
+    assert emb.source.c() is emb.source.c()

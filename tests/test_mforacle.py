@@ -2,15 +2,24 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from bpsing.grading import WeightSystem
+from bpsing.grading import GradeElement, WeightSystem
 from bpsing.linalg import PARANOIA_MODULUS
 from bpsing.mforacle import (
     GradedMF,
+    _borrow_sub,
+    _differential,
+    _neg,
+    _shift_once,
+    _term_basis,
     hom_profile,
     mf_of,
     oracle_hom,
+    probe_objects,
     rank1_mf,
     stable_hom_dim_oracle,
     tensor_mf,
@@ -49,6 +58,45 @@ def test_invariant_guards_broken_factorization():
     f = rank1_mf(W2, 0, 1)
     with pytest.raises(ValueError):
         GradedMF(W2, f.even, f.odd, (((1, (0,)),),), f.d1, f.variables)
+
+
+def test_invariant_guards_matrix_shapes():
+    f = rank1_mf(W2, 0, 1)
+    with pytest.raises(ValueError, match="differential is not a 1x1 matrix"):
+        GradedMF(W2, f.even, f.odd, (), f.d1, f.variables)
+    with pytest.raises(ValueError, match="differential is not a 1x1 matrix"):
+        GradedMF(W2, f.even, f.odd, f.d0, ((None, None),), f.variables)
+
+
+def test_invariant_guards_wrong_degree_alone():
+    # the odd generator moved by c: the composites are intact
+    f = rank1_mf(W2, 0, 1)
+    with pytest.raises(ValueError, match="d0 entry is not homogeneous"):
+        GradedMF(W2, f.even, (f.odd[0] + W2.c(),), f.d0, f.d1, f.variables)
+
+
+def test_invariant_guards_wrong_composite_alone():
+    # d0 negated: every entry keeps its degree
+    f = tensor_mf(rank1_mf(W22, 0, 1), rank1_mf(W22, 1, 1))
+    with pytest.raises(ValueError, match="composite of the factorization pair is not f times identity"):
+        GradedMF(W22, f.even, f.odd, _neg(f.d0), f.d1, f.variables)
+
+
+def _ref_unshift_once(f):
+    c = f.weights.c()
+    return GradedMF(f.weights, f.odd, tuple(g + c for g in f.even), _neg(f.d1), _neg(f.d0), f.variables)
+
+
+@pytest.mark.parametrize("p", [(2, 2), (3, 4), (2, 3, 4), (2, 2, 2, 2)])
+def test_shift_equals_iterated_rotation(p):
+    ws = WeightSystem(p)
+    f = mf_of(StableObject(ws, cuboid_objects(ws)[-1].ell, ws.element([1] * ws.n, -1), 0))
+    for m in range(-5, 6):
+        want = f
+        for _ in range(abs(m)):
+            want = _shift_once(want) if m > 0 else _ref_unshift_once(want)
+        got = f.shift(m)
+        assert (got.even, got.odd, got.d0, got.d1) == (want.even, want.odd, want.d0, want.d1), m
 
 
 def test_end_of_residue_field():
@@ -211,3 +259,133 @@ def test_hom_complex_differentials_compose_to_zero():
         d1 = _differential(f, g, m - 1, prev, mid, 32003)
         d2 = _differential(f, g, m, mid, nxt, 32003)
         assert not ((d2 @ d1) % 32003).any()
+
+
+# -- the Hom complex against a GradeElement-based reference -----------------
+#
+# The reference below assembles term bases and differentials the direct
+# way, with one GradeElement per generator and per generator pair and a
+# scan of every matrix entry; the oracle reads unboxed tables instead and
+# must return the same lists in the same order and the same matrices.
+
+
+def _ref_weak_compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _ref_weak_compositions(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _ref_monomial_basis(ws, deg):
+    if deg.level < 0:
+        return ()
+    return tuple(
+        tuple(lam + d * p for lam, d, p in zip(deg.coeffs, comp, ws.p)) for comp in _ref_weak_compositions(deg.level, ws.n)
+    )
+
+
+def _ref_gens_at(f, k):
+    c = f.weights.c()
+    if k % 2 == 0:
+        return tuple(g - (k // 2) * c for g in f.even)
+    return tuple(g - ((k + 1) // 2) * c for g in f.odd)
+
+
+def _ref_diff_at(f, k):
+    return f.d1 if k % 2 == 0 else f.d0
+
+
+def _ref_term_basis(f, g, k):
+    ws = f.weights
+    basis = []
+    for slot, (fa, gb) in enumerate(((_ref_gens_at(f, 0), _ref_gens_at(g, k)), (_ref_gens_at(f, 1), _ref_gens_at(g, k + 1)))):
+        for a, ga in enumerate(fa):
+            for b, gb_deg in enumerate(gb):
+                for exps in _ref_monomial_basis(ws, ga - gb_deg):
+                    basis.append((slot, a, b, exps))
+    return basis
+
+
+def _ref_differential(f, g, k, cols, rows, q):
+    index = {key: i for i, key in enumerate(rows)}
+    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    sign = -1 if k % 2 else 1
+    dg_k = _ref_diff_at(g, k)
+    dg_k1 = _ref_diff_at(g, k + 1)
+    df0 = f.d1
+    df1 = f.d0
+    for ci, (slot, a, b, exps) in enumerate(cols):
+        if slot == 0:
+            for r, row in enumerate(dg_k):
+                e = row[b]
+                if e is not None:
+                    mat[index[(0, a, r, tuple(x + y for x, y in zip(exps, e[1])))], ci] += e[0]
+            for a2 in range(len(f.odd)):
+                e = df1[a][a2]
+                if e is not None:
+                    mat[index[(1, a2, b, tuple(x + y for x, y in zip(exps, e[1])))], ci] += sign * e[0]
+        else:
+            for r, row in enumerate(dg_k1):
+                e = row[b]
+                if e is not None:
+                    mat[index[(1, a, r, tuple(x + y for x, y in zip(exps, e[1])))], ci] += e[0]
+            for a0 in range(len(f.even)):
+                e = df0[a][a0]
+                if e is not None:
+                    mat[index[(0, a0, b, tuple(x + y for x, y in zip(exps, e[1])))], ci] += sign * e[0]
+    return mat % q
+
+
+def _assert_matches_reference(a, b, ks=range(-2, 3), q=32003):
+    f, g = mf_of(a), mf_of(b)
+    bases = {}
+    for k in range(ks.start, ks.stop + 1):
+        bases[k] = _term_basis(f, g, k)
+        assert bases[k] == _ref_term_basis(f, g, k), (str(a), str(b), k)
+    shapes = {}
+    for k in ks:
+        got = _differential(f, g, k, bases[k], bases[k + 1], q)
+        want = _ref_differential(f, g, k, bases[k], bases[k + 1], q)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (str(a), str(b), k)
+        shapes[k] = got.shape
+    return shapes
+
+
+@pytest.mark.parametrize("p", [(2, 2), (3, 4), (2, 3, 4)])
+def test_hom_complex_matches_reference_on_probe_pairs(p):
+    ws = WeightSystem(p)
+    for a in probe_objects(ws):
+        for b in cuboid_objects(ws):
+            _assert_matches_reference(a, b)
+
+
+def test_hom_complex_matches_reference_sample_2222():
+    ws = WeightSystem((2, 2, 2, 2))
+    (cub,) = cuboid_objects(ws)
+    probes = probe_objects(ws)
+    objects = probes[::3] + _random_objects(ws, 4, seed=5)
+    for a, b in zip(objects, objects[1:] + [cub]):
+        _assert_matches_reference(a, b)
+
+
+def test_hom_complex_matches_reference_on_deep_anchor():
+    # the (3,4,5) level -8 pair whose matrix is the first recorded baseline
+    ws = WeightSystem((3, 4, 5))
+    a = StableObject(ws, (1, 1, 1), ws.element((0, 0, 0), -8), 0)
+    shapes = _assert_matches_reference(a, U(ws, (1, 1, 1)), ks=range(-1, 1))
+    assert shapes == {-1: (1224, 1088), 0: (1368, 1224)}
+
+
+@given(st.data())
+def test_borrow_sub_is_grade_element_sub(data):
+    ws = WeightSystem(tuple(data.draw(st.lists(st.integers(2, 7), min_size=1, max_size=4))))
+
+    def element():
+        coeffs = tuple(data.draw(st.integers(0, w - 1)) for w in ws.p)
+        return GradeElement(ws, coeffs, data.draw(st.integers(-10, 10)))
+
+    x, y = element(), element()
+    d = x - y
+    assert _borrow_sub(ws.p, (x.coeffs, x.level), (y.coeffs, y.level)) == (d.coeffs, d.level)

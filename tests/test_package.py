@@ -1,6 +1,7 @@
 """Source-level properties of the package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import bpsing
@@ -42,3 +43,18 @@ def test_private_definitions_are_used():
             if not any(id(n) not in own and _referenced(n) == node.name for t in trees.values() for n in ast.walk(t)):
                 dead.append(f"{name}:{node.name}")
     assert dead == []
+
+
+def test_bench_shim_targets_exist(monkeypatch):
+    # a traced benchmark run wraps these names and reads these caches
+    import importlib
+
+    from bpsing import mforacle
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    monkeypatch.delitem(sys.modules, "shims", raising=False)
+    shims = importlib.import_module("shims")
+    missing = [f"{layer}.{name}" for layer, owner, names in shims.LAYERS for name in names if name not in vars(owner)]
+    assert missing == []
+    for fn in (mforacle.mf_of, mforacle._monomial_basis, mforacle.oracle_hom):
+        assert callable(fn.cache_info)
