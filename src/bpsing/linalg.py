@@ -1,9 +1,18 @@
-"""Dense exact linear algebra over prime fields and the rationals.
+"""Dense exact linear algebra over prime fields, the rationals and Z.
 
 All ranks computed here feed dimension counts, so the arithmetic must be
 exact.  The default working field is F_q with q = 32003; a second prime
 and a rational mode exist for paranoia runs.  Moduli are primes below
 2**31, so that a product of two residues fits in int64.
+
+The integer kernels behind the Coxeter polynomials, the inverse of a
+unimodular matrix and the characteristic polynomial, work on numpy
+object arrays of Python ints: numpy runs the loops in C while every
+entry stays an unbounded integer, so nothing can overflow.  The inverse
+is fraction-free Gauss-Jordan (Bareiss), the characteristic polynomial
+the Faddeev-LeVerrier recursion; both divide only where the quotient
+must be exact, and raise ``ArithmeticError`` if a remainder is left.
+Both reject a ragged or non-square matrix with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -97,45 +106,71 @@ def rank_exact(a) -> int:
     return r
 
 
+def _square_int(a) -> np.ndarray:
+    """A square matrix as a numpy object array of Python ints."""
+    rows = [[int(x) for x in row] for row in a]
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    return np.array(rows, dtype=object).reshape(n, n)
+
+
+def _exact_div(num: np.ndarray, den: int) -> np.ndarray:
+    quot = num // den
+    if (num % den).any():
+        raise ArithmeticError("fraction-free elimination must divide exactly")
+    return quot
+
+
 def inverse_unimodular(a) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    n = len(a)
-    m = [[Fraction(int(a[i][j])) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    """Exact inverse of an integer matrix with determinant +-1.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [A | I]: step c replaces
+    every row but the pivot row by (pivot * row - row[c] * pivot row),
+    divided exactly by the previous pivot, so every entry stays a minor
+    of [A | I].  The last pivot d is det(A) up to the sign of the row
+    swaps, the left block ends as d I and the right block as d A^(-1).
+    """
+    m = _square_int(a)
+    n = len(m)
+    aug = np.concatenate([m, np.eye(n, dtype=object)], axis=1)
+    prev = 1
     for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
+        nz = np.flatnonzero(aug[c:, c])
+        if not nz.size:
             raise ValueError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    out = [[m[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular over the integers")
-    return [[int(x) for x in row] for row in out]
+        piv = c + nz[0]
+        if piv != c:
+            aug[[c, piv]] = aug[[piv, c]]
+        pivot = aug[c, c]
+        others = np.arange(n) != c
+        update = pivot * aug[others] - np.outer(aug[others, c], aug[c])
+        aug[others] = update if prev == 1 else _exact_div(update, prev)
+        prev = pivot
+    if prev not in (1, -1):
+        raise ValueError("matrix is not unimodular over the integers")
+    # A^(-1) = right block / d, and 1/d = d for d = +-1
+    return (aug[:, n:] * prev).tolist()
 
 
 def charpoly_int(a) -> tuple[int, ...]:
     """Characteristic polynomial of an integer matrix, exact.
 
-    Faddeev-LeVerrier recursion; every division is exact.  Returns the
-    monic coefficient tuple, leading coefficient first.
+    Faddeev-LeVerrier recursion M_(k+1) = A M_k + c_k I on object
+    arrays; every division is exact.  Returns the monic coefficient
+    tuple, leading coefficient first.
     """
+    a = _square_int(a)
     n = len(a)
-    a = [[int(x) for x in row] for row in a]
     coeffs = [1]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]  # M_1 = I
+    m = np.eye(n, dtype=object)  # M_1 = I
+    diag = np.diag_indices(n)
     for k in range(1, n + 1):
-        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        tr = sum(am[i][i] for i in range(n))
+        m = a @ m
+        tr = int(m.trace())
         if tr % k:
             raise ArithmeticError("Faddeev-LeVerrier division must be exact")
         c = -tr // k
         coeffs.append(c)
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+        m[diag] += c
     return tuple(coeffs)

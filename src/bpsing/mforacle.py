@@ -22,6 +22,16 @@ entries, and the factorization check compares unboxed degrees and
 multiplies along the row lists.  No ``GradeElement`` is built per
 generator pair or per matrix entry.
 
+``mf_of`` builds the untwisted tensor factorization of U^ell once per
+weight system, ell and shift parity, in a bounded cache, and realizes
+U^ell(x)[k] as one twist of it: a rotation commutes with twists and
+[2] = (c).  A twist keeps d0 and d1, so it shares their row and column
+tables with the factorization it twists instead of rebuilding them;
+the factorization check still runs on every construction.  The Hom
+complex is a subquotient of its middle term, so an empty middle term
+answers 0 before the outer term bases, the differentials and the
+ranks are built (the modulus is checked first all the same).
+
 Conventions are pinned by self-checks rather than trusted: the
 suspension is the twisted rotation
 
@@ -50,14 +60,14 @@ symbolic calculus (both directions must be suspected):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import lru_cache
 from operator import add
 
 import numpy as np
 
 from .grading import GradeElement, WeightSystem
-from .linalg import DEFAULT_MODULUS, rank_mod
+from .linalg import DEFAULT_MODULUS, check_modulus, rank_mod
 from .stable import StableObject, cuboid_objects
 
 # A matrix entry is None (zero) or a signed monomial (coeff, exponents).
@@ -77,6 +87,8 @@ class GradedMF:
     d0: tuple[tuple[Entry, ...], ...]  # rows indexed by even, cols by odd
     d1: tuple[tuple[Entry, ...], ...]  # rows indexed by odd, cols by even
     variables: frozenset[int] = None  # summands of the potential being factored
+    # the nonzero tables of d0 and d1, handed on by a twist, which keeps both
+    _tables: InitVar[tuple[Nonzero, Nonzero, Nonzero, Nonzero] | None] = None
     # unboxed tables built from the fields above (see the module docstring)
     _even: tuple[Degree, ...] = field(init=False, repr=False, compare=False)
     _odd: tuple[Degree, ...] = field(init=False, repr=False, compare=False)
@@ -85,15 +97,16 @@ class GradedMF:
     _d1_rows: Nonzero = field(init=False, repr=False, compare=False)
     _d1_cols: Nonzero = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _tables) -> None:
         if self.variables is None:
             object.__setattr__(self, "variables", frozenset(range(self.weights.n)))
         tables = {
             "_even": tuple((g.coeffs, g.level) for g in self.even),
             "_odd": tuple((g.coeffs, g.level) for g in self.odd),
         }
-        tables["_d0_rows"], tables["_d0_cols"] = _nonzero(self.d0, len(self.even), len(self.odd))
-        tables["_d1_rows"], tables["_d1_cols"] = _nonzero(self.d1, len(self.odd), len(self.even))
+        if _tables is None:
+            _tables = _nonzero(self.d0, len(self.even), len(self.odd)) + _nonzero(self.d1, len(self.odd), len(self.even))
+        tables["_d0_rows"], tables["_d0_cols"], tables["_d1_rows"], tables["_d1_cols"] = _tables
         for name, table in tables.items():
             object.__setattr__(self, name, table)
         _check_factorization(self)
@@ -106,6 +119,7 @@ class GradedMF:
             self.d0,
             self.d1,
             self.variables,
+            (self._d0_rows, self._d0_cols, self._d1_rows, self._d1_cols),
         )
 
     def shift(self, m: int = 1) -> GradedMF:
@@ -254,6 +268,17 @@ def _shift_once(f: GradedMF) -> GradedMF:
     return GradedMF(f.weights, tuple(g - c for g in f.odd), f.even, _neg(f.d1), _neg(f.d0), f.variables)
 
 
+@lru_cache(maxsize=256)
+def _base_mf(ws: WeightSystem, ell: tuple[int, ...], odd: bool) -> GradedMF:
+    """U^ell as the untwisted tensor factorization, rotated once if odd."""
+    if odd:
+        return _shift_once(_base_mf(ws, ell, False))
+    out = rank1_mf(ws, 0, ell[0])
+    for i in range(1, ws.n):
+        out = tensor_mf(out, rank1_mf(ws, i, ell[i]))
+    return out
+
+
 @lru_cache(maxsize=None)
 def mf_of(obj: StableObject) -> GradedMF:
     """Realize U^ell(x)[k] as the twisted, shifted tensor factorization.
@@ -266,14 +291,11 @@ def mf_of(obj: StableObject) -> GradedMF:
     if obj.is_zero:
         return GradedMF(obj.weights, (), (), (), ())
     ws = obj.weights
-    out = rank1_mf(ws, 0, obj.ell[0])
-    for i in range(1, ws.n):
-        out = tensor_mf(out, rank1_mf(ws, i, obj.ell[i]))
-    if not obj.twist.is_zero():
-        out = out.twist(obj.twist)
-    if obj.shift:
-        out = out.shift(obj.shift)
-    return out
+    # a rotation commutes with twists and [2] = (c), so (x)[k] is one
+    # twist of the base, rotated once when k is odd
+    y = obj.twist + (obj.shift // 2) * ws.c()
+    base = _base_mf(ws, obj.ell, obj.shift % 2 == 1)
+    return base if y.is_zero() else base.twist(y)
 
 
 # -- the Hom complex --------------------------------------------------------
@@ -327,8 +349,12 @@ def stable_hom_dim_oracle(f: GradedMF, g: GradedMF, m: int, q: int = DEFAULT_MOD
     """Dimension of stable Hom(F, G[m]) from the folded Hom complex."""
     if f.weights != g.weights:
         raise ValueError("mismatched weight systems")
-    basis_prev = _term_basis(f, g, m - 1)
+    check_modulus(q)
     basis_mid = _term_basis(f, g, m)
+    if not basis_mid:
+        # the answer is a subquotient of the middle term
+        return 0
+    basis_prev = _term_basis(f, g, m - 1)
     basis_next = _term_basis(f, g, m + 1)
     d_prev = _differential(f, g, m - 1, basis_prev, basis_mid, q)
     d_mid = _differential(f, g, m, basis_mid, basis_next, q)

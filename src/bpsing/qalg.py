@@ -328,16 +328,12 @@ def dynkin_path_algebra(letter: str, rank: int) -> AlgebraPresentation:
 
 def coxeter_polynomial(a: AlgebraPresentation) -> IntPolynomial:
     """Characteristic polynomial of -C^(-T) C, exact."""
-    c = [[int(x) for x in row] for row in a.cartan]
-    k = len(c)
-    ct = [[c[j][i] for j in range(k)] for i in range(k)]
-    ct_inv = inverse_unimodular(ct)
-    phi = [[-sum(ct_inv[i][t] * c[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+    k = a.size
+    c = np.array(a.cartan.tolist(), dtype=object).reshape(k, k)
+    phi = -(np.array(inverse_unimodular(c.T), dtype=object).reshape(k, k) @ c)
     coeffs = charpoly_int(phi)
     # transpose convention gives the same polynomial; keep that pinned
-    c_inv = inverse_unimodular(c)
-    phi2 = [[-sum(c_inv[i][t] * ct[t][j] for t in range(k)) for j in range(k)] for i in range(k)]
+    phi2 = -(np.array(inverse_unimodular(c), dtype=object).reshape(k, k) @ c.T)
     if charpoly_int(phi2) != coeffs:
         raise RuntimeError("Coxeter polynomial must not depend on the transpose convention")
     return IntPolynomial(coeffs)
-

@@ -8,12 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bpsing.grading import GradeElement, WeightSystem
-from bpsing.linalg import PARANOIA_MODULUS
+from bpsing.linalg import PARANOIA_MODULUS, rank_mod
 from bpsing.mforacle import (
     GradedMF,
+    _base_mf,
     _borrow_sub,
     _differential,
     _neg,
+    _nonzero,
     _shift_once,
     _term_basis,
     hom_profile,
@@ -389,3 +391,76 @@ def test_borrow_sub_is_grade_element_sub(data):
     x, y = element(), element()
     d = x - y
     assert _borrow_sub(ws.p, (x.coeffs, x.level), (y.coeffs, y.level)) == (d.coeffs, d.level)
+
+
+# -- the shared base factorization and the empty-middle exit -----------------
+
+
+def _ref_mf_of(obj):
+    # tensor the rank-one factors, twist, then rotate once per unit of shift
+    ws = obj.weights
+    out = rank1_mf(ws, 0, obj.ell[0])
+    for i in range(1, ws.n):
+        out = tensor_mf(out, rank1_mf(ws, i, obj.ell[i]))
+    y = obj.twist
+    out = GradedMF(ws, tuple(g - y for g in out.even), tuple(g - y for g in out.odd), out.d0, out.d1, out.variables)
+    for _ in range(abs(obj.shift)):
+        out = _shift_once(out) if obj.shift > 0 else _ref_unshift_once(out)
+    return out
+
+
+@pytest.mark.parametrize("p", [(2, 2), (3, 4), (2, 3, 4), (2, 2, 2, 2)])
+def test_mf_of_matches_direct_construction(p):
+    ws = WeightSystem(p)
+    objects = [StableObject(ws, o.ell, o.twist, k) for o in probe_objects(ws) for k in range(-3, 4)]
+    for obj in objects + _random_objects(ws, 12, seed=7):
+        got, want = mf_of(obj), _ref_mf_of(obj)
+        assert (got.even, got.odd, got.d0, got.d1, got.variables) == (want.even, want.odd, want.d0, want.d1, want.variables), str(obj)
+        # tables handed on by a twist are the ones its matrices give
+        assert _nonzero(got.d0, len(got.even), len(got.odd)) == (got._d0_rows, got._d0_cols)
+        assert _nonzero(got.d1, len(got.odd), len(got.even)) == (got._d1_rows, got._d1_cols)
+
+
+def test_twists_share_the_base_tables():
+    # cold caches: an object cached earlier may hold an evicted base
+    mf_of.cache_clear()
+    _base_mf.cache_clear()
+    ws = WeightSystem((2, 3, 4))
+    base = _base_mf(ws, (1, 2, 3), False)
+    for shift in (0, 2, -4):
+        f = mf_of(StableObject(ws, (1, 2, 3), ws.element((1, 0, 1), 1), shift))
+        assert f.d0 is base.d0 and f._d0_rows is base._d0_rows and f._d1_cols is base._d1_cols
+    assert mf_of(StableObject(ws, (1, 2, 3), ws.zero(), 0)) is base
+    assert _base_mf.cache_info().maxsize is not None
+
+
+def _ref_stable_hom_dim_oracle(f, g, m, q=32003):
+    basis_prev = _term_basis(f, g, m - 1)
+    basis_mid = _term_basis(f, g, m)
+    basis_next = _term_basis(f, g, m + 1)
+    d_prev = _differential(f, g, m - 1, basis_prev, basis_mid, q)
+    d_mid = _differential(f, g, m, basis_mid, basis_next, q)
+    return len(basis_mid) - rank_mod(d_mid, q) - rank_mod(d_prev, q)
+
+
+@pytest.mark.parametrize("p", [(2, 3, 4), (3, 5)])
+def test_empty_middle_exit_matches_three_terms(p):
+    ws = WeightSystem(p)
+    empty = 0
+    for a in probe_objects(ws):
+        for b in cuboid_objects(ws):
+            f, g = mf_of(a), mf_of(b)
+            for m in range(-2, 3):
+                assert stable_hom_dim_oracle(f, g, m) == _ref_stable_hom_dim_oracle(f, g, m), (str(a), str(b), m)
+                empty += not _term_basis(f, g, m)
+    assert empty  # the exit is taken
+
+
+def test_empty_middle_still_checks_the_modulus():
+    ws = WeightSystem((2, 3, 4))
+    a, b = next((a, b) for a in probe_objects(ws) for b in cuboid_objects(ws) if not _term_basis(mf_of(a), mf_of(b), 0))
+    assert oracle_hom(a, b, 0) == 0
+    with pytest.raises(ValueError, match="not prime"):
+        oracle_hom(a, b, 0, q=32004)
+    with pytest.raises(ValueError, match="not below 2"):
+        stable_hom_dim_oracle(mf_of(a), mf_of(b), 0, 2**31 + 11)

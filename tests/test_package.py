@@ -20,6 +20,46 @@ def test_no_assert_statements():
     assert found == []
 
 
+# the module-level caches that may still grow without bound
+UNBOUNDED_CACHES = {"mf_of", "_monomial_basis", "oracle_hom", "_hom_dim_canonical"}
+
+
+def _cache_bound(decorator):
+    """'unbounded', 'bounded' or None (not a functools cache)."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    name = _referenced(call.func if call else decorator)
+    if name == "cache":
+        return "unbounded"
+    if name != "lru_cache":
+        return None
+    if call is None:
+        return "bounded"  # the default maxsize is 128
+    size = next((kw.value for kw in call.keywords if kw.arg == "maxsize"), call.args[0] if call.args else None)
+    if size is None:
+        return "bounded"
+    return "unbounded" if isinstance(size, ast.Constant) and size.value is None else "bounded"
+
+
+def test_caches_are_bounded():
+    # memory must stay bounded in a long-running process: no new unbounded cache
+    unbounded = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(_cache_bound(d) == "unbounded" for d in node.decorator_list) and node.name not in UNBOUNDED_CACHES:
+                    unbounded.append(f"{name}:{node.name}")
+    assert unbounded == []
+
+
+def test_cache_bound_reader():
+    def bound(src):
+        return _cache_bound(ast.parse(src, mode="eval").body)
+
+    assert bound("lru_cache(maxsize=None)") == bound("functools.lru_cache(None)") == bound("functools.cache") == "unbounded"
+    assert bound("lru_cache(maxsize=8)") == bound("lru_cache") == bound("functools.lru_cache()") == "bounded"
+    assert bound("property") is None and bound("dataclass(frozen=True)") is None
+
+
 def _referenced(node) -> str | None:
     if isinstance(node, ast.Name):
         return node.id

@@ -14,6 +14,7 @@ from bpsing.qalg import (
     nakayama,
     replicated,
     tensor,
+    tensor_chain,
 )
 
 W34 = WeightSystem((3, 4))
@@ -108,6 +109,29 @@ def test_dynkin_cartans():
 def test_coxeter_examples():
     assert coxeter_polynomial(nakayama(1, 1)).coeffs == (1, 1)
     assert coxeter_polynomial(nakayama(2, 2)).coeffs == (1, 1, 1)
+
+
+def test_coxeter_polynomial_of_345_cuboid():
+    # the 24-vertex cuboid algebra of (3,4,5), the largest in the suites
+    cub = tensor_chain(nakayama(w - 1, w - 1) for w in (3, 4, 5))
+    assert cub.size == 24
+    assert coxeter_polynomial(cub).coeffs == (
+        1, 1, 1, 0, -1, -2, -2, -1, 0, 1, 1, 1, 1, 1, 1, 1, 0, -1, -2, -2, -1, 0, 1, 1, 1,
+    )  # fmt: skip
+
+
+def test_coxeter_polynomial_of_empty_algebra():
+    empty = AlgebraPresentation("empty", (), (), (), np.zeros((0, 0), dtype=np.int64))
+    assert coxeter_polynomial(empty).coeffs == (1,)
+
+
+def test_coxeter_transpose_check_fires(monkeypatch):
+    from bpsing import qalg
+
+    answers = iter([(1, 1, 1), (1, 0, 1)])
+    monkeypatch.setattr(qalg, "charpoly_int", lambda phi: next(answers))
+    with pytest.raises(RuntimeError, match="transpose convention"):
+        coxeter_polynomial(nakayama(2, 2))
 
 
 def test_coxeter_deterministic():
