@@ -61,6 +61,13 @@ def _weights(text: str, force: bool) -> WeightSystem:
     return ws
 
 
+def _non_negative(value: int, option: str) -> int:
+    # a negative half-width leaves an empty window, which would check nothing
+    if value < 0:
+        raise UsageError(f"{option} must be non-negative, got {value}")
+    return value
+
+
 def _family_from_kind(ws: WeightSystem, kind: str):
     with _reading(f"family kind {kind!r}"):
         if kind in ("cuboid", "koszul"):
@@ -134,7 +141,8 @@ def cmd_endo(args) -> int:
 def cmd_verify(args) -> int:
     ws = _weights(args.weights, args.force)
     fam = _family_from_kind(ws, args.kind)
-    window = (-args.window, args.window) if args.window else None
+    half = _non_negative(args.window, "--window")
+    window = (-half, half) if half else None
     report = verify_tilting(fam, window)
     print(report.to_json())
     print(f"verify {fam.kind} over {ws}: {'pass' if report.passed else 'FAIL'}", file=sys.stderr)
@@ -145,7 +153,7 @@ def cmd_ladder(args) -> int:
     ws = _weights(args.weights, args.force)
     with _reading(f"split {args.split}"):
         ladder = Ladder(ws, args.split)
-    report = check_recollement(ladder, level_bound=args.level_bound)
+    report = check_recollement(ladder, level_bound=_non_negative(args.level_bound, "--level-bound"))
     print(report.to_json())
     print(f"ladder over {ws} split {report.split}: {'pass' if report.passed else 'FAIL'}", file=sys.stderr)
     return 0 if report.passed else 1
@@ -249,7 +257,8 @@ def cmd_oracle_check(args) -> int:
         print(f"Hom({a}, {b}): calculus {h}, oracle {o}", file=sys.stderr)
         return 0 if (h is None or h == o) else 1
     cub = cuboid_objects(ws)
-    shifts = range(-args.shift_window, args.shift_window + 1)
+    half = _non_negative(args.shift_window, "--shift-window")
+    shifts = range(-half, half + 1)
     checked = disagreements = unknown = 0
     bad = []
     for probe in probe_objects(ws):

@@ -125,7 +125,10 @@ class GradedMF:
     def shift(self, m: int = 1) -> GradedMF:
         # [2] = (c): twist by (m // 2) c, then rotate once if m is odd
         out = self.twist((m // 2) * self.weights.c()) if m // 2 else self
-        return _shift_once(out) if m % 2 else out
+        if m % 2:
+            c = out.weights.c()
+            out = GradedMF(out.weights, tuple(g - c for g in out.odd), out.even, _neg(out.d1), _neg(out.d0), out.variables)
+        return out
 
 
 def _nonzero(mat, nrows: int, ncols: int) -> tuple[Nonzero, Nonzero]:
@@ -263,16 +266,11 @@ def tensor_mf(f: GradedMF, g: GradedMF) -> GradedMF:
     return GradedMF(ws, even, odd, tuple(tuple(r) for r in d0), tuple(tuple(r) for r in d1), f.variables | g.variables)
 
 
-def _shift_once(f: GradedMF) -> GradedMF:
-    c = f.weights.c()
-    return GradedMF(f.weights, tuple(g - c for g in f.odd), f.even, _neg(f.d1), _neg(f.d0), f.variables)
-
-
 @lru_cache(maxsize=256)
 def _base_mf(ws: WeightSystem, ell: tuple[int, ...], odd: bool) -> GradedMF:
     """U^ell as the untwisted tensor factorization, rotated once if odd."""
     if odd:
-        return _shift_once(_base_mf(ws, ell, False))
+        return _base_mf(ws, ell, False).shift(1)
     out = rank1_mf(ws, 0, ell[0])
     for i in range(1, ws.n):
         out = tensor_mf(out, rank1_mf(ws, i, ell[i]))

@@ -25,11 +25,33 @@ shift equivariance and reflections on either argument, against two
 families with closed Hom formulas: the extended cuboid families (one
 dimensional exactly when ell >= z and 0 <= x - y <= s, zero between
 distinct total shifts) and the replicated families built from Serre
-twists of a slab.  Since the rewriting freedom acts coordinatewise,
-the matching search decomposes per coordinate and is complete; a
-single Serre-functor swap per branch extends the reach.  Pairs outside
-every matching configuration honestly return ``None`` (unknown)
-instead of extrapolating.
+twists S^i = (-i s)[i n] of a slab.  Since the rewriting freedom acts
+coordinatewise, the matching search decomposes per coordinate and is
+complete.  Two cuboid searches, on (a, b) and on (b, S a), and one zero
+test decide everything the replicated families reach:
+
+  * placing a in copy i and b in copy j of the family of slab
+    coordinate t asks, per coordinate c, for raw twist coefficients
+    that differ by k = j - i modulo p_c, with ell = p_t - 1 on both
+    sides at c = t; the answer depends on t and k alone;
+  * k = 0 puts both twists in one residue class, which is a cuboid
+    match, so the search on (a, b) already finds it;
+  * k = 1 is the Serre dual of a cuboid match: Hom(a, b) is dual to
+    Hom(b, S a), and S a sits in copy i + 1 = j together with b, so
+    the search on (b, S a) finds it;
+  * members of copies with any other difference pair to zero, so for
+    those only feasibility matters;
+  * with copies 0 .. p_t - 2, matches of (a, b) reach the differences
+    2 - p_t .. p_t - 2 and matches of (b, S a) the differences
+    3 - p_t .. p_t - 1, so the zero test runs over 2 - p_t .. p_t - 1;
+    the upper end p_t - 1 is reached only through S and decides pairs
+    of its own;
+  * a search on (S^-1 b, a) would be the search on (b, S a) moved by
+    the autoequivalence S^-1, which changes no residue or shift
+    comparison, so it adds nothing.
+
+Pairs outside every matching configuration honestly return ``None``
+(unknown) instead of extrapolating.
 """
 
 from __future__ import annotations
@@ -87,12 +109,6 @@ class StableObject:
             return self
         ws = self.weights
         return StableObject(ws, self.ell, self.twist - ws.s(), self.shift + ws.n).canonical()
-
-    def serre_inv(self) -> StableObject:
-        if self.is_zero:
-            return self
-        ws = self.weights
-        return StableObject(ws, self.ell, self.twist + ws.s(), self.shift - ws.n).canonical()
 
     def canonical(self) -> StableObject:
         """Deterministic normal form with shift zero.
@@ -230,6 +246,18 @@ def knorrer_transport(obj: StableObject) -> StableObject:
 
 # -- Hom dimension calculus -------------------------------------------------
 
+def _rewritings(a: StableObject, b: StableObject):
+    """Per coordinate, p and the four pairs of rewritings of a and b.
+
+    A rewriting (e, ell, raw) keeps the coordinate (e = 0) or reflects
+    it (e = 1), with the resulting ell and raw twist coefficient.
+    """
+    for p, ai, bi, ui, vi in zip(a.weights.p, a.ell, b.ell, a.twist.coeffs, b.twist.coeffs):
+        a0, a1 = (0, ai, ui), (1, p - ai, ui + p - ai)
+        b0, b1 = (0, bi, vi), (1, p - bi, vi + p - bi)
+        yield p, ((a0, b0), (a0, b1), (a1, b0), (a1, b1))
+
+
 def _pair_answer(a: StableObject, b: StableObject) -> int | None:
     """Decide the pair against the extended cuboid families, exactly.
 
@@ -237,148 +265,90 @@ def _pair_answer(a: StableObject, b: StableObject) -> int | None:
     into family members U^l(x)[-sigma(x) + d] and U^z(y)[-sigma(y) + d']
     for one common coordinate subset.  The rewriting freedom per
     coordinate is a reflection on either side (flipping ell and adding
-    its complement to the twist) plus a common twist transfer between
-    the two sides, so feasibility decomposes coordinatewise and the
-    enumeration below is complete.  On a feasible configuration the
-    answer is zero for d distinct from d', and otherwise one exactly
-    when ell >= z and 0 <= x - y <= s; any feasible configuration
-    computes the same true dimension, so the first is taken.
+    its complement to the twist) plus a common twist transfer delta
+    between the two sides, so feasibility decomposes coordinatewise and
+    the enumeration below is complete.  A transfer fits when it leaves
+    both coefficients at 0, which fixes delta modulo p, or, when both
+    sides have ell = 1, when neither coefficient is left at p - 1: for
+    p > 2 the least such delta lies in {0, 1, 2}, and for p = 2 this is
+    the first condition again.  On a feasible configuration the answer
+    is zero for d distinct from d', and otherwise one exactly when
+    ell >= z and 0 <= x - y <= s; any feasible configuration computes
+    the same true dimension, so the first is taken.
     """
-    ws = a.weights
-    choices = []
-    for i, p in enumerate(ws.p):
-        ai, bi = a.ell[i], b.ell[i]
-        ui, vi = a.twist.coeffs[i], b.twist.coeffs[i]
-        found = None
-        for ea in (0, 1):
-            la = p - ai if ea else ai
-            rawa = ui + (p - ai if ea else 0)
-            for eb in (0, 1):
-                lb = p - bi if eb else bi
-                rawb = vi + (p - bi if eb else 0)
-                for delta in range(p):
-                    wa, xa = divmod(rawa - delta, p)
-                    wb, yb = divmod(rawb - delta, p)
-                    if (xa == 0 and yb == 0) or (la == 1 and lb == 1 and xa <= p - 2 and yb <= p - 2):
-                        found = (ea, eb, la, lb, xa, yb, wa, wb)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found is None:
-            return None
-        choices.append(found)
     d = a.shift + 2 * a.twist.level
     dp = b.shift + 2 * b.twist.level
-    for ea, eb, la, lb, xa, yb, wa, wb in choices:
+    one = True
+    for p, options in _rewritings(a, b):
+        for (ea, la, rawa), (eb, lb, rawb) in options:
+            if la == lb == 1 and p > 2:
+                delta = 0  # at most two residues to step over
+                while delta in ((rawa + 1) % p, (rawb + 1) % p):
+                    delta += 1
+                break
+            if (rawa - rawb) % p == 0:
+                delta = rawa % p
+                break
+        else:
+            return None
+        wa, xa = divmod(rawa - delta, p)
+        wb, yb = divmod(rawb - delta, p)
         d += -ea + 2 * wa + xa
         dp += -eb + 2 * wb + yb
+        one = one and la >= lb and 0 <= xa - yb <= 1
     if d != dp:
         return 0
-    for ea, eb, la, lb, xa, yb, wa, wb in choices:
-        if la < lb or not 0 <= xa - yb <= 1:
-            return 0
-    return 1
+    return int(one)
 
 
-def _replicated_answer(a: StableObject, b: StableObject) -> int | None:
-    """Decide the pair against the replicated tilting families.
+def _replicated_zero(a: StableObject, b: StableObject) -> bool:
+    """Whether the pair sits in two copies of one replicated family that
+    pair to zero.
 
-    These families consist of the slab objects U^l (coordinate t
-    maximal) under powers of the Serre twist, U^l(-i s)[i n] for
-    0 <= i <= p_t - 2.  They are tilting with block lower bidiagonal
-    endomorphism Cartan, so members at equal total shift pair to one
-    exactly within a copy (l >= z) or between adjacent copies in the
-    dual direction (z >= l), and to zero otherwise.
+    The replicated family of slab coordinate t consists of the slab
+    objects U^l (l_t = p_t - 1) under the Serre twists S^i = (-i s)[i n].
+    Members of copies i and j pair to zero unless j - i is 0 or 1, so
+    only feasibility matters: a rewriting per coordinate c, with ell
+    p_t - 1 on both sides at c = t, whose raw twist coefficients differ
+    by k = j - i modulo p_c.  See the module docstring for why the copy
+    differences 2 - p_t <= k <= p_t - 1 other than 0 and 1 are the ones
+    left to test.
     """
     ws = a.weights
-    for t in range(ws.n):
-        for i in range(ws.p[t] - 1):
-            for j in range(ws.p[t] - 1):
-                ans = _match_replicated(a, b, t, i, j)
-                if ans is not None:
-                    return ans
-    return None
+    free, slab = [], []
+    for p, options in _rewritings(a, b):
+        free.append({(ra - rb) % p for (_, _, ra), (_, _, rb) in options})
+        slab.append({(ra - rb) % p for (_, la, ra), (_, lb, rb) in options if la == lb == p - 1})
+    for t, pt in enumerate(ws.p):
+        allowed = free[:t] + [slab[t]] + free[t + 1 :]
+        for k in range(2 - pt, pt):
+            if k not in (0, 1) and all(k % p in diffs for p, diffs in zip(ws.p, allowed)):
+                return True
+    return False
 
 
-def _match_replicated(a: StableObject, b: StableObject, t: int, i: int, j: int) -> int | None:
-    ws = a.weights
-    la_out, lb_out = [], []
-    ea_sum = eb_sum = wa_sum = wb_sum = 0
-    for c, p in enumerate(ws.p):
-        ac, bc = a.ell[c], b.ell[c]
-        uc, vc = a.twist.coeffs[c], b.twist.coeffs[c]
-        xt = (-i) % p
-        yt = (-j) % p
-        found = None
-        for ea in (0, 1):
-            la = p - ac if ea else ac
-            if c == t and la != p - 1:
-                continue
-            rawa = uc + (p - ac if ea else 0)
-            delta = (rawa - xt) % p
-            wa = (rawa - delta - xt) // p
-            for eb in (0, 1):
-                lb = p - bc if eb else bc
-                if c == t and lb != p - 1:
-                    continue
-                rawb = vc + (p - bc if eb else 0)
-                if (rawb - delta) % p != yt:
-                    continue
-                wb = (rawb - delta - yt) // p
-                found = (ea, eb, la, lb, wa, wb)
-                break
-            if found:
-                break
-        if found is None:
-            return None
-        ea, eb, la, lb, wa, wb = found
-        la_out.append(la)
-        lb_out.append(lb)
-        ea_sum += ea
-        eb_sum += eb
-        wa_sum += wa
-        wb_sum += wb
-    lev_is = sum((-i) // p for p in ws.p)
-    lev_js = sum((-j) // p for p in ws.p)
-    d = a.shift - ea_sum + 2 * (a.twist.level + wa_sum) - i * ws.n - 2 * lev_is
-    dp = b.shift - eb_sum + 2 * (b.twist.level + wb_sum) - j * ws.n - 2 * lev_js
-    if d != dp:
-        return 0
-    if i == j:
-        return 1 if all(x >= y for x, y in zip(la_out, lb_out)) else 0
-    if j == i + 1:
-        return 1 if all(y >= x for x, y in zip(la_out, lb_out)) else 0
-    return 0
-
-
-def _pair_search(a: StableObject, b: StableObject) -> int | None:
-    ans = _pair_answer(a, b)
-    if ans is None:
-        ans = _replicated_answer(a, b)
-    return ans
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def _hom_dim_canonical(a: StableObject, b: StableObject) -> int | None:
     if a.is_zero or b.is_zero:
         return 0
-    ans = _pair_search(a, b)
-    if ans is not None:
-        return ans
-    ans = _pair_search(b, a.serre())
-    if ans is not None:
-        return ans
-    return _pair_search(b.serre_inv(), a)
+    ans = _pair_answer(a, b)
+    if ans is None:
+        ans = _pair_answer(b, a.serre())
+    if ans is None and _replicated_zero(a, b):
+        ans = 0
+    return ans
 
 
 def hom_dim(a: StableObject, b: StableObject) -> int | None:
     """Hom dimension between stable objects; None when out of reach.
 
-    The search applies twist and shift equivariance, explores the full
-    reflection orbits of both arguments, and may swap the pair through
-    the Serre functor once.  Every answer it does give is exact.
+    The search applies twist and shift equivariance and explores the
+    full reflection orbits of both arguments.  It matches (a, b) and
+    (b, S a) against the extended cuboid families, where S is the Serre
+    functor, and answers zero when the pair sits in two copies of one
+    replicated family whose difference is neither 0 nor 1; these three
+    steps reach every configuration of both families (see the module
+    docstring).  Every answer it does give is exact.
     """
     if a.weights != b.weights:
         raise ValueError("mismatched weight systems")

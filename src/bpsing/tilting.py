@@ -182,6 +182,8 @@ def verify_tilting(fam: TiltingFamily, window: tuple[int, int] | None = None) ->
     if window is None:
         w = 2 * ws.n + 4
         window = (-w, w)
+    if not window[0] <= 0 <= window[1]:
+        raise ValueError(f"shift window {window} does not contain 0")
     rig, endo, unknown = [], [], []
     size = fam.size
     hom0 = np.zeros((size, size), dtype=np.int64)

@@ -124,6 +124,9 @@ def test_weight_cap():
         ["endo", "-p", "3,4", "--kind", "replicated:9"],
         ["endo", "-p", "3,4", "--kind", "nonsense"],
         ["quiver", "--algebra", "nakayama:3"],
+        ["verify", "-p", "3,4", "--window", "-3"],
+        ["oracle-check", "-p", "3,4", "--shift-window", "-1"],
+        ["ladder", "-p", "3,4", "--split", "3", "--level-bound", "-1"],
     ],
 )
 def test_unusable_arguments_exit_two(capsys, argv):

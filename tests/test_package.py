@@ -21,7 +21,7 @@ def test_no_assert_statements():
 
 
 # the module-level caches that may still grow without bound
-UNBOUNDED_CACHES = {"mf_of", "_monomial_basis", "oracle_hom", "_hom_dim_canonical"}
+UNBOUNDED_CACHES = {"mf_of", "_monomial_basis", "oracle_hom"}
 
 
 def _cache_bound(decorator):

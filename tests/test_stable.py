@@ -6,8 +6,10 @@ import random
 import pytest
 
 from bpsing.grading import GradeElement, WeightSystem, normalize
+from bpsing.mforacle import oracle_hom, probe_objects
 from bpsing.stable import (
     StableObject,
+    _pair_answer,
     U,
     cuboid_objects,
     hom_dim,
@@ -16,6 +18,7 @@ from bpsing.stable import (
     rho_k,
     zero_object,
 )
+from bpsing.tilting import family
 
 W34 = WeightSystem((3, 4))
 W22 = WeightSystem((2, 2))
@@ -103,12 +106,6 @@ def test_suspend_rules():
     assert rho_k(W34).suspend(2) == U(W34, (2, 3), W34.element((2, 3))).canonical()
 
 
-def test_serre_inverse():
-    o = U(W34, (2, 2), W34.x(0), 1)
-    assert o.serre().serre_inv() == o.canonical()
-    assert o.serre_inv().serre() == o.canonical()
-
-
 def test_parse_round_trip():
     for text in ("U[2,3]", "U[1,2](1,0;-1)", "U[2,1](0,3;2)[-4]", "0"):
         o = parse_object(W34, text)
@@ -182,3 +179,192 @@ def test_ell_bounds_validated():
         U(W34, (0, 2))
     with pytest.raises(ValueError):
         U(W34, (1, 4))
+
+
+# -- the earlier three-pass search, kept as the reference for hom_dim --------
+
+
+def _ref_pair_answer(a, b):
+    """Cuboid match by a scan over every transfer delta in [0, p)."""
+    ws = a.weights
+    choices = []
+    for i, p in enumerate(ws.p):
+        ai, bi = a.ell[i], b.ell[i]
+        ui, vi = a.twist.coeffs[i], b.twist.coeffs[i]
+        found = None
+        for ea in (0, 1):
+            la = p - ai if ea else ai
+            rawa = ui + (p - ai if ea else 0)
+            for eb in (0, 1):
+                lb = p - bi if eb else bi
+                rawb = vi + (p - bi if eb else 0)
+                for delta in range(p):
+                    wa, xa = divmod(rawa - delta, p)
+                    wb, yb = divmod(rawb - delta, p)
+                    if (xa == 0 and yb == 0) or (la == 1 and lb == 1 and xa <= p - 2 and yb <= p - 2):
+                        found = (ea, eb, la, lb, xa, yb, wa, wb)
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if found is None:
+            return None
+        choices.append(found)
+    d = a.shift + 2 * a.twist.level
+    dp = b.shift + 2 * b.twist.level
+    for ea, eb, la, lb, xa, yb, wa, wb in choices:
+        d += -ea + 2 * wa + xa
+        dp += -eb + 2 * wb + yb
+    if d != dp:
+        return 0
+    for ea, eb, la, lb, xa, yb, wa, wb in choices:
+        if la < lb or not 0 <= xa - yb <= 1:
+            return 0
+    return 1
+
+
+def _ref_match_replicated(a, b, t, i, j):
+    """a in copy i and b in copy j of the replicated family of slab t."""
+    ws = a.weights
+    la_out, lb_out = [], []
+    ea_sum = eb_sum = wa_sum = wb_sum = 0
+    for c, p in enumerate(ws.p):
+        ac, bc = a.ell[c], b.ell[c]
+        uc, vc = a.twist.coeffs[c], b.twist.coeffs[c]
+        xt = (-i) % p
+        yt = (-j) % p
+        found = None
+        for ea in (0, 1):
+            la = p - ac if ea else ac
+            if c == t and la != p - 1:
+                continue
+            rawa = uc + (p - ac if ea else 0)
+            delta = (rawa - xt) % p
+            wa = (rawa - delta - xt) // p
+            for eb in (0, 1):
+                lb = p - bc if eb else bc
+                if c == t and lb != p - 1:
+                    continue
+                rawb = vc + (p - bc if eb else 0)
+                if (rawb - delta) % p != yt:
+                    continue
+                wb = (rawb - delta - yt) // p
+                found = (ea, eb, la, lb, wa, wb)
+                break
+            if found:
+                break
+        if found is None:
+            return None
+        ea, eb, la, lb, wa, wb = found
+        la_out.append(la)
+        lb_out.append(lb)
+        ea_sum += ea
+        eb_sum += eb
+        wa_sum += wa
+        wb_sum += wb
+    lev_is = sum((-i) // p for p in ws.p)
+    lev_js = sum((-j) // p for p in ws.p)
+    d = a.shift - ea_sum + 2 * (a.twist.level + wa_sum) - i * ws.n - 2 * lev_is
+    dp = b.shift - eb_sum + 2 * (b.twist.level + wb_sum) - j * ws.n - 2 * lev_js
+    if d != dp:
+        return 0
+    if i == j:
+        return 1 if all(x >= y for x, y in zip(la_out, lb_out)) else 0
+    if j == i + 1:
+        return 1 if all(y >= x for x, y in zip(la_out, lb_out)) else 0
+    return 0
+
+
+def _ref_pair_search(a, b):
+    ans = _ref_pair_answer(a, b)
+    if ans is not None:
+        return ans
+    ws = a.weights
+    for t in range(ws.n):
+        for i in range(ws.p[t] - 1):
+            for j in range(ws.p[t] - 1):
+                ans = _ref_match_replicated(a, b, t, i, j)
+                if ans is not None:
+                    return ans
+    return None
+
+
+def _ref_hom_dim(a, b):
+    """Search (a, b), then (b, S a), then (S^-1 b, a)."""
+    a, b = a.canonical(), b.canonical()
+    if a.is_zero or b.is_zero:
+        return 0
+    ws = a.weights
+    serre_inv_b = StableObject(ws, b.ell, b.twist + ws.s(), b.shift - ws.n).canonical()
+    for x, y in ((a, b), (b, a.serre()), (serre_inv_b, a)):
+        ans = _ref_pair_search(x, y)
+        if ans is not None:
+            return ans
+    return None
+
+
+def _assert_matches_reference(pairs) -> int:
+    """Compare every pair, None included; return the number of unknowns."""
+    unknown = 0
+    for a, b in pairs:
+        got = hom_dim(a, b)
+        assert got == _ref_hom_dim(a, b), (str(a), str(b))
+        unknown += got is None
+    return unknown
+
+
+REFERENCE_PROBE_TYPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 4), (2, 3, 4), (3, 5), (4, 5), (5, 5), (4, 6)]
+
+
+@pytest.mark.parametrize("p", REFERENCE_PROBE_TYPES)
+def test_hom_matches_reference_on_probes(p):
+    ws = WeightSystem(p)
+    probes = [StableObject(ws, o.ell, o.twist, m) for o in probe_objects(ws) for m in range(-2, 3)]
+    _assert_matches_reference((a, b) for a in probes for b in cuboid_objects(ws))
+
+
+def test_hom_matches_reference_on_families():
+    ws = WeightSystem((3, 4, 5))
+    kinds = [("cuboid", {}), ("koszul", {})]
+    kinds += [("extended", {"subset": (i,)}) for i in range(ws.n)]
+    kinds += [("replicated", {"t": t}) for t in range(ws.n)]
+    for kind, kwargs in kinds:
+        objs = family(ws, kind, **kwargs).objects
+        _assert_matches_reference((a, b.suspend(m)) for a in objs for b in objs for m in range(-2, 3))
+
+
+PAIRS_PER_TYPE = 600
+RANDOM_TYPES = [(3, 4, 5), (5, 6, 7), (6, 7), (4, 5, 6), (7,), (2, 9)]
+
+
+def _random_object(rng, ws):
+    ell = tuple(rng.randint(1, w - 1) for w in ws.p)
+    twist = normalize(ws, [rng.randint(0, w - 1) for w in ws.p], rng.randint(-3, 3))
+    return StableObject(ws, ell, twist, rng.randint(-3, 3))
+
+
+def test_hom_matches_reference_on_random_pairs():
+    rng = random.Random(20261018)
+    unknown = 0
+    for p in RANDOM_TYPES:
+        ws = WeightSystem(p)
+        unknown += _assert_matches_reference((_random_object(rng, ws), _random_object(rng, ws)) for _ in range(PAIRS_PER_TYPE))
+    assert unknown > 0  # the sample reaches pairs that no branch decides
+
+
+def test_zero_test_reaches_difference_p_t_minus_one():
+    # no cuboid match on (a, b) or (b, S a); only the replicated family of
+    # slab t = 2 (p_t = 5) at copy difference k = 4 = p_t - 1 decides it
+    ws = WeightSystem((3, 4, 5))
+    a, b = parse_object(ws, "U[1,2,1](2,0,2;-2)"), parse_object(ws, "U[1,2,2]")
+    assert _pair_answer(a, b) is None and _pair_answer(b, a.serre()) is None
+    assert hom_dim(a, b) == _ref_hom_dim(a, b) == 0
+    assert oracle_hom(a.canonical(), b.canonical(), 0) == 0
+
+
+def test_pair_outside_every_branch_is_unknown():
+    ws = WeightSystem((4, 5))
+    a, b = parse_object(ws, "U[2,1](2,2;-2)"), parse_object(ws, "U[2,2]")
+    assert hom_dim(a, b) is None
+    assert _ref_hom_dim(a, b) is None

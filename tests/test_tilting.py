@@ -81,6 +81,13 @@ def test_verify_single_object():
     assert report.passed
 
 
+@pytest.mark.parametrize("window", [(3, -3), (1, 4), (-4, -1)])
+def test_verify_rejects_window_without_zero(window):
+    # End is checked at shift 0, so a window without it would check nothing of it
+    with pytest.raises(ValueError, match="does not contain 0"):
+        verify_tilting(family(W34, "cuboid"), window=window)
+
+
 def test_corrupted_family_fails():
     fam = family(W34, "cuboid")
     bad = TiltingFamily(
