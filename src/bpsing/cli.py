@@ -251,8 +251,7 @@ def cmd_oracle_check(args) -> int:
             a = parse_object(ws, args.pair[0])
             b = parse_object(ws, args.pair[1])
         h = hom_dim(a, b)
-        o = None if (a.is_zero or b.is_zero) else oracle_hom(a.canonical(), b.canonical(), 0, q)
-        o = 0 if o is None else o
+        o = oracle_hom(a.canonical(), b.canonical(), 0, q)
         _emit({"pair": [str(a), str(b)], "calculus": h, "oracle": o, "agree": h is None or h == o})
         print(f"Hom({a}, {b}): calculus {h}, oracle {o}", file=sys.stderr)
         return 0 if (h is None or h == o) else 1

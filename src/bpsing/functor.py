@@ -189,25 +189,31 @@ class LadderReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
+# how many cuboid pairs the full-faithfulness check compares, and how
+# many (full, reduced) module pairs the adjunction check compares
+_FF_PAIRS = 24
+_ADJUNCTION_PAIRS = 8
+
+
 def _level_window(ws: WeightSystem, bound: int):
     for coeffs in itertools.product(*(range(w) for w in ws.p)):
         for lev in range(-bound, bound + 1):
             yield GradeElement(ws, coeffs, lev)
 
 
-def check_recollement(
-    ladder: Ladder,
-    level_bound: int = 2,
-    ff_samples: int = 12,
-    adjunction_pairs: int = 8,
-    q_field: int | None = None,
-) -> LadderReport:
+def check_recollement(ladder: Ladder, level_bound: int = 2) -> LadderReport:
     """Verify the defining ladder identities on finite windows.
 
-    Checks the vanishing composite phi_{1,q} psi_{2,0}, full
-    faithfulness of the insertions on Hom dimensions, the period-p_n
-    twist conjugation identity, and module-level adjunction.
+    Checks the vanishing composite phi_{1,q} psi_{2,0} on every level
+    in [-level_bound, level_bound], full faithfulness of the insertions
+    on Hom dimensions over the first _FF_PAIRS cuboid pairs, the
+    period-p_n twist conjugation identity, and module-level adjunction
+    over the first _ADJUNCTION_PAIRS module pairs.  Raises ValueError
+    on a negative level_bound, whose empty window would check no
+    composite.
     """
+    if level_bound < 0:
+        raise ValueError(f"level bound {level_bound} is negative, so no composite would be checked")
     ws = ladder.weights
     q = ladder.q
     src2 = ladder.emb2.source
@@ -228,7 +234,7 @@ def check_recollement(
             for b in objs:
                 pairs.append((a, b))
                 pairs.append((a, b.twist_by(srcj.x(0))))
-        for a, b in pairs[: ff_samples * 2]:
+        for a, b in pairs[:_FF_PAIRS]:
             k = 0 if j == 2 else q - 1
             ha = hom_dim(a, b)
             hb = hom_dim(insert(ladder, j, k, a), insert(ladder, j, k, b))
@@ -259,22 +265,14 @@ def check_recollement(
                     periodicity_failures.append(f"phi_({j},{k + pn}) vs twisted phi_({j},{k}) on {obj}")
 
     adj = []
-    kwargs = {} if q_field is None else {"q": q_field}
     for j in (1, 2):
         emb = ladder.emb(j)
         srcj = emb.source
-        mods_full = [make_E(ws, ell, **kwargs) for ell in _some_ells(ws)]
-        mods_full.append(make_simple(ws, **kwargs))
-        mods_red = [make_E(srcj, ell, **kwargs) for ell in _some_ells(srcj)]
-        mods_red.append(make_simple(srcj, **kwargs))
-        count = 0
-        for m in mods_full:
-            for nmod in mods_red:
-                if count >= adjunction_pairs:
-                    break
-                ok = adjunction_check(emb, m, nmod)
-                adj.append({"j": j, "pair_index": count, "ok": ok})
-                count += 1
+        mods_full = [make_E(ws, ell) for ell in _some_ells(ws)] + [make_simple(ws)]
+        mods_red = [make_E(srcj, ell) for ell in _some_ells(srcj)] + [make_simple(srcj)]
+        mod_pairs = itertools.islice(itertools.product(mods_full, mods_red), _ADJUNCTION_PAIRS)
+        for count, (m, nmod) in enumerate(mod_pairs):
+            adj.append({"j": j, "pair_index": count, "ok": adjunction_check(emb, m, nmod)})
 
     return LadderReport(
         weights=ws,

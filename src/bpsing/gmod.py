@@ -2,14 +2,17 @@
 
 A module is a finite family of fibers M_x indexed by grading-group
 degrees together with matrices for the X_i actions.  Construction
-checks that the actions commute and that sum(X_i^p_i) acts by zero,
-so every value of this type really is a module over the hypersurface.
+checks the shape of every action, that the actions commute and that
+sum(X_i^p_i) acts by zero, so every value of this type really is a
+module over the hypersurface.
 
 The shift convention is (M(y))_x = M_{x+y}; the simple k(y) therefore
 has its fiber in degree -y.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -18,13 +21,20 @@ from .linalg import DEFAULT_MODULUS, check_modulus, rank_exact, rank_mod
 
 
 class GradedModule:
+    """A graded module, validated once on construction.
+
+    Construction raises ``ValueError`` on an action whose matrix is not
+    (dim M_{x+x_i}) x (dim M_x), so that an action keyed at a degree
+    outside the support must be empty, on actions that do not commute,
+    and on a sum X_i^p_i that does not act by zero.
+    """
+
     def __init__(
         self,
         weights: WeightSystem,
         dims: dict[GradeElement, int],
         actions: dict[tuple[int, GradeElement], np.ndarray],
         q: int = DEFAULT_MODULUS,
-        check: bool = True,
     ):
         check_modulus(q)
         self.weights = weights
@@ -33,10 +43,12 @@ class GradedModule:
         self.actions = {}
         for (i, x), mat in actions.items():
             m = np.asarray(mat, dtype=np.int64) % q
+            shape = (self.dim_at(x + weights.x(i)), self.dim_at(x))
+            if m.shape != shape:
+                raise ValueError(f"action X_{i+1} at {x} has shape {m.shape}, expected {shape}")
             if m.any():
                 self.actions[(i, x)] = m
-        if check:
-            self._check_relations()
+        self._check_relations()
 
     @property
     def total_dim(self) -> int:
@@ -47,45 +59,44 @@ class GradedModule:
 
     def act(self, i: int, x: GradeElement) -> np.ndarray:
         """Matrix of X_i from M_x to M_{x + x_i} (target_dim x source_dim)."""
-        tgt = self.dim_at(x + self.weights.x(i))
-        src = self.dim_at(x)
         mat = self.actions.get((i, x))
         if mat is None:
-            return np.zeros((tgt, src), dtype=np.int64)
-        if mat.shape != (tgt, src):
-            raise ValueError(f"action X_{i+1} at {x} has shape {mat.shape}, expected {(tgt, src)}")
+            return np.zeros((self.dim_at(x + self.weights.x(i)), self.dim_at(x)), dtype=np.int64)
         return mat
 
     def power_act(self, i: int, x: GradeElement, e: int) -> np.ndarray:
         """Matrix of X_i^e from M_x to M_{x + e*x_i}."""
-        xi = self.weights.x(i)
-        out = np.eye(self.dim_at(x), dtype=np.int64)
-        cur = x
-        for _ in range(e):
-            out = (self.act(i, cur) @ out) % self.q
-            cur = cur + xi
+        out = self._walk(x, (i,) * e)
+        if out is None:
+            return np.zeros((self.dim_at(x + e * self.weights.x(i)), self.dim_at(x)), dtype=np.int64)
         return out
+
+    def _walk(self, x: GradeElement, word) -> np.ndarray | None:
+        """The composite of the X_i along word, first letter first, from
+        M_x; None at the first absent action, where the composite is zero."""
+        out = None
+        for i in word:
+            mat = self.actions.get((i, x))
+            if mat is None:
+                return None
+            out = mat if out is None else (mat @ out) % self.q
+            x = x + self.weights.x(i)
+        return np.eye(self.dim_at(x), dtype=np.int64) if out is None else out
 
     def _check_relations(self) -> None:
         ws = self.weights
         for x in self.dims:
-            for i in range(ws.n):
-                for j in range(i + 1, ws.n):
-                    a = (self.act(j, x + ws.x(i)) @ self.act(i, x)) % self.q
-                    b = (self.act(i, x + ws.x(j)) @ self.act(j, x)) % self.q
-                    if (a - b).any():
-                        raise ValueError(f"actions X_{i+1}, X_{j+1} do not commute at {x}")
-            if self.dim_at(x + ws.c()) == 0:
-                continue
-            total = sum(self.power_act(i, x, ws.p[i]) for i in range(ws.n)) % self.q
-            if total.any():
+            for i, j in itertools.combinations(range(ws.n), 2):
+                if not _vanishes(((1, self._walk(x, (i, j))), (-1, self._walk(x, (j, i)))), self.q):
+                    raise ValueError(f"actions X_{i+1}, X_{j+1} do not commute at {x}")
+            if x + ws.c() in self.dims and not _vanishes(((1, self._walk(x, (i,) * p)) for i, p in enumerate(ws.p)), self.q):
                 raise ValueError(f"sum X_i^p_i does not vanish at {x}")
 
     def twist(self, y: GradeElement) -> GradedModule:
         """The shifted module M(y), with (M(y))_x = M_{x+y}."""
         dims = {x - y: d for x, d in self.dims.items()}
         actions = {(i, x - y): m for (i, x), m in self.actions.items()}
-        return GradedModule(self.weights, dims, actions, self.q, check=False)
+        return GradedModule(self.weights, dims, actions, self.q)
 
     def direct_sum(self, other: GradedModule) -> GradedModule:
         if self.weights != other.weights or self.q != other.q:
@@ -104,7 +115,7 @@ class GradedModule:
                 blk[a.shape[0] :, a.shape[1] :] = b
                 if blk.any():
                     actions[(i, x)] = blk
-        return GradedModule(ws, dims, actions, self.q, check=False)
+        return GradedModule(ws, dims, actions, self.q)
 
     def to_json(self) -> dict:
         support = [{"degree": x.to_json(), "dim": d} for x, d in sorted(self.dims.items(), key=lambda t: (t[0].level, t[0].coeffs))]
@@ -113,6 +124,11 @@ class GradedModule:
             triplets = [[int(r), int(c), int(m[r, c])] for r, c in zip(*np.nonzero(m))]
             acts.append({"variable": i, "degree": x.to_json(), "entries": triplets})
         return {"weights": self.weights.to_json(), "support": support, "actions": acts, "modulus": self.q}
+
+
+def _vanishes(terms, q: int) -> bool:
+    """Whether a signed sum of composites is zero mod q; None is zero."""
+    return not np.any(sum(sign * mat for sign, mat in terms if mat is not None) % q)
 
 
 def make_simple(weights: WeightSystem, y: GradeElement | None = None, q: int = DEFAULT_MODULUS) -> GradedModule:
@@ -134,24 +150,10 @@ def make_E(weights: WeightSystem, ell, y: GradeElement | None = None, q: int = D
         y = weights.zero()
     if any(not 1 <= e <= w - 1 for e, w in zip(ell, weights.p)):
         raise ValueError(f"ell {ell} outside the cuboid range for weights {weights}")
-    dims: dict[GradeElement, int] = {}
-    box = []
-    def rec(i, acc):
-        if i == weights.n:
-            box.append(tuple(acc))
-            return
-        for v in range(ell[i]):
-            rec(i + 1, acc + [v])
-    rec(0, [])
-    for w in box:
-        dims[normalize(weights, w) - y] = 1
-    actions = {}
+    box = {w: normalize(weights, w) - y for w in itertools.product(*map(range, ell))}
     one = np.ones((1, 1), dtype=np.int64)
-    for w in box:
-        for i in range(weights.n):
-            if w[i] + 1 < ell[i]:
-                actions[(i, normalize(weights, w) - y)] = one
-    return GradedModule(weights, dims, actions, q)
+    actions = {(i, x): one for w, x in box.items() for i in range(weights.n) if w[i] + 1 < ell[i]}
+    return GradedModule(weights, dict.fromkeys(box.values(), 1), actions, q)
 
 
 def module_hom_dim(m: GradedModule, n: GradedModule, exact: bool = False) -> int:

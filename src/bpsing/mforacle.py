@@ -208,12 +208,36 @@ def rank1_mf(ws: WeightSystem, i: int, a: int) -> GradedMF:
     )
 
 
+def _kron(a, b, sign: int = 1):
+    """sign times the Kronecker product of two signed-monomial matrices."""
+    return [
+        [None if x is None or y is None else (sign * x[0] * y[0], tuple(map(add, x[1], y[1]))) for x in row_a for y in row_b]
+        for row_a in a
+        for row_b in b
+    ]
+
+
+def _eye(size: int, n: int):
+    """The identity matrix of signed monomials in n variables."""
+    one = (1, (0,) * n)
+    return [[one if r == c else None for c in range(size)] for r in range(size)]
+
+
+def _blocks(top, bottom):
+    """The 2x2 block matrix with block rows top and bottom."""
+    return tuple(tuple(left + right) for half in (top, bottom) for left, right in zip(*half))
+
+
 def tensor_mf(f: GradedMF, g: GradedMF) -> GradedMF:
     """Tensor product of factorizations of complementary summands.
 
     The sign convention puts the parity sign on the right factor's
     differential when the left factor is odd; the even component built
-    from two odd parts is twisted down by c.
+    from two odd parts is twisted down by c.  With generators ordered
+    (F0 G0, F1 G1) and (F1 G0, F0 G1), and I the identities:
+
+        d0 = [[dF0 x I, I x dG0], [-I x dG1, dF1 x I]]
+        d1 = [[dF1 x I, -I x dG0], [I x dG1, dF0 x I]]
     """
     ws = f.weights
     if g.weights != ws:
@@ -221,49 +245,12 @@ def tensor_mf(f: GradedMF, g: GradedMF) -> GradedMF:
     if f.variables & g.variables:
         raise ValueError("factors must cover disjoint summands of the potential")
     c = ws.c()
-    ne0, ne1 = len(f.even), len(f.odd)
-    me0, me1 = len(g.even), len(g.odd)
     even = tuple(a + b for a in f.even for b in g.even) + tuple(a + b - c for a in f.odd for b in g.odd)
     odd = tuple(a + b for a in f.odd for b in g.even) + tuple(a + b for a in f.even for b in g.odd)
-
-    def scaled(entry, sign):
-        return None if entry is None else (sign * entry[0], entry[1])
-
-    d0 = [[None] * len(odd) for _ in range(len(even))]
-    d1 = [[None] * len(even) for _ in range(len(odd))]
-    # blocks of d0: (F1 G0 -> F0 G0) = dF0 x I, (F0 G1 -> F0 G0) = I x dG0,
-    #               (F1 G0 -> F1 G1) = -I x dG1, (F0 G1 -> F1 G1) = dF1 x I
-    for af in range(ne1):
-        for bg in range(me0):
-            col = af * me0 + bg
-            for rf in range(ne0):
-                d0[rf * me0 + bg][col] = f.d0[rf][af]
-            for rg in range(me1):
-                d0[ne0 * me0 + af * me1 + rg][col] = scaled(g.d1[rg][bg], -1)
-    for af in range(ne0):
-        for bg in range(me1):
-            col = ne1 * me0 + af * me1 + bg
-            for rg in range(me0):
-                d0[af * me0 + rg][col] = g.d0[rg][bg]
-            for rf in range(ne1):
-                d0[ne0 * me0 + rf * me1 + bg][col] = f.d1[rf][af]
-    # blocks of d1: (F0 G0 -> F1 G0) = dF1 x I, (F0 G0 -> F0 G1) = I x dG1,
-    #               (F1 G1 -> F1 G0) = -I x dG0, (F1 G1 -> F0 G1) = dF0 x I
-    for af in range(ne0):
-        for bg in range(me0):
-            col = af * me0 + bg
-            for rf in range(ne1):
-                d1[rf * me0 + bg][col] = f.d1[rf][af]
-            for rg in range(me1):
-                d1[ne1 * me0 + af * me1 + rg][col] = g.d1[rg][bg]
-    for af in range(ne1):
-        for bg in range(me1):
-            col = ne0 * me0 + af * me1 + bg
-            for rg in range(me0):
-                d1[af * me0 + rg][col] = scaled(g.d0[rg][bg], -1)
-            for rf in range(ne0):
-                d1[ne1 * me0 + rf * me1 + bg][col] = f.d0[rf][af]
-    return GradedMF(ws, even, odd, tuple(tuple(r) for r in d0), tuple(tuple(r) for r in d1), f.variables | g.variables)
+    i_f0, i_f1, i_g0, i_g1 = (_eye(len(gens), ws.n) for gens in (f.even, f.odd, g.even, g.odd))
+    d0 = _blocks((_kron(f.d0, i_g0), _kron(i_f0, g.d0)), (_kron(i_f1, g.d1, -1), _kron(f.d1, i_g1)))
+    d1 = _blocks((_kron(f.d1, i_g0), _kron(i_f1, g.d0, -1)), (_kron(i_f0, g.d1), _kron(f.d0, i_g1)))
+    return GradedMF(ws, even, odd, d0, d1, f.variables | g.variables)
 
 
 @lru_cache(maxsize=256)
@@ -277,7 +264,7 @@ def _base_mf(ws: WeightSystem, ell: tuple[int, ...], odd: bool) -> GradedMF:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def mf_of(obj: StableObject) -> GradedMF:
     """Realize U^ell(x)[k] as the twisted, shifted tensor factorization.
 
@@ -298,7 +285,7 @@ def mf_of(obj: StableObject) -> GradedMF:
 
 # -- the Hom complex --------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def _monomial_basis(ws: WeightSystem, coeffs: tuple[int, ...], level: int) -> tuple[tuple[int, ...], ...]:
     """Monomials of the ambient polynomial ring in the graded degree with
     normal form (coeffs, level)."""
@@ -384,7 +371,7 @@ def _differential(f: GradedMF, g: GradedMF, k: int, cols, rows, q: int) -> np.nd
     return mat % q
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=2**16)
 def oracle_hom(a: StableObject, b: StableObject, m: int = 0, q: int = DEFAULT_MODULUS) -> int:
     """Oracle dimension of Hom(A, B[m]) for stable objects."""
     if a.weights != b.weights:

@@ -175,15 +175,26 @@ class TiltingReport:
         )
 
 
-def verify_tilting(fam: TiltingFamily, window: tuple[int, int] | None = None) -> TiltingReport:
-    """Rigidity on a shift window, simple endomorphism rings, and an
-    exceptional ordering by topological sort of the nonzero Homs."""
-    ws = fam.weights
+def _shift_window(ws: WeightSystem, window: tuple[int, int] | None) -> tuple[int, int]:
+    """The shift window (lo, hi), by default +-(2n + 4); raises ValueError
+    unless lo <= 0 <= hi, so that an empty or one-sided window, which
+    would leave a check unasked, is never taken."""
     if window is None:
         w = 2 * ws.n + 4
         window = (-w, w)
     if not window[0] <= 0 <= window[1]:
         raise ValueError(f"shift window {window} does not contain 0")
+    return window
+
+
+def verify_tilting(fam: TiltingFamily, window: tuple[int, int] | None = None) -> TiltingReport:
+    """Rigidity on a shift window, simple endomorphism rings, and an
+    exceptional ordering by topological sort of the nonzero Homs.
+
+    The window defaults to +-(2n + 4); one that does not contain 0,
+    where End is checked, raises ValueError.
+    """
+    window = _shift_window(fam.weights, window)
     rig, endo, unknown = [], [], []
     size = fam.size
     hom0 = np.zeros((size, size), dtype=np.int64)
@@ -237,18 +248,6 @@ class GlueReport:
     def tilting(self) -> bool:
         return not self.obstruction_b and not self.obstruction_b_prime and not self.unknown
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "obstruction_i_star_j_star": self.obstruction_b,
-                "obstruction_j_sharp_i_star": self.obstruction_b_prime,
-                "unknown": self.unknown,
-                "tilting": self.tilting,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-
 
 def glue(
     ladder: Ladder,
@@ -262,12 +261,13 @@ def glue(
 
     The candidate is the concatenation of the two insertion images;
     the obstruction Homs are checked in both adjoint directions, by
-    reducing one image into the other reduced category.
+    reducing one image into the other reduced category, at every
+    nonzero shift of the window.  The window defaults to +-(2n + 4);
+    one that does not contain 0 raises ValueError, as in
+    ``verify_tilting``: an empty one would ask no obstruction Hom.
     """
     ws = ladder.weights
-    if window is None:
-        w = 2 * ws.n + 4
-        window = (-w, w)
+    window = _shift_window(ws, window)
     img1 = [insert(ladder, 1, k1, o) for o in fam1.objects]
     img2 = [insert(ladder, 2, k2, o) for o in fam2.objects]
     labels = tuple(f"psi1[{k1}]({lab})" for lab in fam1.labels) + tuple(f"psi2[{k2}]({lab})" for lab in fam2.labels)

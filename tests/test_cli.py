@@ -164,3 +164,11 @@ def test_oracle_check_single_pair(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["calculus"] == data["oracle"] == 1
+
+
+@pytest.mark.parametrize("pair", [("0", "U[1,1]"), ("U[1,1]", "0")])
+def test_oracle_check_pair_with_zero_object(capsys, pair):
+    code, out, _ = run(capsys, "oracle-check", "-p", "3,4", "--pair", *pair)
+    assert code == 0
+    data = json.loads(out)
+    assert data["calculus"] == data["oracle"] == 0 and data["agree"]

@@ -53,6 +53,45 @@ def test_construction_rejects_bad_actions():
         GradedModule(ws, dims, actions)
 
 
+def test_construction_rejects_non_commuting_actions():
+    # X_2 X_1 is the identity from degree 0 to x_1 + x_2, but X_1 X_2 is
+    # zero there, because X_1 has no action at x_2
+    ws = WeightSystem((3, 3))
+    one = np.array([[1]])
+    x1, x2 = ws.x(0), ws.x(1)
+    dims = {ws.zero(): 1, x1: 1, x2: 1, x1 + x2: 1}
+    actions = {(0, ws.zero()): one, (1, x1): one, (1, ws.zero()): one}
+    with pytest.raises(ValueError, match="do not commute"):
+        GradedModule(ws, dims, actions)
+    # with X_1 at x_2 the square commutes
+    GradedModule(ws, dims, {**actions, (0, x2): one})
+
+
+def test_construction_rejects_action_outside_support():
+    ws = WeightSystem((3,))
+    with pytest.raises(ValueError, match="shape"):
+        GradedModule(ws, {ws.zero(): 1}, {(0, ws.x(0)): np.array([[1]])})
+
+
+def test_construction_rejects_misshapen_action():
+    # X_1 from the one fiber to an empty one cannot be a 2x1 matrix
+    ws = WeightSystem((3,))
+    with pytest.raises(ValueError, match="shape"):
+        GradedModule(ws, {ws.zero(): 1}, {(0, ws.zero()): np.array([[1], [1]])})
+
+
+def test_power_act_is_iterated_action():
+    e = make_E(W34, (2, 3), W34.x(0))
+    for x in e.dims:
+        for i in range(W34.n):
+            out = np.eye(e.dim_at(x), dtype=np.int64)
+            cur = x
+            for step in range(4):
+                assert np.array_equal(e.power_act(i, x, step), out)
+                out = (e.act(i, cur) @ out) % e.q
+                cur = cur + W34.x(i)
+
+
 def test_twist_composition():
     e = make_E(W34, (2, 2))
     a, b = W34.x(0), W34.delta()

@@ -397,6 +397,78 @@ def test_borrow_sub_is_grade_element_sub(data):
     assert _borrow_sub(ws.p, (x.coeffs, x.level), (y.coeffs, y.level)) == (d.coeffs, d.level)
 
 
+# -- tensor products as block Kronecker products ----------------------------
+
+
+def _ref_tensor_mf(f, g):
+    # the block loops that tensor_mf replaced, one generator pair at a time
+    ws = f.weights
+    c = ws.c()
+    ne0, ne1 = len(f.even), len(f.odd)
+    me0, me1 = len(g.even), len(g.odd)
+    even = tuple(a + b for a in f.even for b in g.even) + tuple(a + b - c for a in f.odd for b in g.odd)
+    odd = tuple(a + b for a in f.odd for b in g.even) + tuple(a + b for a in f.even for b in g.odd)
+
+    def scaled(entry, sign):
+        return None if entry is None else (sign * entry[0], entry[1])
+
+    d0 = [[None] * len(odd) for _ in range(len(even))]
+    d1 = [[None] * len(even) for _ in range(len(odd))]
+    for af in range(ne1):
+        for bg in range(me0):
+            col = af * me0 + bg
+            for rf in range(ne0):
+                d0[rf * me0 + bg][col] = f.d0[rf][af]
+            for rg in range(me1):
+                d0[ne0 * me0 + af * me1 + rg][col] = scaled(g.d1[rg][bg], -1)
+    for af in range(ne0):
+        for bg in range(me1):
+            col = ne1 * me0 + af * me1 + bg
+            for rg in range(me0):
+                d0[af * me0 + rg][col] = g.d0[rg][bg]
+            for rf in range(ne1):
+                d0[ne0 * me0 + rf * me1 + bg][col] = f.d1[rf][af]
+    for af in range(ne0):
+        for bg in range(me0):
+            col = af * me0 + bg
+            for rf in range(ne1):
+                d1[rf * me0 + bg][col] = f.d1[rf][af]
+            for rg in range(me1):
+                d1[ne1 * me0 + af * me1 + rg][col] = g.d1[rg][bg]
+    for af in range(ne1):
+        for bg in range(me1):
+            col = ne0 * me0 + af * me1 + bg
+            for rg in range(me0):
+                d1[af * me0 + rg][col] = scaled(g.d0[rg][bg], -1)
+            for rf in range(ne0):
+                d1[ne1 * me0 + rf * me1 + bg][col] = f.d0[rf][af]
+    return GradedMF(ws, even, odd, tuple(map(tuple, d0)), tuple(map(tuple, d1)), f.variables | g.variables)
+
+
+def test_tensor_mf_matches_block_loops():
+    def fields(f):
+        return f.even, f.odd, f.d0, f.d1, f.variables
+
+    def tensor(f, g):
+        got = tensor_mf(f, g)
+        assert fields(got) == fields(_ref_tensor_mf(f, g))
+        steps.append(1)
+        return got
+
+    steps = []
+    for p in [(2,), (2, 2), (3, 4), (2, 3, 4), (3, 4, 5), (2, 2, 2, 2), (2, 3, 4, 5), (5, 6, 7)]:
+        ws = WeightSystem(p)
+        for obj in cuboid_objects(ws):
+            rank1 = [rank1_mf(ws, i, a) for i, a in enumerate(obj.ell)]
+            out = rank1[0]
+            for r in rank1[1:]:
+                out = tensor(out, r)
+            if ws.n == 4:
+                # two factors that are not rank one
+                tensor(tensor_mf(*rank1[:2]), tensor_mf(*rank1[2:]))
+    assert len(steps) == 407
+
+
 # -- the shared base factorization and the empty-middle exit -----------------
 
 

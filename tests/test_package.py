@@ -20,10 +20,6 @@ def test_no_assert_statements():
     assert found == []
 
 
-# the module-level caches that may still grow without bound
-UNBOUNDED_CACHES = {"mf_of", "_monomial_basis", "oracle_hom"}
-
-
 def _cache_bound(decorator):
     """'unbounded', 'bounded' or None (not a functools cache)."""
     call = decorator if isinstance(decorator, ast.Call) else None
@@ -41,12 +37,12 @@ def _cache_bound(decorator):
 
 
 def test_caches_are_bounded():
-    # memory must stay bounded in a long-running process: no new unbounded cache
+    # memory must stay bounded in a long-running process: no unbounded cache
     unbounded = []
     for name, tree in _trees().items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(_cache_bound(d) == "unbounded" for d in node.decorator_list) and node.name not in UNBOUNDED_CACHES:
+                if any(_cache_bound(d) == "unbounded" for d in node.decorator_list):
                     unbounded.append(f"{name}:{node.name}")
     assert unbounded == []
 

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bpsing.functor import Ladder
+from bpsing.functor import Ladder, check_recollement
 from bpsing.grading import WeightSystem
 from bpsing.qalg import nakayama, tensor
 from bpsing.stable import StableObject, U, rho_k
@@ -86,6 +86,20 @@ def test_verify_rejects_window_without_zero(window):
     # End is checked at shift 0, so a window without it would check nothing of it
     with pytest.raises(ValueError, match="does not contain 0"):
         verify_tilting(family(W34, "cuboid"), window=window)
+
+
+def test_glue_rejects_window_without_zero():
+    # at (3, -3) no obstruction Hom would be asked and the glue would pass
+    lad = Ladder(W34, 3)
+    fams = [family(lad.emb(j).source, "cuboid") for j in (1, 2)]
+    with pytest.raises(ValueError, match="does not contain 0"):
+        glue(lad, *fams, 2, 0, window=(3, -3))
+
+
+def test_recollement_rejects_negative_level_bound():
+    # level bound -1 leaves no level on which to check the composite
+    with pytest.raises(ValueError, match="negative"):
+        check_recollement(Ladder(W34, 3), level_bound=-1)
 
 
 def test_corrupted_family_fails():
