@@ -5,6 +5,18 @@ exact.  The default working field is F_q with q = 32003; a second prime
 and a rational mode exist for paranoia runs.  Moduli are primes below
 2**31, so that a product of two residues fits in int64.
 
+``rank_mod`` is the one place that reduces an integer matrix mod q: its
+callers hand it unreduced integers.  Its elimination is shaped by the
+oracle's matrices, which are about 1% nonzero.  A pivot row, once used,
+is copied out and zeroed ("retired") instead of swapped into place, and
+each elimination step rewrites only the columns in which the pivot row
+is nonzero.  Both keep the rank: ordering the retired rows first gives
+a block matrix [[A, B], [0, C]] with A of full row rank, whose rank is
+rank A + rank C, and the columns outside the pivot row's support are
+left unchanged by subtracting a multiple of that row.  Every
+intermediate value stays below q**2 <= 2**62 in absolute value, so
+nothing overflows int64.
+
 The integer kernels behind the Coxeter polynomials, the inverse of a
 unimodular matrix and the characteristic polynomial, work on numpy
 object arrays of Python ints: numpy runs the loops in C while every
@@ -54,32 +66,67 @@ def check_modulus(q: int) -> None:
         raise ValueError(f"modulus {q} is not below 2**31")
 
 
-def rank_mod(a: np.ndarray, q: int) -> int:
-    """Rank of an integer matrix over F_q by Gaussian elimination."""
+def rank_mod(a, q: int) -> int:
+    """Rank of an integer matrix over F_q by Gaussian elimination.
+
+    ``a`` is any 2-D integer array-like; it is reduced mod q into a
+    fresh int64 array and left unchanged.  Integers beyond int64 (uint64
+    entries, Python ints in an object array) are reduced exactly before
+    the cast.  A non-integer dtype or a shape that is not 2-D raises
+    ``ValueError``: truncating a float would lose exactness silently.
+
+    Left to right, column c takes the first live row nonzero in column c
+    as pivot row.  Its support, the columns where it is nonzero, starts
+    at c, since every live row is zero left of c.  Each other live row
+    nonzero in column c subtracts its multiple of the pivot row on that
+    support only, and the pivot row is retired (zeroed).  The retired
+    rows, in order, form an echelon block of full row rank above the
+    live rows, so the rank is their count.  Residues stay below q, and
+    a block entry minus multiplier times pivot entry stays below
+    q**2 <= 2**62 in absolute value before it is reduced.
+    """
     check_modulus(q)
-    if a.size == 0:
+    m = np.asarray(a)
+    if m.ndim != 2:
+        raise ValueError(f"rank_mod needs a 2-D matrix, not shape {m.shape}")
+    if m.size == 0:
         return 0
-    m = np.asarray(a, dtype=np.int64) % q
+    m = m % q if m.dtype == np.int64 else _residues(m, q)
     rows, cols = m.shape
     r = 0
     for c in range(cols):
-        # rows from r on are zero left of column c
-        nz = np.flatnonzero(m[r:, c])
+        nz = np.flatnonzero(m[:, c])
         if not nz.size:
             continue
-        piv = r + nz[0]
-        if piv != r:
-            m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), -1, q)
-        m[r, c:] = (m[r, c:] * inv) % q
-        # after the swap, row piv holds the old row r, zero in column c
-        below = r + nz[1:]
-        if below.size:
-            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % q
+        row = m[nz[0]]
+        support = np.flatnonzero(row)
+        prow = row[support] * pow(int(row[c]), -1, q) % q
+        row[support] = 0
+        if nz.size > 1:
+            # column c leads the support, so block[:, 0] holds the multipliers
+            below = (nz[1:, None], support)
+            block = m[below]
+            block -= block[:, :1] * prow
+            block %= q
+            m[below] = block
         r += 1
         if r == rows:
             break
     return r
+
+
+def _residues(m: np.ndarray, q: int) -> np.ndarray:
+    """Residues mod q, as int64, of an integer array of another dtype."""
+    if m.dtype == object:
+        if not all(isinstance(x, (int, np.integer)) for x in m.flat):
+            raise ValueError("rank_mod needs integer entries")
+        return (m % q).astype(np.int64)
+    if m.dtype.kind not in "iu":
+        raise ValueError(f"rank_mod needs an integer matrix, not dtype {m.dtype}")
+    if m.dtype == np.uint64:
+        # entries from 2**63 on would wrap in int64
+        return (m % np.uint64(q)).astype(np.int64)
+    return m.astype(np.int64) % q
 
 
 def rank_exact(a) -> int:

@@ -30,7 +30,10 @@ tables with the factorization it twists instead of rebuilding them;
 the factorization check still runs on every construction.  The Hom
 complex is a subquotient of its middle term, so an empty middle term
 answers 0 before the outer term bases, the differentials and the
-ranks are built (the modulus is checked first all the same).
+ranks are built (the modulus is checked first all the same).  The
+differentials are integer matrices of small signed entries (sums of
+monomial coefficients); ``rank_mod`` alone reduces them mod q, on the
+copy it eliminates.
 
 Conventions are pinned by self-checks rather than trusted: the
 suspension is the twisted rotation
@@ -341,12 +344,12 @@ def stable_hom_dim_oracle(f: GradedMF, g: GradedMF, m: int, q: int = DEFAULT_MOD
         return 0
     basis_prev = _term_basis(f, g, m - 1)
     basis_next = _term_basis(f, g, m + 1)
-    d_prev = _differential(f, g, m - 1, basis_prev, basis_mid, q)
-    d_mid = _differential(f, g, m, basis_mid, basis_next, q)
+    d_prev = _differential(f, g, m - 1, basis_prev, basis_mid)
+    d_mid = _differential(f, g, m, basis_mid, basis_next)
     return len(basis_mid) - rank_mod(d_mid, q) - rank_mod(d_prev, q)
 
 
-def _differential(f: GradedMF, g: GradedMF, k: int, cols, rows, q: int) -> np.ndarray:
+def _differential(f: GradedMF, g: GradedMF, k: int, cols, rows) -> np.ndarray:
     index = {key: i for i, key in enumerate(rows)}
     # alternating sign on the phi o d_F terms; squares to zero
     sign = -1 if k % 2 else 1
@@ -368,7 +371,7 @@ def _differential(f: GradedMF, g: GradedMF, k: int, cols, rows, q: int) -> np.nd
             values.append(sign * coeff)
     mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
     np.add.at(mat, (np.array(at_row, dtype=np.intp), np.array(at_col, dtype=np.intp)), np.array(values, dtype=np.int64))
-    return mat % q
+    return mat
 
 
 @lru_cache(maxsize=2**16)

@@ -1,5 +1,6 @@
 """Exact linear algebra: modular ranks, the modulus guard and the integer kernels."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,100 @@ def test_valid_modulus_checked_once():
         with pytest.raises(ValueError):
             rank_mod(a, 32004)
 
+
+
+# -- the sparse-aware rank kernel against the swapping one ------------------
+#
+# The reference below is the row-swapping elimination that updates every
+# row below the pivot across the full width right of the pivot column;
+# the kernel retires pivot rows and updates only the pivot row's support,
+# and must give the same rank on every input.
+
+
+def _ref_rank_mod(a, q):
+    check_modulus(q)
+    if a.size == 0:
+        return 0
+    m = np.asarray(a, dtype=np.int64) % q
+    rows, cols = m.shape
+    r = 0
+    for c in range(cols):
+        # rows from r on are zero left of column c
+        nz = np.flatnonzero(m[r:, c])
+        if not nz.size:
+            continue
+        piv = r + nz[0]
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        inv = pow(int(m[r, c]), -1, q)
+        m[r, c:] = (m[r, c:] * inv) % q
+        # after the swap, row piv holds the old row r, zero in column c
+        below = r + nz[1:]
+        if below.size:
+            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[r, c:])) % q
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def _sparse_low_rank(rng, rows, cols, density, q):
+    """A rows x cols matrix of rank at most k, about ``density`` nonzero:
+    sparse combinations of k sparse rows with entries of either sign up
+    to q in size."""
+    k = int(rng.integers(0, min(rows, cols) + 1))
+    basis = np.where(rng.random((k, cols)) < density, rng.integers(-q + 1, q, (k, cols)), 0)
+    mix = np.where(rng.random((rows, k)) < 2 / max(k, 1), rng.integers(-3, 4, (rows, k)), 0)
+    a = mix @ basis
+    # forced zero rows and columns
+    a[rng.random(rows) < 0.15] = 0
+    a[:, rng.random(cols) < 0.15] = 0
+    return a
+
+
+@pytest.mark.parametrize("q", [2, 3, 32003, 65537, 2**31 - 1])
+def test_rank_mod_matches_reference_kernel(q):
+    rng = np.random.default_rng(q % 1009)
+    for _ in range(40):
+        rows, cols = (int(x) for x in rng.integers(0, 61, 2))
+        density = float(rng.uniform(0.01, 0.2))
+        for a in (_sparse_low_rank(rng, rows, cols, density, q), _sparse_low_rank(rng, cols, rows, density, q)):
+            before = a.copy()
+            assert rank_mod(a, q) == _ref_rank_mod(a, q), (a.shape, density)
+            assert np.array_equal(a, before)
+
+
+def test_rank_mod_rejects_non_integer_dtypes():
+    # a float would be truncated: 0.5 used to have rank 0
+    for a in (np.array([[0.5]]), np.eye(3), np.array([[1, 2], [3, 4]], dtype=np.float32), np.array([[True]])):
+        with pytest.raises(ValueError, match="integer matrix, not dtype"):
+            rank_mod(a, DEFAULT_MODULUS)
+    with pytest.raises(ValueError, match="integer entries"):
+        rank_mod(np.array([[1, 0.5]], dtype=object), DEFAULT_MODULUS)
+
+
+def test_rank_mod_reduces_wide_integers_exactly():
+    # 2**63 + 1 = 0 mod 3; as int64 it would wrap to a nonzero residue
+    assert rank_mod(np.array([[2**63 + 1]], dtype=np.uint64), 3) == 0
+    assert rank_mod(np.array([[2**64 - 2, 1]], dtype=np.uint64), 3) == 1
+    # Python ints beyond int64: 2**70 = 1 mod 3, so both rows agree mod 3
+    big = np.array([[2**70, 1], [1, 1]], dtype=object)
+    assert rank_mod(big, 3) == 1 and rank_mod(big, 5) == 2
+    for dtype in (np.int8, np.uint8, np.int32, np.uint32):
+        assert rank_mod(np.array([[1, 2], [3, 4]], dtype=dtype), 2) == 1
+
+
+def test_rank_mod_rejects_shapes_that_are_not_2d():
+    for a in (np.arange(4), np.zeros((2, 2, 2), dtype=np.int64), np.int64(3)):
+        with pytest.raises(ValueError, match=re.escape(f"2-D matrix, not shape {a.shape}")):
+            rank_mod(a, DEFAULT_MODULUS)
+
+
+def test_rank_mod_accepts_array_likes():
+    assert rank_mod([[1, 2], [2, 4]], DEFAULT_MODULUS) == 1
+    assert rank_mod(((0, 1), (1, 0)), 3) == 2
+    assert rank_mod([[2**70, 1], [1, 1]], 3) == 1
+    assert rank_mod([[]], DEFAULT_MODULUS) == 0
 
 # -- the integer kernels against the direct loops ---------------------------
 #
