@@ -13,6 +13,7 @@ has its fiber in degree -y.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -39,6 +40,8 @@ class GradedModule:
         check_modulus(q)
         self.weights = weights
         self.q = q
+        if min(dims.values(), default=0) < 0:
+            raise ValueError("a graded piece has negative dimension")
         self.dims = {x: int(d) for x, d in dims.items() if d > 0}
         self.actions = {}
         for (i, x), mat in actions.items():
@@ -145,9 +148,11 @@ def make_E(weights: WeightSystem, ell, y: GradeElement | None = None, q: int = D
     fiber in each degree w - y for w in the box [0, ell - s], every
     X_i acting by identity where both endpoints stay in the box.
     """
-    ell = tuple(int(e) for e in ell)
+    ell = tuple(operator.index(e) for e in ell)
     if y is None:
         y = weights.zero()
+    if len(ell) != weights.n:
+        raise ValueError(f"ell {ell} has length {len(ell)}, weights {weights} have length {weights.n}")
     if any(not 1 <= e <= w - 1 for e, w in zip(ell, weights.p)):
         raise ValueError(f"ell {ell} outside the cuboid range for weights {weights}")
     box = {w: normalize(weights, w) - y for w in itertools.product(*map(range, ell))}

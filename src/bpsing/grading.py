@@ -17,6 +17,7 @@ and c, which in normal form just means level(y - x) >= 0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -34,7 +35,7 @@ class WeightSystem:
     p: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", tuple(int(x) for x in self.p))
+        object.__setattr__(self, "p", tuple(operator.index(x) for x in self.p))
         if len(self.p) < 1:
             raise ValueError("need at least one weight")
         if any(w < 2 for w in self.p):
@@ -99,6 +100,8 @@ class GradeElement:
     level: int
 
     def __post_init__(self) -> None:
+        if len(self.coeffs) != self.weights.n:
+            raise ValueError(f"coefficients {self.coeffs} have length {len(self.coeffs)}, weights {self.weights} have length {self.weights.n}")
         for lam, w in zip(self.coeffs, self.weights.p):
             if not 0 <= lam < w:
                 raise ValueError(f"coefficient {lam} out of range for weight {w}")
@@ -197,14 +200,15 @@ class GradeElement:
 
 def normalize(weights: WeightSystem, coeffs: Iterable[int], level: int = 0) -> GradeElement:
     """Reduce a raw coefficient combination to its unique normal form."""
+    coeffs = list(coeffs)
+    if len(coeffs) != weights.n:
+        raise ValueError(f"coefficients {tuple(coeffs)} have length {len(coeffs)}, weights {weights} have length {weights.n}")
     out = []
-    lev = int(level)
-    for a, w in zip(list(coeffs), weights.p):
-        q, r = divmod(int(a), w)
+    lev = operator.index(level)
+    for a, w in zip(coeffs, weights.p):
+        q, r = divmod(operator.index(a), w)
         out.append(r)
         lev += q
-    if len(out) != weights.n:
-        raise ValueError("coefficient list has wrong length")
     return GradeElement(weights, tuple(out), lev)
 
 

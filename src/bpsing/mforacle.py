@@ -11,22 +11,22 @@ dimension minus an incoming rank over the working field.
 Every entry produced here is a signed monomial, so ranks are expected
 to be field independent; a second-prime mode guards that expectation.
 
-Each factorization keeps private tables built once from its fields:
-every generator degree unboxed from its ``GradeElement`` normal form to
-a plain ``(coeffs, level)`` pair, and the nonzero entries of d0 and d1
-listed by row and by column as ``(index, coeff, exponents)``.  The Hom
-complex reads only these tables: the c-shift of position k is an
+Both differentials are ``MonomialMatrix`` values: each row lists its
+nonzero entries as ``(column, coeff, exponents)``, and the matrix builds
+the same entries by column once, when it is made.  The Hom complex
+reads generator degrees straight from their ``GradeElement`` normal
+forms as ``(coeffs, level)`` pairs: the c-shift of position k is an
 integer offset on the level, degree differences borrow coordinatewise
-as ``GradeElement.__sub__`` does, the differentials visit only nonzero
-entries, and the factorization check compares unboxed degrees and
-multiplies along the row lists.  No ``GradeElement`` is built per
-generator pair or per matrix entry.
+as ``GradeElement.__sub__`` does, and the differentials visit only
+nonzero entries, d_F by row and d_G by column.  The factorization check
+compares the same pairs and multiplies along the rows.  No
+``GradeElement`` is built per generator pair or per matrix entry.
 
 ``mf_of`` builds the untwisted tensor factorization of U^ell once per
 weight system, ell and shift parity, in a bounded cache, and realizes
 U^ell(x)[k] as one twist of it: a rotation commutes with twists and
-[2] = (c).  A twist keeps d0 and d1, so it shares their row and column
-tables with the factorization it twists instead of rebuilding them;
+[2] = (c).  A twist passes on the very matrix objects d0 and d1, so
+every twist of a base shares its rows and column views by reference;
 the factorization check still runs on every construction.  The Hom
 complex is a subquotient of its middle term, so an empty middle term
 answers 0 before the outer term bases, the differentials and the
@@ -63,7 +63,7 @@ symbolic calculus (both directions must be suspected):
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 
@@ -73,13 +73,33 @@ from .grading import GradeElement, WeightSystem
 from .linalg import DEFAULT_MODULUS, check_modulus, rank_mod
 from .stable import StableObject, cuboid_objects
 
-# A matrix entry is None (zero) or a signed monomial (coeff, exponents).
-Entry = "tuple[int, tuple[int, ...]] | None"
 # A degree unboxed from its normal form: (coeffs, level).
 Degree = "tuple[tuple[int, ...], int]"
-# The nonzero entries of a matrix, one tuple per row (or per column) of
-# (column or row index, coeff, exponents).
-Nonzero = "tuple[tuple[tuple[int, int, tuple[int, ...]], ...], ...]"
+# A nonzero matrix entry: (column or row index, coeff, exponents).
+Term = "tuple[int, int, tuple[int, ...]]"
+
+
+@dataclass(frozen=True)
+class MonomialMatrix:
+    """A matrix of signed monomials, given by the nonzero entries of each
+    row as (column, coeff, exponents) and its column count.
+
+    ``cols`` lists the same entries by column as (row, coeff, exponents);
+    it is built once, here, and an entry outside the columns raises.
+    """
+
+    rows: tuple[tuple[Term, ...], ...]
+    ncols: int
+    cols: tuple[tuple[Term, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        cols = [[] for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, coeff, exps in row:
+                if not 0 <= j < self.ncols:
+                    raise ValueError(f"entry in column {j} of a matrix with {self.ncols} columns")
+                cols[j].append((i, coeff, exps))
+        object.__setattr__(self, "cols", tuple(map(tuple, cols)))
 
 
 @dataclass(frozen=True)
@@ -87,43 +107,18 @@ class GradedMF:
     weights: WeightSystem
     even: tuple[GradeElement, ...]
     odd: tuple[GradeElement, ...]
-    d0: tuple[tuple[Entry, ...], ...]  # rows indexed by even, cols by odd
-    d1: tuple[tuple[Entry, ...], ...]  # rows indexed by odd, cols by even
+    d0: MonomialMatrix  # rows indexed by even, cols by odd
+    d1: MonomialMatrix  # rows indexed by odd, cols by even
     variables: frozenset[int] = None  # summands of the potential being factored
-    # the nonzero tables of d0 and d1, handed on by a twist, which keeps both
-    _tables: InitVar[tuple[Nonzero, Nonzero, Nonzero, Nonzero] | None] = None
-    # unboxed tables built from the fields above (see the module docstring)
-    _even: tuple[Degree, ...] = field(init=False, repr=False, compare=False)
-    _odd: tuple[Degree, ...] = field(init=False, repr=False, compare=False)
-    _d0_rows: Nonzero = field(init=False, repr=False, compare=False)
-    _d0_cols: Nonzero = field(init=False, repr=False, compare=False)
-    _d1_rows: Nonzero = field(init=False, repr=False, compare=False)
-    _d1_cols: Nonzero = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _tables) -> None:
+    def __post_init__(self) -> None:
         if self.variables is None:
             object.__setattr__(self, "variables", frozenset(range(self.weights.n)))
-        tables = {
-            "_even": tuple((g.coeffs, g.level) for g in self.even),
-            "_odd": tuple((g.coeffs, g.level) for g in self.odd),
-        }
-        if _tables is None:
-            _tables = _nonzero(self.d0, len(self.even), len(self.odd)) + _nonzero(self.d1, len(self.odd), len(self.even))
-        tables["_d0_rows"], tables["_d0_cols"], tables["_d1_rows"], tables["_d1_cols"] = _tables
-        for name, table in tables.items():
-            object.__setattr__(self, name, table)
         _check_factorization(self)
 
     def twist(self, y: GradeElement) -> GradedMF:
-        return GradedMF(
-            self.weights,
-            tuple(g - y for g in self.even),
-            tuple(g - y for g in self.odd),
-            self.d0,
-            self.d1,
-            self.variables,
-            (self._d0_rows, self._d0_cols, self._d1_rows, self._d1_cols),
-        )
+        # the same d0 and d1, so their column views are shared
+        return GradedMF(self.weights, tuple(g - y for g in self.even), tuple(g - y for g in self.odd), self.d0, self.d1, self.variables)
 
     def shift(self, m: int = 1) -> GradedMF:
         # [2] = (c): twist by (m // 2) c, then rotate once if m is odd
@@ -132,18 +127,6 @@ class GradedMF:
             c = out.weights.c()
             out = GradedMF(out.weights, tuple(g - c for g in out.odd), out.even, _neg(out.d1), _neg(out.d0), out.variables)
         return out
-
-
-def _nonzero(mat, nrows: int, ncols: int) -> tuple[Nonzero, Nonzero]:
-    """The nonzero entries of a signed-monomial matrix, by row and by column."""
-    if len(mat) != nrows or any(len(row) != ncols for row in mat):
-        raise ValueError(f"differential is not a {nrows}x{ncols} matrix over the generators")
-    rows = tuple(tuple((j, e[0], e[1]) for j, e in enumerate(row) if e is not None) for row in mat)
-    cols = [[] for _ in range(ncols)]
-    for i, row in enumerate(rows):
-        for j, coeff, exps in row:
-            cols[j].append((i, coeff, exps))
-    return rows, tuple(map(tuple, cols))
 
 
 def _borrow_sub(p: tuple[int, ...], x: Degree, y: Degree) -> Degree:
@@ -162,17 +145,20 @@ def _exps_degree(p: tuple[int, ...], exps: tuple[int, ...]) -> Degree:
     return tuple(e % w for e, w in zip(exps, p)), sum(e // w for e, w in zip(exps, p))
 
 
-def _neg(mat):
-    return tuple(tuple(None if e is None else (-e[0], e[1]) for e in row) for row in mat)
+def _neg(mat: MonomialMatrix) -> MonomialMatrix:
+    return MonomialMatrix(tuple(tuple((j, -coeff, exps) for j, coeff, exps in row) for row in mat.rows), mat.ncols)
 
 
 def _check_factorization(f: GradedMF) -> None:
     p = f.weights.p
     # d0 maps odd to even in degree 0, d1 maps even to odd in degree c
-    for name, rows, row_degs, col_degs, lift in (("d0", f._d0_rows, f._even, f._odd, 0), ("d1", f._d1_rows, f._odd, f._even, 1)):
-        for row, row_deg in zip(rows, row_degs):
+    for name, mat, row_gens, col_gens, lift in (("d0", f.d0, f.even, f.odd, 0), ("d1", f.d1, f.odd, f.even, 1)):
+        if (len(mat.rows), mat.ncols) != (len(row_gens), len(col_gens)):
+            raise ValueError(f"differential is not a {len(row_gens)}x{len(col_gens)} matrix over the generators")
+        col_degs = [(g.coeffs, g.level) for g in col_gens]
+        for row, g in zip(mat.rows, row_gens):
             for j, _, exps in row:
-                coeffs, level = _borrow_sub(p, col_degs[j], row_deg)
+                coeffs, level = _borrow_sub(p, col_degs[j], (g.coeffs, g.level))
                 if _exps_degree(p, exps) != (coeffs, level + lift):
                     raise ValueError(f"{name} entry is not homogeneous of the required degree")
     potential = []
@@ -180,7 +166,7 @@ def _check_factorization(f: GradedMF) -> None:
         exps = [0] * len(p)
         exps[i] = p[i]
         potential.append(tuple(exps))
-    for a_rows, b_rows in ((f._d0_rows, f._d1_rows), (f._d1_rows, f._d0_rows)):
+    for a_rows, b_rows in ((f.d0.rows, f.d1.rows), (f.d1.rows, f.d0.rows)):
         for r, row in enumerate(a_rows):
             # row r of the product, as {(column, exponents): coeff}
             acc = {}
@@ -205,30 +191,36 @@ def rank1_mf(ws: WeightSystem, i: int, a: int) -> GradedMF:
         ws,
         even=(ws.zero(),),
         odd=(ws.element(lo),),
-        d0=(((1, tuple(lo)),),),
-        d1=(((1, tuple(hi)),),),
+        d0=MonomialMatrix((((0, 1, tuple(lo)),),), 1),
+        d1=MonomialMatrix((((0, 1, tuple(hi)),),), 1),
         variables=frozenset({i}),
     )
 
 
-def _kron(a, b, sign: int = 1):
+def _kron(a: MonomialMatrix, b: MonomialMatrix, sign: int = 1) -> MonomialMatrix:
     """sign times the Kronecker product of two signed-monomial matrices."""
-    return [
-        [None if x is None or y is None else (sign * x[0] * y[0], tuple(map(add, x[1], y[1]))) for x in row_a for y in row_b]
-        for row_a in a
-        for row_b in b
-    ]
+    rows = tuple(
+        tuple((ja * b.ncols + jb, sign * ca * cb, tuple(map(add, ea, eb))) for ja, ca, ea in row_a for jb, cb, eb in row_b)
+        for row_a in a.rows
+        for row_b in b.rows
+    )
+    return MonomialMatrix(rows, a.ncols * b.ncols)
 
 
-def _eye(size: int, n: int):
+def _eye(size: int, n: int) -> MonomialMatrix:
     """The identity matrix of signed monomials in n variables."""
-    one = (1, (0,) * n)
-    return [[one if r == c else None for c in range(size)] for r in range(size)]
+    return MonomialMatrix(tuple(((r, 1, (0,) * n),) for r in range(size)), size)
 
 
-def _blocks(top, bottom):
+def _blocks(top, bottom) -> MonomialMatrix:
     """The 2x2 block matrix with block rows top and bottom."""
-    return tuple(tuple(left + right) for half in (top, bottom) for left, right in zip(*half))
+    width = top[0].ncols
+    rows = tuple(
+        left + tuple((j + width, coeff, exps) for j, coeff, exps in right)
+        for half in (top, bottom)
+        for left, right in zip(half[0].rows, half[1].rows)
+    )
+    return MonomialMatrix(rows, width + top[1].ncols)
 
 
 def tensor_mf(f: GradedMF, g: GradedMF) -> GradedMF:
@@ -277,7 +269,8 @@ def mf_of(obj: StableObject) -> GradedMF:
     becomes the empty factorization.
     """
     if obj.is_zero:
-        return GradedMF(obj.weights, (), (), (), ())
+        empty = MonomialMatrix((), 0)
+        return GradedMF(obj.weights, (), (), empty, empty)
     ws = obj.weights
     # a rotation commutes with twists and [2] = (c), so (x)[k] is one
     # twist of the base, rotated once when k is odd
@@ -313,10 +306,10 @@ def _gens_at(f: GradedMF, k: int) -> tuple[Degree, ...]:
     """Generator degrees at position k of the unrolled factorization:
     position 2j is F0 and 2j - 1 is F1, both twisted down by j c."""
     if k % 2 == 0:
-        gens, j = f._even, k // 2
+        gens, j = f.even, k // 2
     else:
-        gens, j = f._odd, (k + 1) // 2
-    return tuple((coeffs, level - j) for coeffs, level in gens)
+        gens, j = f.odd, (k + 1) // 2
+    return tuple((g.coeffs, g.level - j) for g in gens)
 
 
 def _term_basis(f: GradedMF, g: GradedMF, k: int):
@@ -355,8 +348,8 @@ def _differential(f: GradedMF, g: GradedMF, k: int, cols, rows) -> np.ndarray:
     sign = -1 if k % 2 else 1
     # by slot: columns of d_G at positions k and k+1, and rows of d_F
     # from positions 0 and 1 (F even to F odd, F odd to F even)
-    dg = (g._d1_cols, g._d0_cols) if k % 2 == 0 else (g._d0_cols, g._d1_cols)
-    df = (f._d0_rows, f._d1_rows)
+    dg = (g.d1.cols, g.d0.cols) if k % 2 == 0 else (g.d0.cols, g.d1.cols)
+    df = (f.d0.rows, f.d1.rows)
     at_row, at_col, values = [], [], []
     for ci, (slot, a, b, exps) in enumerate(cols):
         # component d_G o phi, rows over G gens at position k+1+slot

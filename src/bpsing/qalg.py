@@ -20,6 +20,7 @@ import csv
 import functools
 import io
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,7 +177,9 @@ def lambda_q(ws: WeightSystem, qvec) -> AlgebraPresentation:
     exactly when x - y is a level-zero element with coefficients below
     q componentwise, matching the graded pieces of R/(X_i^q_i).
     """
-    qvec = tuple(int(x) for x in qvec)
+    qvec = tuple(operator.index(x) for x in qvec)
+    if len(qvec) != ws.n:
+        raise ValueError(f"truncation exponents {qvec} have length {len(qvec)}, weights {ws} have length {ws.n}")
     if any(not 1 <= qq <= w - 1 for qq, w in zip(qvec, ws.p)):
         raise ValueError(f"truncation exponents {qvec} out of range for {ws}")
     box = _box_descending(ws)

@@ -57,6 +57,7 @@ Pairs outside every matching configuration honestly return ``None``
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -76,7 +77,11 @@ class StableObject:
     shift: int
 
     def __post_init__(self) -> None:
+        if self.twist.weights is not self.weights and self.twist.weights != self.weights:
+            raise ValueError(f"twist over {self.twist.weights} for an object over {self.weights}")
         if self.ell is not None:
+            if len(self.ell) != self.weights.n:
+                raise ValueError(f"ell {self.ell} has length {len(self.ell)}, weights {self.weights} have length {self.weights.n}")
             if any(not 1 <= e <= w - 1 for e, w in zip(self.ell, self.weights.p)):
                 raise ValueError(f"ell {self.ell} outside [s, s + delta] for weights {self.weights}")
 
@@ -194,7 +199,7 @@ class StableObject:
 def U(weights: WeightSystem, ell, twist: GradeElement | None = None, shift: int = 0) -> StableObject:
     if twist is None:
         twist = weights.zero()
-    return StableObject(weights, tuple(int(e) for e in ell), twist, shift)
+    return StableObject(weights, tuple(operator.index(e) for e in ell), twist, shift)
 
 
 def rho_k(weights: WeightSystem, twist: GradeElement | None = None, shift: int = 0) -> StableObject:

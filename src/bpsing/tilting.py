@@ -66,6 +66,12 @@ def family(
     ws = weights
     n = ws.n
     p = ws.p
+    if kind not in ("cuboid", "koszul", "extended", "replicated"):
+        raise ValueError(f"unknown family kind {kind!r}")
+    if subset is not None and kind != "extended":
+        raise ValueError(f"{kind} families take no coordinate subset")
+    if t is not None and kind != "replicated":
+        raise ValueError(f"{kind} families take no coordinate t")
     if kind == "cuboid":
         subset = tuple(range(n))
         kind = "extended"
@@ -90,19 +96,17 @@ def family(
                 objs.append(obj.canonical())
         name = {tuple(range(n)): "cuboid", (): "koszul"}.get(subset, f"extended:{','.join(str(i) for i in subset)}")
         return TiltingFamily(ws, name, tuple(labels), tuple(objs))
-    if kind == "replicated":
-        if t is None or not 0 <= t < n:
-            raise ValueError("replicated families need a coordinate t")
-        ell_ranges = [(p[i] - 1,) if i == t else _desc(1, p[i] - 1) for i in range(n)]
-        labels, objs = [], []
-        s = ws.s()
-        for copy in range(p[t] - 2, -1, -1):
-            for ell in itertools.product(*ell_ranges):
-                obj = U(ws, ell, -copy * s, copy * n)
-                labels.append(str(obj))
-                objs.append(obj.canonical())
-        return TiltingFamily(ws, f"replicated:{t}", tuple(labels), tuple(objs))
-    raise ValueError(f"unknown family kind {kind!r}")
+    if t is None or not 0 <= t < n:
+        raise ValueError("replicated families need a coordinate t")
+    ell_ranges = [(p[i] - 1,) if i == t else _desc(1, p[i] - 1) for i in range(n)]
+    labels, objs = [], []
+    s = ws.s()
+    for copy in range(p[t] - 2, -1, -1):
+        for ell in itertools.product(*ell_ranges):
+            obj = U(ws, ell, -copy * s, copy * n)
+            labels.append(str(obj))
+            objs.append(obj.canonical())
+    return TiltingFamily(ws, f"replicated:{t}", tuple(labels), tuple(objs))
 
 
 def hom_matrix(fam: TiltingFamily) -> np.ndarray:

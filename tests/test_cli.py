@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +130,11 @@ def test_weight_cap():
         ["verify", "-p", "3,4", "--window", "-3"],
         ["oracle-check", "-p", "3,4", "--shift-window", "-1"],
         ["ladder", "-p", "3,4", "--split", "3", "--level-bound", "-1"],
+        ["oracle-check", "-p", "3,4", "--pair", "U[1,2,1]", "U[1,1]"],
+        ["oracle-check", "-p", "3,4", "--pair", "U[1,2](1,1,1;0)", "U[1,1]"],
+        ["oracle-check", "-p", "3,4", "--pair", "U[1]", "U[1,1]"],
+        ["quiver", "-p", "3,4", "--algebra", "lambda:1"],
+        ["quiver", "-p", "3,4", "--algebra", "lambda:1,2,1"],
     ],
 )
 def test_unusable_arguments_exit_two(capsys, argv):
@@ -172,3 +180,28 @@ def test_oracle_check_pair_with_zero_object(capsys, pair):
     assert code == 0
     data = json.loads(out)
     assert data["calculus"] == data["oracle"] == 0 and data["agree"]
+
+
+def _readme_command_lines():
+    # the bpsing lines of the README's sh blocks, without comments or redirects
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        for line in block.splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["bpsing"]:
+                lines.append(argv[1 : argv.index(">") if ">" in argv else None])
+    return lines
+
+
+README_LINES = _readme_command_lines()
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in README_LINES} == {"describe", "tilt", "endo", "verify", "ladder", "glue", "coxeter", "oracle-check", "quiver"}
+
+
+@pytest.mark.parametrize("argv", README_LINES, ids=" ".join)
+def test_readme_command_line(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out

@@ -32,6 +32,16 @@ def test_make_E_shapes():
     assert make_E(W34, (2, 3)).total_dim == 6
     with pytest.raises(ValueError):
         make_E(W34, (3, 3))
+    with pytest.raises(ValueError, match=r"ell \(1, 2, 1\) has length 3, weights \(3,4\) have length 2"):
+        make_E(W34, (1, 2, 1))
+    with pytest.raises(TypeError):
+        make_E(W34, (1.0, 2))
+
+
+def test_negative_dimension_rejected():
+    with pytest.raises(ValueError, match="negative dimension"):
+        GradedModule(W34, {W34.zero(): -1}, {})
+    assert GradedModule(W34, {W34.zero(): 0}, {}).total_dim == 0
 
 
 def test_make_E_nilpotency():

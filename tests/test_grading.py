@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,28 @@ def test_weight_validation():
         WeightSystem((1, 3))
     with pytest.raises(ValueError):
         WeightSystem(())
+
+
+def test_wrong_lengths_rejected():
+    # a zip over coeffs and weights would cut the longer one
+    with pytest.raises(ValueError, match=r"length 3, weights \(3,4\) have length 2"):
+        GradeElement(W34, (1, 2, 3), 0)
+    with pytest.raises(ValueError, match=r"length 3, weights \(3,4\) have length 2"):
+        normalize(W34, [1, 2, 3])
+    with pytest.raises(ValueError, match=r"length 1, weights \(3,4\) have length 2"):
+        normalize(W34, [1])
+
+
+def test_non_integers_rejected():
+    with pytest.raises(TypeError):
+        WeightSystem((3.7, 4))
+    with pytest.raises(TypeError):
+        normalize(W34, [1.9, 2.5])
+    with pytest.raises(TypeError):
+        normalize(W34, [1, 2], 0.7)
+    # numpy integers are integers
+    assert WeightSystem(np.array([3, 4])) == W34
+    assert normalize(W34, np.array([4, 1]), np.int64(-1)) == GradeElement(W34, (1, 1), 0)
 
 
 def test_mismatched_weight_systems():

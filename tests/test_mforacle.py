@@ -11,11 +11,11 @@ from bpsing.grading import GradeElement, WeightSystem
 from bpsing.linalg import PARANOIA_MODULUS, rank_mod
 from bpsing.mforacle import (
     GradedMF,
+    MonomialMatrix,
     _base_mf,
     _borrow_sub,
     _differential,
     _neg,
-    _nonzero,
     _term_basis,
     hom_profile,
     mf_of,
@@ -33,10 +33,24 @@ W22 = WeightSystem((2, 2))
 W34 = WeightSystem((3, 4))
 
 
+def _dense(mat):
+    # the grid of a MonomialMatrix, None where zero, read from its rows only
+    grid = [[None] * mat.ncols for _ in mat.rows]
+    for i, row in enumerate(mat.rows):
+        for j, coeff, exps in row:
+            grid[i][j] = (coeff, exps)
+    return tuple(map(tuple, grid))
+
+
+def _matrix(grid, ncols):
+    # the MonomialMatrix of a grid with None where zero
+    return MonomialMatrix(tuple(tuple((j, *e) for j, e in enumerate(row) if e is not None) for row in grid), ncols)
+
+
 def test_rank1():
     f = rank1_mf(W2, 0, 1)
-    assert f.d0 == (((1, (1,)),),)
-    assert f.d1 == (((1, (1,)),),)
+    assert _dense(f.d0) == (((1, (1,)),),)
+    assert _dense(f.d1) == (((1, (1,)),),)
     assert f.odd == (W2.x(0),)
     with pytest.raises(ValueError):
         rank1_mf(W2, 0, 2)
@@ -45,8 +59,8 @@ def test_rank1():
 def test_tensor_is_koszul_factorization():
     f = tensor_mf(rank1_mf(W22, 0, 1), rank1_mf(W22, 1, 1))
     # d0 = [[X1, X2], [-X2, X1]], d1 = [[X1, -X2], [X2, X1]]
-    assert f.d0 == (((1, (1, 0)), (1, (0, 1))), ((-1, (0, 1)), (1, (1, 0))))
-    assert f.d1 == (((1, (1, 0)), (-1, (0, 1))), ((1, (0, 1)), (1, (1, 0))))
+    assert _dense(f.d0) == (((1, (1, 0)), (1, (0, 1))), ((-1, (0, 1)), (1, (1, 0))))
+    assert _dense(f.d1) == (((1, (1, 0)), (-1, (0, 1))), ((1, (0, 1)), (1, (1, 0))))
 
 
 def test_tensor_rank_and_validation():
@@ -59,15 +73,24 @@ def test_tensor_rank_and_validation():
 def test_invariant_guards_broken_factorization():
     f = rank1_mf(W2, 0, 1)
     with pytest.raises(ValueError):
-        GradedMF(W2, f.even, f.odd, (((1, (0,)),),), f.d1, f.variables)
+        GradedMF(W2, f.even, f.odd, _matrix((((1, (0,)),),), 1), f.d1, f.variables)
 
 
 def test_invariant_guards_matrix_shapes():
     f = rank1_mf(W2, 0, 1)
     with pytest.raises(ValueError, match="differential is not a 1x1 matrix"):
-        GradedMF(W2, f.even, f.odd, (), f.d1, f.variables)
+        GradedMF(W2, f.even, f.odd, _matrix((), 1), f.d1, f.variables)
     with pytest.raises(ValueError, match="differential is not a 1x1 matrix"):
-        GradedMF(W2, f.even, f.odd, f.d0, ((None, None),), f.variables)
+        GradedMF(W2, f.even, f.odd, f.d0, _matrix(((None, None),), 2), f.variables)
+
+
+def test_monomial_matrix_columns():
+    mat = _matrix(((None, (1, (1, 0)), (-1, (0, 2))), (None, None, None), ((2, (0, 0)), None, (1, (1, 1)))), 3)
+    assert mat.cols == (((2, 2, (0, 0)),), ((0, 1, (1, 0)),), ((0, -1, (0, 2)), (2, 1, (1, 1))))
+    assert _matrix(_dense(mat), 3) == mat
+    for j in (3, -1):
+        with pytest.raises(ValueError, match=f"entry in column {j} of a matrix with 3 columns"):
+            MonomialMatrix((((j, 1, (0, 0)),),), 3)
 
 
 def test_invariant_guards_wrong_degree_alone():
@@ -302,7 +325,7 @@ def _ref_gens_at(f, k):
 
 
 def _ref_diff_at(f, k):
-    return f.d1 if k % 2 == 0 else f.d0
+    return _dense(f.d1 if k % 2 == 0 else f.d0)
 
 
 def _ref_term_basis(f, g, k):
@@ -322,8 +345,8 @@ def _ref_differential(f, g, k, cols, rows, q):
     sign = -1 if k % 2 else 1
     dg_k = _ref_diff_at(g, k)
     dg_k1 = _ref_diff_at(g, k + 1)
-    df0 = f.d1
-    df1 = f.d0
+    df0 = _dense(f.d1)
+    df1 = _dense(f.d0)
     for ci, (slot, a, b, exps) in enumerate(cols):
         if slot == 0:
             for r, row in enumerate(dg_k):
@@ -433,6 +456,7 @@ def _ref_tensor_mf(f, g):
     me0, me1 = len(g.even), len(g.odd)
     even = tuple(a + b for a in f.even for b in g.even) + tuple(a + b - c for a in f.odd for b in g.odd)
     odd = tuple(a + b for a in f.odd for b in g.even) + tuple(a + b for a in f.even for b in g.odd)
+    fd0, fd1, gd0, gd1 = (_dense(m) for m in (f.d0, f.d1, g.d0, g.d1))
 
     def scaled(entry, sign):
         return None if entry is None else (sign * entry[0], entry[1])
@@ -443,36 +467,36 @@ def _ref_tensor_mf(f, g):
         for bg in range(me0):
             col = af * me0 + bg
             for rf in range(ne0):
-                d0[rf * me0 + bg][col] = f.d0[rf][af]
+                d0[rf * me0 + bg][col] = fd0[rf][af]
             for rg in range(me1):
-                d0[ne0 * me0 + af * me1 + rg][col] = scaled(g.d1[rg][bg], -1)
+                d0[ne0 * me0 + af * me1 + rg][col] = scaled(gd1[rg][bg], -1)
     for af in range(ne0):
         for bg in range(me1):
             col = ne1 * me0 + af * me1 + bg
             for rg in range(me0):
-                d0[af * me0 + rg][col] = g.d0[rg][bg]
+                d0[af * me0 + rg][col] = gd0[rg][bg]
             for rf in range(ne1):
-                d0[ne0 * me0 + rf * me1 + bg][col] = f.d1[rf][af]
+                d0[ne0 * me0 + rf * me1 + bg][col] = fd1[rf][af]
     for af in range(ne0):
         for bg in range(me0):
             col = af * me0 + bg
             for rf in range(ne1):
-                d1[rf * me0 + bg][col] = f.d1[rf][af]
+                d1[rf * me0 + bg][col] = fd1[rf][af]
             for rg in range(me1):
-                d1[ne1 * me0 + af * me1 + rg][col] = g.d1[rg][bg]
+                d1[ne1 * me0 + af * me1 + rg][col] = gd1[rg][bg]
     for af in range(ne1):
         for bg in range(me1):
             col = ne0 * me0 + af * me1 + bg
             for rg in range(me0):
-                d1[af * me0 + rg][col] = scaled(g.d0[rg][bg], -1)
+                d1[af * me0 + rg][col] = scaled(gd0[rg][bg], -1)
             for rf in range(ne0):
-                d1[ne1 * me0 + rf * me1 + bg][col] = f.d0[rf][af]
-    return GradedMF(ws, even, odd, tuple(map(tuple, d0)), tuple(map(tuple, d1)), f.variables | g.variables)
+                d1[ne1 * me0 + rf * me1 + bg][col] = fd0[rf][af]
+    return GradedMF(ws, even, odd, _matrix(d0, len(odd)), _matrix(d1, len(even)), f.variables | g.variables)
 
 
 def test_tensor_mf_matches_block_loops():
     def fields(f):
-        return f.even, f.odd, f.d0, f.d1, f.variables
+        return f.even, f.odd, _dense(f.d0), _dense(f.d1), f.variables
 
     def tensor(f, g):
         got = tensor_mf(f, g)
@@ -517,9 +541,10 @@ def test_mf_of_matches_direct_construction(p):
     for obj in objects + _random_objects(ws, 12, seed=7):
         got, want = mf_of(obj), _ref_mf_of(obj)
         assert (got.even, got.odd, got.d0, got.d1, got.variables) == (want.even, want.odd, want.d0, want.d1, want.variables), str(obj)
-        # tables handed on by a twist are the ones its matrices give
-        assert _nonzero(got.d0, len(got.even), len(got.odd)) == (got._d0_rows, got._d0_cols)
-        assert _nonzero(got.d1, len(got.odd), len(got.even)) == (got._d1_rows, got._d1_cols)
+        # the column views a twist shares are the transposes of the rows
+        for mat in (got.d0, got.d1):
+            grid = _dense(mat)
+            assert mat.cols == tuple(tuple((i, *row[j]) for i, row in enumerate(grid) if row[j] is not None) for j in range(mat.ncols))
 
 
 def test_twists_share_the_base_tables():
@@ -530,7 +555,7 @@ def test_twists_share_the_base_tables():
     base = _base_mf(ws, (1, 2, 3), False)
     for shift in (0, 2, -4):
         f = mf_of(StableObject(ws, (1, 2, 3), ws.element((1, 0, 1), 1), shift))
-        assert f.d0 is base.d0 and f._d0_rows is base._d0_rows and f._d1_cols is base._d1_cols
+        assert f.d0 is base.d0 and f.d1 is base.d1
     assert mf_of(StableObject(ws, (1, 2, 3), ws.zero(), 0)) is base
     assert _base_mf.cache_info().maxsize is not None
 

@@ -63,6 +63,11 @@ def test_lambda_q_cartans():
     assert (one.cartan == np.eye(4, dtype=int)).all()
     with pytest.raises(ValueError):
         lambda_q(W34, (3, 2))
+    for qvec in ((1,), (1, 2, 1)):
+        with pytest.raises(ValueError, match=rf"have length {len(qvec)}, weights \(3,4\) have length 2"):
+            lambda_q(W34, qvec)
+    with pytest.raises(TypeError):
+        lambda_q(W34, (1.5, 2))
 
 
 def test_replicated_structure():

@@ -114,6 +114,20 @@ def test_parse_round_trip():
         parse_object(W34, "V[1,1]")
 
 
+def test_stable_object_validation():
+    with pytest.raises(ValueError, match=r"ell \(1, 2, 3\) has length 3, weights \(3,4\) have length 2"):
+        U(W34, (1, 2, 3))
+    with pytest.raises(ValueError, match="has length 1"):
+        StableObject(W34, (1,), W34.zero(), 0)
+    with pytest.raises(TypeError):
+        U(W34, (1.5, 2))
+    # a twist over another weight system: 4 is no coefficient over (3,4)
+    for twist in (WeightSystem((3, 5)).element((1, 4)), WeightSystem((3, 4, 5)).element((1, 1, 1))):
+        with pytest.raises(ValueError, match="twist over"):
+            StableObject(W34, (1, 1), twist, 0)
+    assert StableObject(W34, (1, 1), WeightSystem((3, 4)).element((1, 1)), 0) == U(W34, (1, 1), W34.s())
+
+
 def test_hom_examples():
     assert hom_dim(U(W34, (2, 3)), rho_k(W34)) == 1
     assert hom_dim(rho_k(W34), U(W34, (2, 1))) == 0

@@ -33,6 +33,19 @@ def test_family_sizes():
     assert family(WeightSystem((2, 2)), "cuboid").size == 1
 
 
+def test_family_rejects_arguments_that_do_not_apply():
+    with pytest.raises(ValueError, match="cuboid families take no coordinate subset"):
+        family(W34, "cuboid", subset=(0,))
+    with pytest.raises(ValueError, match="koszul families take no coordinate t"):
+        family(W34, "koszul", t=0)
+    with pytest.raises(ValueError, match="replicated families take no coordinate subset"):
+        family(W345, "replicated", subset=(0,), t=1)
+    with pytest.raises(ValueError, match="extended families take no coordinate t"):
+        family(W345, "extended", subset=(0,), t=2)
+    with pytest.raises(ValueError, match="unknown family kind"):
+        family(W34, "nonsense", subset=(0,))
+
+
 def test_extended_extremes():
     assert family(W34, "extended", subset=(0, 1)).kind == "cuboid"
     assert family(W34, "extended", subset=()).kind == "koszul"
