@@ -8,21 +8,27 @@ pair by conjugating with degree twists:
     phi_{j,k} = (-k x_{j,n}) phi_{j,0} (k x_n)
     psi_{j,k} = (-k x_n) psi_{j,0} (k x_{j,n})
 
-On the U-family the k = 0 functors act by closed four-case formulas,
-implemented below; together they assemble into an infinite ladder of
-recollements of period p_n, whose defining identities are what
-``check_recollement`` verifies on finite windows.
+Each functor acts on the degree of a projective R(y) by one map,
+``predict_projective_image``.  On a U-family object U^ell(y)[m] the
+twist y moves exactly as R(y) does and the shift m stays; of ell only
+the last exponent ell_n changes, by integer arithmetic on ell_n, the
+split weights and y_n + k modulo the last weight of the source
+(``reduce`` and ``insert`` give the cases).  Together the functors
+assemble into an infinite ladder of recollements of period p_n, whose
+defining identities are what ``check_recollement`` verifies on finite
+windows.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field
 
 from .gmod import adjunction_check, make_E, make_simple
-from .grading import GradeElement, GroupEmbedding, WeightSystem, normalize
-from .stable import StableObject, U, cuboid_objects, hom_dim, rho_k, zero_object
+from .grading import GradeElement, GroupEmbedding, WeightSystem
+from .stable import StableObject, cuboid_objects, hom_dim, rho_k, zero_object
 
 
 @dataclass(frozen=True)
@@ -54,12 +60,19 @@ class Ladder:
         return self.weights.p[-1]
 
 
-def _median(a: int, b: int, c: int) -> int:
-    return sorted((a, b, c))[1]
-
-
 def reduce(ladder: Ladder, j: int, k: int, obj: StableObject) -> StableObject:
-    """Apply phi_{j,k} to a U-family object."""
+    """Apply phi_{j,k} to a U-family object.
+
+    The twist y moves as the projective R(y) does (see
+    ``predict_projective_image``) and the shift stays.  Of ell only the
+    last exponent ell_n changes: with gap = p_n - p_{j,n} and
+    y_n = (twist_n + k) mod p_n it drops by
+
+      * gap when y_n = 0, and the image is zero unless ell_n > gap;
+      * ell_n - y_n clamped to [0, gap] when 0 < y_n < p_{j,n};
+      * y_n - p_{j,n} otherwise, and the image is zero unless
+        y_n - p_{j,n} < ell_n < y_n.
+    """
     ws = ladder.weights
     emb = ladder.emb(j)
     src = emb.source
@@ -67,90 +80,70 @@ def reduce(ladder: Ladder, j: int, k: int, obj: StableObject) -> StableObject:
         raise ValueError("object does not live over the full system")
     if obj.is_zero:
         return zero_object(src)
-    n = ws.n
-    pn = ws.p[-1]
     pjn = emb.split_weight
-    xn = ws.x(n - 1)
-    y = obj.twist + k * xn
-    yn = y.coeffs[-1]
-    ell = obj.ell
-    ln = ell[-1]
+    gap = ws.p[-1] - pjn
+    yn = (obj.twist.coeffs[-1] + operator.index(k)) % ws.p[-1]
+    ln = obj.ell[-1]
     if yn == 0:
-        if ln > pn - pjn:
-            z_ell = emb.theta_inv(normalize(ws, ell) - (pn - pjn) * xn)
-            z_twist = emb.theta_inv(y)
-        else:
+        if ln <= gap:
             return zero_object(src)
+        m = gap
     elif yn < pjn:
-        m = _median(0, ln - yn, pn - pjn)
-        z_ell = emb.theta_inv(normalize(ws, ell) - m * xn)
-        z_twist = emb.theta_inv(y)
+        m = min(max(ln - yn, 0), gap)
+    elif yn - pjn < ln < yn:
+        m = yn - pjn
     else:
-        if yn - pjn < ln < yn:
-            z_ell = emb.theta_inv(normalize(ws, ell) - (yn - pjn) * xn)
-            z_twist = emb.theta_inv(y - yn * xn + ws.c())
-        else:
-            return zero_object(src)
-    xjn = src.x(n - 1)
-    return StableObject(src, z_ell.coeffs, z_twist - k * xjn, obj.shift).canonical()
+        return zero_object(src)
+    twist = predict_projective_image(ladder, "reduce", j, k, obj.twist)
+    return StableObject(src, obj.ell[:-1] + (ln - m,), twist, obj.shift).canonical()
 
 
 def insert(ladder: Ladder, j: int, k: int, obj: StableObject) -> StableObject:
-    """Apply psi_{j,k} to a U-family object over the reduced system."""
+    """Apply psi_{j,k} to a U-family object over the reduced system.
+
+    The twist y moves as the projective R(y) does and the shift stays.
+    Of ell only the last exponent ell_n changes: it grows by
+    p_n - p_{j,n} when (twist_n + k) mod p_{j,n} < ell_n.
+    """
     ws = ladder.weights
     emb = ladder.emb(j)
-    src = emb.source
-    if obj.weights != src:
+    if obj.weights != emb.source:
         raise ValueError("object does not live over the reduced system")
     if obj.is_zero:
         return zero_object(ws)
-    n = ws.n
-    pn = ws.p[-1]
-    pjn = emb.split_weight
-    xjn = src.x(n - 1)
-    y = obj.twist + k * xjn
-    yn = y.coeffs[-1]
-    ln = obj.ell[-1]
-    t_ell = emb.theta(normalize(src, obj.ell))
-    if yn < ln:
-        t_ell = t_ell + (pn - pjn) * ws.x(n - 1)
-    t_twist = emb.theta(y)
-    return StableObject(ws, t_ell.coeffs, t_twist - k * ws.x(n - 1), obj.shift).canonical()
+    ell = obj.ell
+    if (obj.twist.coeffs[-1] + operator.index(k)) % emb.split_weight < ell[-1]:
+        ell = ell[:-1] + (ell[-1] + ws.p[-1] - emb.split_weight,)
+    twist = predict_projective_image(ladder, "insert", j, k, obj.twist)
+    return StableObject(ws, ell, twist, obj.shift).canonical()
 
 
 def predict_projective_image(ladder: Ladder, direction: str, j: int, k: int, y: GradeElement) -> GradeElement:
     """Degree argument of the projective image R(y) under phi or psi.
 
-    Writing (y_n + k) x_n = a x_n + b c in normal form, the reduction
-    functor sends R(y) to a projective over the reduced system whose
-    argument depends on whether a stays below the split weight; the
-    insertion direction has a single closed branch.
+    Reduction: let z = y + k x_n, and when its last coefficient a is at
+    least p_{j,n} replace z by z - a x_n + c, which brings it into the
+    image of theta_j; the image is theta_j^-1(z) - k x_{j,n}.
+    Insertion: the image is theta_j(y + k x_{j,n}) - k x_n.  The same
+    map moves the twist of a U-family object under ``reduce`` and
+    ``insert``.
     """
     emb = ladder.emb(j)
     ws = ladder.weights
     src = emb.source
-    n = ws.n
     if direction == "reduce":
         if y.weights != ws:
             raise ValueError("degree must live in the full system")
-        pn = ws.p[-1]
-        pjn = emb.split_weight
-        yn = y.coeffs[-1]
-        b, a = divmod(yn + k, pn)
-        xn = ws.x(n - 1)
-        xjn = src.x(n - 1)
-        if a < pjn:
-            return emb.theta_inv(y - (b * pn - k) * xn) + (b * pjn - k) * xjn
-        return emb.theta_inv(y - yn * xn) + ((b + 1) * pjn - k) * xjn
+        xn = ws.x(ws.n - 1)
+        z = y + k * xn
+        a = z.coeffs[-1]
+        if a >= emb.split_weight:
+            z = z - a * xn + ws.c()
+        return emb.theta_inv(z) - k * src.x(src.n - 1)
     if direction == "insert":
         if y.weights != src:
             raise ValueError("degree must live in the reduced system")
-        pjn = emb.split_weight
-        pn = ws.p[-1]
-        yn = y.coeffs[-1]
-        b, a = divmod(yn + k, pjn)
-        xjn = src.x(n - 1)
-        return emb.theta(y - (b * pjn - k) * xjn) + (b * pn - k) * ws.x(n - 1)
+        return emb.theta(y + k * src.x(src.n - 1)) - k * ws.x(ws.n - 1)
     raise ValueError("direction must be 'reduce' or 'insert'")
 
 
@@ -175,18 +168,7 @@ class LadderReport:
         )
 
     def to_json(self) -> str:
-        payload = {
-            "weights": self.weights.to_json(),
-            "split": list(self.split),
-            "composite_zero": self.composite_zero,
-            "composite_failures": self.composite_failures,
-            "fully_faithful_samples": self.fully_faithful_samples,
-            "periodicity": self.periodicity,
-            "periodicity_failures": self.periodicity_failures,
-            "adjunction": self.adjunction,
-            "passed": self.passed,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps({**asdict(self), "passed": self.passed}, sort_keys=True, indent=2)
 
 
 # how many cuboid pairs the full-faithfulness check compares, and how
@@ -257,11 +239,7 @@ def check_recollement(ladder: Ladder, level_bound: int = 2) -> LadderReport:
         conj = (pjn - pn) * srcj.x(ws.n - 1)
         for obj in cuboid_objects(ws):
             for k in (0, 1):
-                lhs = reduce(ladder, j, k + pn, obj)
-                rhs = reduce(ladder, j, k, obj)
-                rhs = rhs if rhs.is_zero else rhs.twist_by(conj)
-                same = (lhs.is_zero and rhs.is_zero) or (not lhs.is_zero and not rhs.is_zero and lhs.is_same(rhs))
-                if not same:
+                if not reduce(ladder, j, k + pn, obj).is_same(reduce(ladder, j, k, obj).twist_by(conj)):
                     periodicity_failures.append(f"phi_({j},{k + pn}) vs twisted phi_({j},{k}) on {obj}")
 
     adj = []

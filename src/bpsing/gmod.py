@@ -40,9 +40,10 @@ class GradedModule:
         check_modulus(q)
         self.weights = weights
         self.q = q
+        dims = {x: operator.index(d) for x, d in dims.items()}
         if min(dims.values(), default=0) < 0:
             raise ValueError("a graded piece has negative dimension")
-        self.dims = {x: int(d) for x, d in dims.items() if d > 0}
+        self.dims = {x: d for x, d in dims.items() if d > 0}
         self.actions = {}
         for (i, x), mat in actions.items():
             m = np.asarray(mat, dtype=np.int64) % q

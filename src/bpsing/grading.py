@@ -102,7 +102,11 @@ class GradeElement:
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.weights.n:
             raise ValueError(f"coefficients {self.coeffs} have length {len(self.coeffs)}, weights {self.weights} have length {self.weights.n}")
+        if not isinstance(self.level, int):
+            raise TypeError(f"level {self.level!r} is not an int")
         for lam, w in zip(self.coeffs, self.weights.p):
+            if not isinstance(lam, int):
+                raise TypeError(f"coefficient {lam!r} is not an int")
             if not 0 <= lam < w:
                 raise ValueError(f"coefficient {lam} out of range for weight {w}")
 

@@ -64,10 +64,6 @@ from functools import lru_cache
 
 from .grading import GradeElement, WeightSystem, normalize
 
-# A Hom answer is an exact dimension, or None when no rewriting sequence
-# reaches a covered configuration.
-HomAnswer = int | None
-
 
 @dataclass(frozen=True)
 class StableObject:
@@ -79,11 +75,16 @@ class StableObject:
     def __post_init__(self) -> None:
         if self.twist.weights is not self.weights and self.twist.weights != self.weights:
             raise ValueError(f"twist over {self.twist.weights} for an object over {self.weights}")
+        if not isinstance(self.shift, int):
+            raise TypeError(f"shift {self.shift!r} is not an int")
         if self.ell is not None:
             if len(self.ell) != self.weights.n:
                 raise ValueError(f"ell {self.ell} has length {len(self.ell)}, weights {self.weights} have length {self.weights.n}")
-            if any(not 1 <= e <= w - 1 for e, w in zip(self.ell, self.weights.p)):
-                raise ValueError(f"ell {self.ell} outside [s, s + delta] for weights {self.weights}")
+            for e, w in zip(self.ell, self.weights.p):
+                if not isinstance(e, int):
+                    raise TypeError(f"ell entry {e!r} is not an int")
+                if not 1 <= e <= w - 1:
+                    raise ValueError(f"ell {self.ell} outside [s, s + delta] for weights {self.weights}")
 
     @property
     def is_zero(self) -> bool:

@@ -1,6 +1,7 @@
 """Reduction and insertion functors, projective images, ladder checks."""
 
 import itertools
+import random
 
 import pytest
 
@@ -133,3 +134,137 @@ def test_recollement_report():
     assert all(a["ok"] for a in report.adjunction)
     payload = report.to_json()
     assert '"passed": true' in payload
+
+
+# -- reference: the divmod forms that reduce, insert and the projective
+# image map had before they shared one map -------------------------------
+
+def _ref_reduce(ladder, j, k, obj):
+    ws = ladder.weights
+    emb = ladder.emb(j)
+    src = emb.source
+    if obj.weights != ws:
+        raise ValueError("object does not live over the full system")
+    if obj.is_zero:
+        return zero_object(src)
+    n = ws.n
+    pn = ws.p[-1]
+    pjn = emb.split_weight
+    xn = ws.x(n - 1)
+    y = obj.twist + k * xn
+    yn = y.coeffs[-1]
+    ell = obj.ell
+    ln = ell[-1]
+    if yn == 0:
+        if ln > pn - pjn:
+            z_ell = emb.theta_inv(normalize(ws, ell) - (pn - pjn) * xn)
+            z_twist = emb.theta_inv(y)
+        else:
+            return zero_object(src)
+    elif yn < pjn:
+        m = sorted((0, ln - yn, pn - pjn))[1]
+        z_ell = emb.theta_inv(normalize(ws, ell) - m * xn)
+        z_twist = emb.theta_inv(y)
+    else:
+        if yn - pjn < ln < yn:
+            z_ell = emb.theta_inv(normalize(ws, ell) - (yn - pjn) * xn)
+            z_twist = emb.theta_inv(y - yn * xn + ws.c())
+        else:
+            return zero_object(src)
+    xjn = src.x(n - 1)
+    return StableObject(src, z_ell.coeffs, z_twist - k * xjn, obj.shift).canonical()
+
+
+def _ref_insert(ladder, j, k, obj):
+    ws = ladder.weights
+    emb = ladder.emb(j)
+    src = emb.source
+    if obj.weights != src:
+        raise ValueError("object does not live over the reduced system")
+    if obj.is_zero:
+        return zero_object(ws)
+    n = ws.n
+    pn = ws.p[-1]
+    pjn = emb.split_weight
+    xjn = src.x(n - 1)
+    y = obj.twist + k * xjn
+    yn = y.coeffs[-1]
+    ln = obj.ell[-1]
+    t_ell = emb.theta(normalize(src, obj.ell))
+    if yn < ln:
+        t_ell = t_ell + (pn - pjn) * ws.x(n - 1)
+    t_twist = emb.theta(y)
+    return StableObject(ws, t_ell.coeffs, t_twist - k * ws.x(n - 1), obj.shift).canonical()
+
+
+def _ref_predict_projective_image(ladder, direction, j, k, y):
+    emb = ladder.emb(j)
+    ws = ladder.weights
+    src = emb.source
+    n = ws.n
+    if direction == "reduce":
+        if y.weights != ws:
+            raise ValueError("degree must live in the full system")
+        pn = ws.p[-1]
+        pjn = emb.split_weight
+        yn = y.coeffs[-1]
+        b, a = divmod(yn + k, pn)
+        xn = ws.x(n - 1)
+        xjn = src.x(n - 1)
+        if a < pjn:
+            return emb.theta_inv(y - (b * pn - k) * xn) + (b * pjn - k) * xjn
+        return emb.theta_inv(y - yn * xn) + ((b + 1) * pjn - k) * xjn
+    if direction == "insert":
+        if y.weights != src:
+            raise ValueError("degree must live in the reduced system")
+        pjn = emb.split_weight
+        pn = ws.p[-1]
+        yn = y.coeffs[-1]
+        b, a = divmod(yn + k, pjn)
+        xjn = src.x(n - 1)
+        return emb.theta(y - (b * pjn - k) * xjn) + (b * pn - k) * ws.x(n - 1)
+    raise ValueError("direction must be 'reduce' or 'insert'")
+
+
+def _outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _random_degree(rng, ws):
+    return normalize(ws, [rng.randint(0, w - 1) for w in ws.p], rng.randint(-3, 3))
+
+
+def _random_object(rng, ws):
+    ell = tuple(rng.randint(1, w - 1) for w in ws.p)
+    return StableObject(ws, ell, _random_degree(rng, ws), rng.randint(-3, 3))
+
+
+REFERENCE_TYPES = [(3,), (2, 3), (3, 3), (2, 4), (3, 4), (4, 5), (2, 6), (2, 2, 4), (2, 3, 4), (3, 4, 5), (2, 3, 6)]
+OBJECTS_PER_CASE = 3
+
+
+def test_functors_match_reference_on_random_inputs():
+    rng = random.Random(20261018)
+    calls = [(reduce, _ref_reduce), (insert, _ref_insert)]
+    for p in REFERENCE_TYPES:
+        ws = WeightSystem(p)
+        for q in range(2, p[-1]):
+            lad = Ladder(ws, q)
+            for j in (1, 2):
+                src = lad.emb(j).source
+                for k in range(-12, 13):
+                    cases = [(reduce, _ref_reduce, _random_object(rng, ws)) for _ in range(OBJECTS_PER_CASE)]
+                    cases += [(insert, _ref_insert, _random_object(rng, src)) for _ in range(OBJECTS_PER_CASE)]
+                    # the wrong system, and the zero object
+                    cases += [(reduce, _ref_reduce, _random_object(rng, src)), (insert, _ref_insert, _random_object(rng, ws))]
+                    cases += [(fn, ref, zero_object(w)) for (fn, ref), w in zip(calls, (ws, src))]
+                    for fn, ref, obj in cases:
+                        assert _outcome(fn, lad, j, k, obj) == _outcome(ref, lad, j, k, obj), (p, q, j, k, str(obj), fn.__name__)
+                    for direction, w in (("reduce", ws), ("insert", src), ("reduce", src), ("insert", ws), ("sideways", ws)):
+                        y = _random_degree(rng, w)
+                        args = (lad, direction, j, k, y)
+                        assert _outcome(predict_projective_image, *args) == _outcome(_ref_predict_projective_image, *args), (p, q, j, k, direction, str(y))

@@ -44,6 +44,14 @@ def test_negative_dimension_rejected():
     assert GradedModule(W34, {W34.zero(): 0}, {}).total_dim == 0
 
 
+def test_non_integer_dimension_rejected():
+    # 1.5 used to be truncated to a module of dimension 1
+    for d in (1.5, 0.5, 1.0, 0.0):
+        with pytest.raises(TypeError):
+            GradedModule(W34, {W34.zero(): d}, {})
+    assert GradedModule(W34, {W34.zero(): np.int64(2)}, {}).total_dim == 2
+
+
 def test_make_E_nilpotency():
     e = make_E(W34, (2, 3))
     for x in e.dims:

@@ -70,6 +70,13 @@ def test_non_integers_rejected():
         normalize(W34, [1.9, 2.5])
     with pytest.raises(TypeError):
         normalize(W34, [1, 2], 0.7)
+    # built directly, a normal form takes int coefficients and level only
+    with pytest.raises(TypeError, match="coefficient 1.5 is not an int"):
+        GradeElement(W34, (1.5, 2), 0)
+    with pytest.raises(TypeError, match="level 0.5 is not an int"):
+        GradeElement(W34, (1, 2), 0.5)
+    with pytest.raises(TypeError, match="coefficient 1.0 is not an int"):
+        GradeElement(W34, (1.0, 2), 0)
     # numpy integers are integers
     assert WeightSystem(np.array([3, 4])) == W34
     assert normalize(W34, np.array([4, 1]), np.int64(-1)) == GradeElement(W34, (1, 1), 0)

@@ -81,6 +81,38 @@ def test_private_definitions_are_used():
     assert dead == []
 
 
+def _public_definitions(tree):
+    """(name, node) for each module-level public function, class or
+    assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node
+
+
+def test_public_definitions_are_used():
+    # no dead public names: each must be referenced outside its own
+    # definition, by the package, its tests or the benchmark
+    root = Path(__file__).resolve().parent.parent
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for d in ("src", "tests", "bench") for path in sorted((root / d).rglob("*.py"))}
+    dead = []
+    for path, tree in trees.items():
+        if not path.is_relative_to(root / "src"):
+            continue
+        for defined, node in _public_definitions(tree):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(id(n) not in own and _referenced(n) == defined for t in trees.values() for n in ast.walk(t)):
+                dead.append(f"{path.name}:{defined}")
+    assert dead == []
+
+
 def test_bench_shim_targets_exist(monkeypatch):
     # a traced benchmark run wraps these names and reads these caches
     import importlib

@@ -121,6 +121,13 @@ def test_stable_object_validation():
         StableObject(W34, (1,), W34.zero(), 0)
     with pytest.raises(TypeError):
         U(W34, (1.5, 2))
+    # built directly: U[1,1] at shift 0.5 used to canonicalize to U[1,3](0,3;-1.0)
+    with pytest.raises(TypeError, match="ell entry 1.0 is not an int"):
+        StableObject(W34, (1.0, 2), W34.zero(), 0)
+    with pytest.raises(TypeError, match="shift 0.5 is not an int"):
+        StableObject(W34, (1, 1), W34.zero(), 0.5)
+    with pytest.raises(TypeError):
+        U(W34, (1, 1), W34.zero(), 0.5)
     # a twist over another weight system: 4 is no coefficient over (3,4)
     for twist in (WeightSystem((3, 5)).element((1, 4)), WeightSystem((3, 4, 5)).element((1, 1, 1))):
         with pytest.raises(ValueError, match="twist over"):
