@@ -305,7 +305,7 @@ def cmd_quiver(args) -> int:
             alg = nakayama(n, m)
         elif descriptor.startswith("dynkin:"):
             letter = descriptor.split(":", 1)[1]
-            alg = dynkin_path_algebra(letter[0], int(letter[1:]))
+            alg = dynkin_path_algebra(letter[:1], int(letter[1:]))
         else:
             raise UsageError(f"unknown algebra descriptor {descriptor!r}")
     if args.dot:

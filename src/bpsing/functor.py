@@ -39,6 +39,7 @@ class Ladder:
     emb2: GroupEmbedding = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", operator.index(self.q))
         pn = self.weights.p[-1]
         if pn < 3:
             raise ValueError("the last weight must be at least 3 to split")

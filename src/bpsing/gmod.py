@@ -8,6 +8,11 @@ module over the hypersurface.
 
 The shift convention is (M(y))_x = M_{x+y}; the simple k(y) therefore
 has its fiber in degree -y.
+
+Every module lives over the one working field F_32003
+(``DEFAULT_MODULUS``): actions are stored reduced mod 32003 and Hom
+ranks are taken there.  Paranoia at the module level is the exact
+rational mode of ``module_hom_dim``, not a second prime.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import operator
 import numpy as np
 
 from .grading import GradeElement, GroupEmbedding, WeightSystem, normalize
-from .linalg import DEFAULT_MODULUS, check_modulus, rank_exact, rank_mod
+from .linalg import DEFAULT_MODULUS, rank_exact, rank_mod
 
 
 class GradedModule:
@@ -35,18 +40,15 @@ class GradedModule:
         weights: WeightSystem,
         dims: dict[GradeElement, int],
         actions: dict[tuple[int, GradeElement], np.ndarray],
-        q: int = DEFAULT_MODULUS,
     ):
-        check_modulus(q)
         self.weights = weights
-        self.q = q
         dims = {x: operator.index(d) for x, d in dims.items()}
         if min(dims.values(), default=0) < 0:
             raise ValueError("a graded piece has negative dimension")
         self.dims = {x: d for x, d in dims.items() if d > 0}
         self.actions = {}
         for (i, x), mat in actions.items():
-            m = np.asarray(mat, dtype=np.int64) % q
+            m = np.asarray(mat, dtype=np.int64) % DEFAULT_MODULUS
             shape = (self.dim_at(x + weights.x(i)), self.dim_at(x))
             if m.shape != shape:
                 raise ValueError(f"action X_{i+1} at {x} has shape {m.shape}, expected {shape}")
@@ -83,7 +85,7 @@ class GradedModule:
             mat = self.actions.get((i, x))
             if mat is None:
                 return None
-            out = mat if out is None else (mat @ out) % self.q
+            out = mat if out is None else (mat @ out) % DEFAULT_MODULUS
             x = x + self.weights.x(i)
         return np.eye(self.dim_at(x), dtype=np.int64) if out is None else out
 
@@ -91,19 +93,19 @@ class GradedModule:
         ws = self.weights
         for x in self.dims:
             for i, j in itertools.combinations(range(ws.n), 2):
-                if not _vanishes(((1, self._walk(x, (i, j))), (-1, self._walk(x, (j, i)))), self.q):
+                if not _vanishes(((1, self._walk(x, (i, j))), (-1, self._walk(x, (j, i))))):
                     raise ValueError(f"actions X_{i+1}, X_{j+1} do not commute at {x}")
-            if x + ws.c() in self.dims and not _vanishes(((1, self._walk(x, (i,) * p)) for i, p in enumerate(ws.p)), self.q):
+            if x + ws.c() in self.dims and not _vanishes(((1, self._walk(x, (i,) * p)) for i, p in enumerate(ws.p))):
                 raise ValueError(f"sum X_i^p_i does not vanish at {x}")
 
     def twist(self, y: GradeElement) -> GradedModule:
         """The shifted module M(y), with (M(y))_x = M_{x+y}."""
         dims = {x - y: d for x, d in self.dims.items()}
         actions = {(i, x - y): m for (i, x), m in self.actions.items()}
-        return GradedModule(self.weights, dims, actions, self.q)
+        return GradedModule(self.weights, dims, actions)
 
     def direct_sum(self, other: GradedModule) -> GradedModule:
-        if self.weights != other.weights or self.q != other.q:
+        if self.weights != other.weights:
             raise ValueError("mismatched modules")
         dims = dict(self.dims)
         for x, d in other.dims.items():
@@ -119,7 +121,7 @@ class GradedModule:
                 blk[a.shape[0] :, a.shape[1] :] = b
                 if blk.any():
                     actions[(i, x)] = blk
-        return GradedModule(ws, dims, actions, self.q)
+        return GradedModule(ws, dims, actions)
 
     def to_json(self) -> dict:
         support = [{"degree": x.to_json(), "dim": d} for x, d in sorted(self.dims.items(), key=lambda t: (t[0].level, t[0].coeffs))]
@@ -127,22 +129,22 @@ class GradedModule:
         for (i, x), m in sorted(self.actions.items(), key=lambda t: (t[0][0], t[0][1].level, t[0][1].coeffs)):
             triplets = [[int(r), int(c), int(m[r, c])] for r, c in zip(*np.nonzero(m))]
             acts.append({"variable": i, "degree": x.to_json(), "entries": triplets})
-        return {"weights": self.weights.to_json(), "support": support, "actions": acts, "modulus": self.q}
+        return {"weights": self.weights.to_json(), "support": support, "actions": acts}
 
 
-def _vanishes(terms, q: int) -> bool:
-    """Whether a signed sum of composites is zero mod q; None is zero."""
-    return not np.any(sum(sign * mat for sign, mat in terms if mat is not None) % q)
+def _vanishes(terms) -> bool:
+    """Whether a signed sum of composites is zero in the field; None is zero."""
+    return not np.any(sum(sign * mat for sign, mat in terms if mat is not None) % DEFAULT_MODULUS)
 
 
-def make_simple(weights: WeightSystem, y: GradeElement | None = None, q: int = DEFAULT_MODULUS) -> GradedModule:
+def make_simple(weights: WeightSystem, y: GradeElement | None = None) -> GradedModule:
     """The graded simple k(y), one-dimensional in degree -y."""
     if y is None:
         y = weights.zero()
-    return GradedModule(weights, {-y: 1}, {}, q)
+    return GradedModule(weights, {-y: 1}, {})
 
 
-def make_E(weights: WeightSystem, ell, y: GradeElement | None = None, q: int = DEFAULT_MODULUS) -> GradedModule:
+def make_E(weights: WeightSystem, ell, y: GradeElement | None = None) -> GradedModule:
     """The cuboid module R/(X_i^ell_i), shifted by y.
 
     Requires 1 <= ell_i <= p_i - 1.  The module has a one-dimensional
@@ -159,7 +161,7 @@ def make_E(weights: WeightSystem, ell, y: GradeElement | None = None, q: int = D
     box = {w: normalize(weights, w) - y for w in itertools.product(*map(range, ell))}
     one = np.ones((1, 1), dtype=np.int64)
     actions = {(i, x): one for w, x in box.items() for i in range(weights.n) if w[i] + 1 < ell[i]}
-    return GradedModule(weights, dict.fromkeys(box.values(), 1), actions, q)
+    return GradedModule(weights, dict.fromkeys(box.values(), 1), actions)
 
 
 def module_hom_dim(m: GradedModule, n: GradedModule, exact: bool = False) -> int:
@@ -170,9 +172,9 @@ def module_hom_dim(m: GradedModule, n: GradedModule, exact: bool = False) -> int
     linear system over the working field.  With ``exact`` the rank is
     recomputed over the rationals, for paranoia runs.
     """
-    if m.weights != n.weights or m.q != n.q:
+    if m.weights != n.weights:
         raise ValueError("mismatched modules")
-    ws, q = m.weights, m.q
+    ws, q = m.weights, DEFAULT_MODULUS
     common = [x for x in m.dims if x in n.dims]
     offsets: dict[GradeElement, int] = {}
     total = 0
@@ -241,7 +243,7 @@ def phi0_module(emb: GroupEmbedding, m: GradedModule) -> GradedModule:
             actions[(n - 1, x)] = m.act(n - 1, z)
         else:
             actions[(n - 1, x)] = m.power_act(n - 1, z, gap + 1)
-    return GradedModule(src, dims, actions, m.q)
+    return GradedModule(src, dims, actions)
 
 
 def psi0_module(emb: GroupEmbedding, nm: GradedModule) -> GradedModule:
@@ -278,7 +280,7 @@ def psi0_module(emb: GroupEmbedding, nm: GradedModule) -> GradedModule:
             actions[(n - 1, x)] = np.eye(dims[x], dtype=np.int64)
         else:
             actions[(n - 1, x)] = nm.act(n - 1, w)
-    return GradedModule(ws, dims, actions, nm.q)
+    return GradedModule(ws, dims, actions)
 
 
 def adjunction_check(emb: GroupEmbedding, m: GradedModule, nm: GradedModule) -> bool:

@@ -253,6 +253,8 @@ class GroupEmbedding:
     split: tuple[int, int]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "j", operator.index(self.j))
+        object.__setattr__(self, "split", tuple(map(operator.index, self.split)))
         p1n, p2n = self.split
         pn = self.target.p[-1]
         if p1n + p2n != pn + 1:

@@ -369,11 +369,12 @@ def _differential(f: GradedMF, g: GradedMF, k: int, cols, rows) -> np.ndarray:
 
 @lru_cache(maxsize=2**16)
 def oracle_hom(a: StableObject, b: StableObject, m: int = 0, q: int = DEFAULT_MODULUS) -> int:
-    """Oracle dimension of Hom(A, B[m]) for stable objects."""
-    if a.weights != b.weights:
-        raise ValueError("mismatched weight systems")
-    if a.is_zero or b.is_zero:
-        return 0
+    """Oracle dimension of Hom(A, B[m]) for stable objects.
+
+    A zero object becomes the empty factorization, whose Hom complex
+    has an empty middle term, so it answers 0 after the weights and
+    the modulus are checked, as every other pair does.
+    """
     return stable_hom_dim_oracle(mf_of(a), mf_of(b), m, q)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grading import WeightSystem, normalize
+from .grading import WeightSystem
 from .linalg import charpoly_int, inverse_unimodular
 
 
@@ -175,7 +175,10 @@ def lambda_q(ws: WeightSystem, qvec) -> AlgebraPresentation:
 
     Vertices are the box elements; the Cartan entry at (x, y) is one
     exactly when x - y is a level-zero element with coefficients below
-    q componentwise, matching the graded pieces of R/(X_i^q_i).
+    q componentwise, matching the graded pieces of R/(X_i^q_i).  This
+    algebra is the tensor product of the Nakayama algebras A_(p_i - 1)
+    with nilpotency q_i, and the descending box order is the Kronecker
+    order of their vertices, so the Cartan is that of ``tensor_chain``.
     """
     qvec = tuple(operator.index(x) for x in qvec)
     if len(qvec) != ws.n:
@@ -205,13 +208,7 @@ def lambda_q(ws: WeightSystem, qvec) -> AlgebraPresentation:
             y = x[:i] + (x[i] + qvec[i],) + x[i + 1 :]
             if y in in_box:
                 relations.append(f"x{i + 1}^{qvec[i]} {label[x]} => {label[y]}")
-    size = len(box)
-    cartan = np.zeros((size, size), dtype=np.int64)
-    for a, x in enumerate(box):
-        for b, y in enumerate(box):
-            diff = normalize(ws, [u - v for u, v in zip(x, y)], 0)
-            if diff.level == 0 and all(d < qq for d, qq in zip(diff.coeffs, qvec)):
-                cartan[a, b] = 1
+    cartan = tensor_chain(nakayama(w - 1, qq) for w, qq in zip(ws.p, qvec)).cartan
     return AlgebraPresentation(f"Lambda{ws}{qvec}", vertices, tuple(arrows), tuple(relations), cartan)
 
 
@@ -297,7 +294,10 @@ def dynkin_path_algebra(letter: str, rank: int) -> AlgebraPresentation:
 
     A is the linear orientation; D uses the subspace orientation with
     every outer vertex mapping into the center; E attaches the branch
-    vertex to the third node of the linear chain.
+    vertex to the third node of the linear chain.  A is the Nakayama
+    algebra with no relations; for D and E the Cartan is (I - A)^(-1),
+    A the adjacency matrix, whose entries count the paths.  The quiver
+    has no oriented cycle, so A is nilpotent and I - A is unimodular.
     """
     letter = letter.upper()
     if letter == "A":
@@ -321,12 +321,8 @@ def dynkin_path_algebra(letter: str, rank: int) -> AlgebraPresentation:
     adj = np.zeros((k, k), dtype=np.int64)
     for _, s, t in arrows:
         adj[index[s], index[t]] = 1
-    reach = np.eye(k, dtype=np.int64)
-    power = np.eye(k, dtype=np.int64)
-    for _ in range(k):
-        power = (power @ adj).clip(0, 1)
-        reach = (reach + power).clip(0, 1)
-    return AlgebraPresentation(f"{letter}{rank}", vertices, arrows, (), reach)
+    cartan = inverse_unimodular(np.eye(k, dtype=np.int64) - adj)
+    return AlgebraPresentation(f"{letter}{rank}", vertices, arrows, (), cartan)
 
 
 def coxeter_polynomial(a: AlgebraPresentation) -> IntPolynomial:

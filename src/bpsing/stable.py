@@ -100,6 +100,7 @@ class StableObject:
         return StableObject(self.weights, ell, self.twist + (p - e) * self.weights.x(i), self.shift - 1)
 
     def suspend(self, m: int) -> StableObject:
+        m = operator.index(m)
         if self.is_zero:
             return self
         return StableObject(self.weights, self.ell, self.twist, self.shift + m).canonical()
@@ -200,7 +201,7 @@ class StableObject:
 def U(weights: WeightSystem, ell, twist: GradeElement | None = None, shift: int = 0) -> StableObject:
     if twist is None:
         twist = weights.zero()
-    return StableObject(weights, tuple(operator.index(e) for e in ell), twist, shift)
+    return StableObject(weights, tuple(operator.index(e) for e in ell), twist, operator.index(shift))
 
 
 def rho_k(weights: WeightSystem, twist: GradeElement | None = None, shift: int = 0) -> StableObject:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from bpsing.cli import main
+from bpsing.tilting import hom_matrix, predicted_cartan
 
 
 def run(capsys, *argv):
@@ -135,6 +136,9 @@ def test_weight_cap():
         ["oracle-check", "-p", "3,4", "--pair", "U[1]", "U[1,1]"],
         ["quiver", "-p", "3,4", "--algebra", "lambda:1"],
         ["quiver", "-p", "3,4", "--algebra", "lambda:1,2,1"],
+        ["quiver", "--algebra", "dynkin:"],
+        ["quiver", "--algebra", "dynkin:E"],
+        ["quiver", "--algebra", "dynkin:7"],
     ],
 )
 def test_unusable_arguments_exit_two(capsys, argv):
@@ -205,3 +209,13 @@ def test_readme_shows_every_command():
 def test_readme_command_line(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out
+
+
+def test_readme_library_sketch(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (sketch,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(sketch, namespace)
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["(2,3;-1)", "1"]
+    assert (hom_matrix(namespace["fam"]) == predicted_cartan(namespace["fam"]).cartan).all()

@@ -3,10 +3,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from bpsing.functor import Ladder, check_recollement, insert, predict_projective_image, reduce
-from bpsing.grading import WeightSystem, normalize
+from bpsing.grading import GroupEmbedding, WeightSystem, normalize
 from bpsing.stable import StableObject, U, cuboid_objects, rho_k, zero_object
 
 W34 = WeightSystem((3, 4))
@@ -134,6 +135,22 @@ def test_recollement_report():
     assert all(a["ok"] for a in report.adjunction)
     payload = report.to_json()
     assert '"passed": true' in payload
+
+
+
+def test_integer_like_ladder_arguments():
+    # numpy integers are converted on construction, floats rejected there
+    lad = Ladder(W34, np.int64(3))
+    assert type(lad.q) is int and lad == Ladder(W34, 3)
+    assert check_recollement(lad).to_json() == check_recollement(Ladder(W34, 3)).to_json()
+    emb = GroupEmbedding(W34, np.int64(1), (np.int64(3), np.int64(2)))
+    assert emb == Ladder(W34, 3).emb1 and type(emb.j) is int and all(type(v) is int for v in emb.split)
+    with pytest.raises(TypeError):
+        Ladder(W34, 2.0)
+    with pytest.raises(TypeError):
+        GroupEmbedding(W34, 1, (3.0, 2.0))
+    with pytest.raises(TypeError):
+        GroupEmbedding(W34, 1.0, (3, 2))
 
 
 # -- reference: the divmod forms that reduce, insert and the projective

@@ -13,6 +13,7 @@ from bpsing.gmod import (
     psi0_module,
 )
 from bpsing.grading import GroupEmbedding, WeightSystem
+from bpsing.linalg import DEFAULT_MODULUS
 
 W34 = WeightSystem((3, 4))
 EMB1 = GroupEmbedding(W34, 1, (3, 2))
@@ -106,7 +107,7 @@ def test_power_act_is_iterated_action():
             cur = x
             for step in range(4):
                 assert np.array_equal(e.power_act(i, x, step), out)
-                out = (e.act(i, cur) @ out) % e.q
+                out = (e.act(i, cur) @ out) % DEFAULT_MODULUS
                 cur = cur + W34.x(i)
 
 
@@ -144,7 +145,7 @@ def test_phi0_predicts_E_module():
     pred = make_E(EMB2.source, (2, 1))
     assert img.dims == pred.dims
     for (i, x), m in pred.actions.items():
-        assert np.array_equal(img.act(i, x) % img.q, m % img.q)
+        assert np.array_equal(img.act(i, x) % DEFAULT_MODULUS, m % DEFAULT_MODULUS)
 
 
 def test_phi0_additive():
@@ -210,7 +211,7 @@ def _graded_data(m):
         for i in range(m.weights.n):
             a = m.act(i, x)
             if a.size:
-                ranks[(i, x)] = int(np.linalg.matrix_rank(a % m.q))
+                ranks[(i, x)] = int(np.linalg.matrix_rank(a % DEFAULT_MODULUS))
     return dims, ranks
 
 
@@ -265,9 +266,13 @@ def test_module_hom_exact_mode_agrees():
         assert module_hom_dim(a, b) == module_hom_dim(a, b, exact=True)
 
 
-def test_modulus_rule_matches_rank_mod():
-    # 2147483659 is prime but not below 2**31: int64 products could wrap
-    with pytest.raises(ValueError):
-        make_simple(W34, q=2147483659)
-    with pytest.raises(ValueError):
-        make_simple(W34, q=32004)
+def test_modules_live_over_one_field():
+    # F_32003 is the one field: no constructor takes a modulus, the JSON
+    # names none, and actions are stored reduced into it
+    for build in (lambda: make_simple(W34, q=32003), lambda: make_E(W34, (1, 1), q=32003), lambda: GradedModule(W34, {}, {}, 32003)):
+        with pytest.raises(TypeError):
+            build()
+    assert "modulus" not in make_E(W34, (2, 3)).to_json()
+    ws = WeightSystem((2,))
+    m = GradedModule(ws, {ws.zero(): 1, ws.x(0): 1}, {(0, ws.zero()): np.array([[DEFAULT_MODULUS + 1]])})
+    assert m.act(0, ws.zero()).tolist() == [[1]]

@@ -1,5 +1,6 @@
 """The matrix-factorization oracle: constructions, conventions, audits."""
 
+import itertools
 import random
 
 import numpy as np
@@ -25,7 +26,7 @@ from bpsing.mforacle import (
     stable_hom_dim_oracle,
     tensor_mf,
 )
-from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, knorrer_transport, rho_k
+from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, knorrer_transport, rho_k, zero_object
 from test_linalg import _ref_rank_mod
 
 W2 = WeightSystem((2,))
@@ -580,6 +581,32 @@ def test_empty_middle_exit_matches_three_terms(p):
                 assert stable_hom_dim_oracle(f, g, m) == _ref_stable_hom_dim_oracle(f, g, m), (str(a), str(b), m)
                 empty += not _term_basis(f, g, m)
     assert empty  # the exit is taken
+
+
+def test_zero_object_checks_the_modulus_and_weights():
+    zero = zero_object(W34)
+    assert oracle_hom(zero, rho_k(W34), 0) == oracle_hom(rho_k(W34), zero, 1) == oracle_hom(zero, zero) == 0
+    for a, b in ((zero, rho_k(W34)), (rho_k(W34), zero), (zero, zero)):
+        with pytest.raises(ValueError, match="not prime"):
+            oracle_hom(a, b, 0, 4)
+    with pytest.raises(ValueError, match="mismatched weight systems"):
+        oracle_hom(zero, rho_k(WeightSystem((3, 5))))
+
+
+def test_one_variable_hom_tables():
+    # T(tau, m) = dim Hom(U^a, U^b(tau x)[m]) over one variable: 0 or 1,
+    # field independent, and supported exactly on -(p-1) <= tau <= p-2
+    for p in range(2, 8):
+        ws = WeightSystem((p,))
+        support = set()
+        for a, b, m in itertools.product(range(1, p), range(1, p), (0, 1)):
+            for tau in range(-3 * p, 3 * p + 1):
+                args = (U(ws, (a,)), U(ws, (b,), ws.element((tau,))), m)
+                dim = oracle_hom(*args)
+                assert dim in (0, 1) and dim == oracle_hom(*args, PARANOIA_MODULUS), (p, a, b, m, tau)
+                if dim:
+                    support.add(tau)
+        assert min(support) == -(p - 1) and max(support) == p - 2, p
 
 
 def test_empty_middle_still_checks_the_modulus():

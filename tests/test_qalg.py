@@ -1,9 +1,11 @@
 """Quiver algebras, Cartan matrices, Coxeter polynomials."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from bpsing.grading import WeightSystem
+from bpsing.grading import WeightSystem, normalize
 from bpsing.qalg import (
     AlgebraPresentation,
     IntPolynomial,
@@ -68,6 +70,46 @@ def test_lambda_q_cartans():
             lambda_q(W34, qvec)
     with pytest.raises(TypeError):
         lambda_q(W34, (1.5, 2))
+
+
+def _ref_lambda_cartan(ws, qvec):
+    # the defining rule, entry by entry over the descending box
+    box = list(itertools.product(*[range(w - 2, -1, -1) for w in ws.p]))
+    cartan = np.zeros((len(box), len(box)), dtype=np.int64)
+    for a, x in enumerate(box):
+        for b, y in enumerate(box):
+            diff = normalize(ws, [u - v for u, v in zip(x, y)], 0)
+            if diff.level == 0 and all(d < qq for d, qq in zip(diff.coeffs, qvec)):
+                cartan[a, b] = 1
+    return cartan
+
+
+def _ref_dynkin_cartan(alg):
+    # reachability: clipped powers of the adjacency matrix
+    k = alg.size
+    index = {v: i for i, v in enumerate(alg.vertices)}
+    adj = np.zeros((k, k), dtype=np.int64)
+    for _, s, t in alg.arrows:
+        adj[index[s], index[t]] = 1
+    reach = np.eye(k, dtype=np.int64)
+    power = np.eye(k, dtype=np.int64)
+    for _ in range(k):
+        power = (power @ adj).clip(0, 1)
+        reach = (reach + power).clip(0, 1)
+    return reach
+
+
+@pytest.mark.parametrize("p", [(2,), (5,), (3, 4), (4, 5), (2, 3, 4), (2, 2, 2), (3, 4, 5), (2, 5, 3)])
+def test_lambda_q_cartan_matches_defining_rule(p):
+    ws = WeightSystem(p)
+    for qvec in itertools.product(*[range(1, w) for w in p]):
+        assert (lambda_q(ws, qvec).cartan == _ref_lambda_cartan(ws, qvec)).all(), qvec
+
+
+@pytest.mark.parametrize("letter, rank", [("D", 4), ("E", 6), ("E", 7), ("E", 8)])
+def test_dynkin_cartan_counts_paths(letter, rank):
+    alg = dynkin_path_algebra(letter, rank)
+    assert (alg.cartan == _ref_dynkin_cartan(alg)).all()
 
 
 def test_replicated_structure():

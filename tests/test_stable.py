@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from bpsing.grading import GradeElement, WeightSystem, normalize
@@ -133,6 +134,16 @@ def test_stable_object_validation():
         with pytest.raises(ValueError, match="twist over"):
             StableObject(W34, (1, 1), twist, 0)
     assert StableObject(W34, (1, 1), WeightSystem((3, 4)).element((1, 1)), 0) == U(W34, (1, 1), W34.s())
+
+
+def test_integer_like_shifts():
+    # numpy shifts give the same objects as int shifts; fractions raise
+    assert U(W34, (1, 1), shift=np.int64(2)) == U(W34, (1, 1), shift=2)
+    assert U(W34, (1, 2)).suspend(np.int64(1)) == U(W34, (1, 2)).suspend(1)
+    assert zero_object(W34).suspend(np.int64(1)) == zero_object(W34)
+    for build in (lambda: U(W34, (1, 1), shift=0.5), lambda: U(W34, (1, 2)).suspend(0.5), lambda: zero_object(W34).suspend(0.5)):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_hom_examples():
