@@ -141,8 +141,10 @@ def cmd_endo(args) -> int:
 def cmd_verify(args) -> int:
     ws = _weights(args.weights, args.force)
     fam = _family_from_kind(ws, args.kind)
-    half = _non_negative(args.window, "--window")
-    window = (-half, half) if half else None
+    window = None
+    if args.window is not None:
+        half = _non_negative(args.window, "--window")
+        window = (-half, half)
     report = verify_tilting(fam, window)
     print(report.to_json())
     print(f"verify {fam.kind} over {ws}: {'pass' if report.passed else 'FAIL'}", file=sys.stderr)
@@ -347,7 +349,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("verify", help="rigidity and exceptionality report")
     add_weights(p)
     add_kind(p)
-    p.add_argument("--window", type=int, default=0, help="half-width of the shift window")
+    p.add_argument("--window", type=int, help="half-width of the shift window (default: 2n + 4)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("ladder", help="recollement and periodicity report")
@@ -379,8 +381,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("quiver", help="emit a quiver presentation")
     p.add_argument("-p", "--weights", default="3,4")
     p.add_argument("--algebra", required=True, help="lambda:q1,..|gamma:t|nakayama:n,m|dynkin:E6")
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--dot", action="store_true")
+    output.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_quiver)
 
     args = parser.parse_args(argv)

@@ -23,16 +23,18 @@ import operator
 import numpy as np
 
 from .grading import GradeElement, GroupEmbedding, WeightSystem, normalize
-from .linalg import DEFAULT_MODULUS, rank_exact, rank_mod
+from .linalg import DEFAULT_MODULUS, rank_exact, rank_mod, residues
 
 
 class GradedModule:
     """A graded module, validated once on construction.
 
-    Construction raises ``ValueError`` on an action whose matrix is not
-    (dim M_{x+x_i}) x (dim M_x), so that an action keyed at a degree
-    outside the support must be empty, on actions that do not commute,
-    and on a sum X_i^p_i that does not act by zero.
+    Every action is read by ``linalg.residues``, which reduces it mod
+    32003 exactly.  Construction raises ``ValueError`` on an action that
+    is not an integer matrix, on one that is not (dim M_{x+x_i}) x
+    (dim M_x), so that an action keyed at a degree outside the support
+    must be empty, on actions that do not commute, and on a sum
+    X_i^p_i that does not act by zero.
     """
 
     def __init__(
@@ -48,7 +50,7 @@ class GradedModule:
         self.dims = {x: d for x, d in dims.items() if d > 0}
         self.actions = {}
         for (i, x), mat in actions.items():
-            m = np.asarray(mat, dtype=np.int64) % DEFAULT_MODULUS
+            m = residues(mat, DEFAULT_MODULUS)
             shape = (self.dim_at(x + weights.x(i)), self.dim_at(x))
             if m.shape != shape:
                 raise ValueError(f"action X_{i+1} at {x} has shape {m.shape}, expected {shape}")

@@ -5,8 +5,15 @@ exact.  The default working field is F_q with q = 32003; a second prime
 and a rational mode exist for paranoia runs.  Moduli are primes below
 2**31, so that a product of two residues fits in int64.
 
-``rank_mod`` is the one place that reduces an integer matrix mod q: its
-callers hand it unreduced integers.  Its elimination is shaped by the
+Every integer matrix enters through one intake, ``integer_matrix``: a
+2-D integer array with every value kept, ``[]`` being the 0 x 0 matrix.
+A shape that is not 2-D, ragged rows, a non-integer dtype or a
+non-integer entry raises ``ValueError``, since truncating a float or
+wrapping a wide integer would lose exactness silently.  ``residues`` is
+the one reduction of such a matrix mod q to int64; uint64 entries and
+Python ints are reduced before the cast.
+
+``rank_mod`` takes the rank over F_q.  Its elimination is shaped by the
 oracle's matrices, which are about 1% nonzero.  A pivot row, once used,
 is copied out and zeroed ("retired") instead of swapped into place, and
 each elimination step rewrites only the columns in which the pivot row
@@ -17,20 +24,20 @@ left unchanged by subtracting a multiple of that row.  Every
 intermediate value stays below q**2 <= 2**62 in absolute value, so
 nothing overflows int64.
 
-The integer kernels behind the Coxeter polynomials, the inverse of a
-unimodular matrix and the characteristic polynomial, work on numpy
-object arrays of Python ints: numpy runs the loops in C while every
-entry stays an unbounded integer, so nothing can overflow.  The inverse
-is fraction-free Gauss-Jordan (Bareiss), the characteristic polynomial
-the Faddeev-LeVerrier recursion; both divide only where the quotient
-must be exact, and raise ``ArithmeticError`` if a remainder is left.
-Both reject a ragged or non-square matrix with ``ValueError``.
+Over the rationals and Z there is one elimination, fraction-free
+Gauss-Jordan (Bareiss), on numpy object arrays of Python ints: numpy
+runs the loops in C while every entry stays an unbounded integer, so
+nothing can overflow.  It gives ``rank_exact`` its rank and
+``inverse_unimodular`` the inverse of a unimodular matrix; the
+characteristic polynomial is the Faddeev-LeVerrier recursion.  Both
+divide only where the quotient must be exact, and raise
+``ArithmeticError`` if a remainder is left.  The square kernels reject
+a ragged or non-square matrix with ``ValueError``.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
 import numpy as np
 
@@ -66,14 +73,50 @@ def check_modulus(q: int) -> None:
         raise ValueError(f"modulus {q} is not below 2**31")
 
 
+def integer_matrix(a) -> np.ndarray:
+    """``a`` as a 2-D integer array, every value kept; ``[]`` is 0 x 0.
+
+    An integer array comes back as it is, without a copy; an empty one
+    of any dtype as int64 zeros of its shape.  Ragged rows, a shape that
+    is not 2-D, a non-integer dtype and a non-integer entry of an object
+    array raise ``ValueError``.
+    """
+    try:
+        m = np.asarray(a)
+    except ValueError:
+        raise ValueError("matrix has ragged rows") from None
+    if m.size == 0 and m.ndim in (1, 2):
+        # [] is the 0 x 0 matrix
+        return np.zeros((len(m), m.shape[-1]), dtype=np.int64)
+    if m.ndim != 2:
+        raise ValueError(f"need a 2-D matrix, not shape {m.shape}")
+    if m.dtype == object:
+        if not all(isinstance(x, (int, np.integer)) for x in m.flat):
+            raise ValueError("need integer entries")
+    elif m.dtype.kind not in "iu":
+        raise ValueError(f"need an integer matrix, not dtype {m.dtype}")
+    return m
+
+
+def residues(a, q: int) -> np.ndarray:
+    """Residues mod q of an integer matrix, as a fresh int64 array.
+
+    Entries beyond int64, uint64 from 2**63 on or Python ints in an
+    object array, are reduced before the cast, which would wrap them.
+    """
+    m = integer_matrix(a)
+    if m.dtype == object:
+        return (m % q).astype(np.int64)
+    if m.dtype == np.uint64:
+        return (m % np.uint64(q)).astype(np.int64)
+    return m.astype(np.int64, copy=False) % q
+
+
 def rank_mod(a, q: int) -> int:
     """Rank of an integer matrix over F_q by Gaussian elimination.
 
-    ``a`` is any 2-D integer array-like; it is reduced mod q into a
-    fresh int64 array and left unchanged.  Integers beyond int64 (uint64
-    entries, Python ints in an object array) are reduced exactly before
-    the cast.  A non-integer dtype or a shape that is not 2-D raises
-    ``ValueError``: truncating a float would lose exactness silently.
+    ``a`` goes through ``integer_matrix`` and is reduced mod q by
+    ``residues`` into a fresh int64 array; ``a`` is left unchanged.
 
     Left to right, column c takes the first live row nonzero in column c
     as pivot row.  Its support, the columns where it is nonzero, starts
@@ -86,12 +129,7 @@ def rank_mod(a, q: int) -> int:
     q**2 <= 2**62 in absolute value before it is reduced.
     """
     check_modulus(q)
-    m = np.asarray(a)
-    if m.ndim != 2:
-        raise ValueError(f"rank_mod needs a 2-D matrix, not shape {m.shape}")
-    if m.size == 0:
-        return 0
-    m = m % q if m.dtype == np.int64 else _residues(m, q)
+    m = residues(a, q)
     rows, cols = m.shape
     r = 0
     for c in range(cols):
@@ -115,51 +153,9 @@ def rank_mod(a, q: int) -> int:
     return r
 
 
-def _residues(m: np.ndarray, q: int) -> np.ndarray:
-    """Residues mod q, as int64, of an integer array of another dtype."""
-    if m.dtype == object:
-        if not all(isinstance(x, (int, np.integer)) for x in m.flat):
-            raise ValueError("rank_mod needs integer entries")
-        return (m % q).astype(np.int64)
-    if m.dtype.kind not in "iu":
-        raise ValueError(f"rank_mod needs an integer matrix, not dtype {m.dtype}")
-    if m.dtype == np.uint64:
-        # entries from 2**63 on would wrap in int64
-        return (m % np.uint64(q)).astype(np.int64)
-    return m.astype(np.int64) % q
-
-
-def rank_exact(a) -> int:
-    """Rank over Q, with Fraction arithmetic.  Slow; for spot checks."""
-    m = [[Fraction(int(x)) for x in row] for row in a]
-    if not m or not m[0]:
-        return 0
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def _square_int(a) -> np.ndarray:
-    """A square matrix as a numpy object array of Python ints."""
-    rows = [[int(x) for x in row] for row in a]
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    return np.array(rows, dtype=object).reshape(n, n)
+def _python_ints(m: np.ndarray) -> np.ndarray:
+    """An integer matrix as a numpy object array of Python ints."""
+    return np.frompyfunc(int, 1, 1)(m)
 
 
 def _exact_div(num: np.ndarray, den: int) -> np.ndarray:
@@ -169,35 +165,73 @@ def _exact_div(num: np.ndarray, den: int) -> np.ndarray:
     return quot
 
 
+def _gauss_jordan(m: np.ndarray, cols: int | None = None) -> tuple[np.ndarray, int, int]:
+    """Fraction-free Gauss-Jordan (Bareiss) on the first ``cols`` columns
+    of an object array of Python ints, in place.
+
+    The pivot of column c is the first row from the rank r on that is
+    nonzero there; a column without one is skipped.  The pivot row is
+    swapped to row r, and every other row is replaced by (pivot * row -
+    row[c] * pivot row), divided exactly by the previous pivot, so every
+    entry stays a minor of the input.  Returns the array, the rank and
+    the last pivot, which is a nonzero maximal minor up to sign: for a
+    square matrix of full rank, its determinant up to the sign of the
+    row swaps.
+    """
+    rows = len(m)
+    r, prev = 0, 1
+    for c in range(m.shape[1] if cols is None else cols):
+        nz = np.flatnonzero(m[r:, c])
+        if not nz.size:
+            continue
+        piv = r + nz[0]
+        if piv != r:
+            m[[r, piv]] = m[[piv, r]]
+        pivot = m[r, c]
+        others = np.arange(rows) != r
+        update = pivot * m[others] - np.outer(m[others, c], m[r])
+        m[others] = update if prev == 1 else _exact_div(update, prev)
+        prev = pivot
+        r += 1
+        if r == rows:
+            break
+    return m, r, prev
+
+
+def rank_exact(a) -> int:
+    """Rank over Q of an integer matrix, exact.
+
+    ``a`` goes through ``integer_matrix``, and the rank is that of the
+    fraction-free elimination ``_gauss_jordan``, whose entries stay
+    integers; for paranoia runs.
+    """
+    return _gauss_jordan(_python_ints(integer_matrix(a)))[1]
+
+
+def _square_int(a) -> np.ndarray:
+    """A square integer matrix as a numpy object array of Python ints."""
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix is not square")
+    return _python_ints(integer_matrix(a))
+
+
 def inverse_unimodular(a) -> list[list[int]]:
     """Exact inverse of an integer matrix with determinant +-1.
 
-    Fraction-free Gauss-Jordan (Bareiss) on [A | I]: step c replaces
-    every row but the pivot row by (pivot * row - row[c] * pivot row),
-    divided exactly by the previous pivot, so every entry stays a minor
-    of [A | I].  The last pivot d is det(A) up to the sign of the row
-    swaps, the left block ends as d I and the right block as d A^(-1).
+    ``_gauss_jordan`` on [A | I] over the columns of A: a rank below n
+    means A is singular.  Otherwise the last pivot d is det(A) up to the
+    sign of the row swaps, the left block ends as d I and the right
+    block as d A^(-1).
     """
     m = _square_int(a)
     n = len(m)
-    aug = np.concatenate([m, np.eye(n, dtype=object)], axis=1)
-    prev = 1
-    for c in range(n):
-        nz = np.flatnonzero(aug[c:, c])
-        if not nz.size:
-            raise ValueError("matrix is singular")
-        piv = c + nz[0]
-        if piv != c:
-            aug[[c, piv]] = aug[[piv, c]]
-        pivot = aug[c, c]
-        others = np.arange(n) != c
-        update = pivot * aug[others] - np.outer(aug[others, c], aug[c])
-        aug[others] = update if prev == 1 else _exact_div(update, prev)
-        prev = pivot
-    if prev not in (1, -1):
+    aug, rank, det = _gauss_jordan(np.concatenate([m, np.eye(n, dtype=object)], axis=1), n)
+    if rank < n:
+        raise ValueError("matrix is singular")
+    if det not in (1, -1):
         raise ValueError("matrix is not unimodular over the integers")
     # A^(-1) = right block / d, and 1/d = d for d = +-1
-    return (aug[:, n:] * prev).tolist()
+    return (aug[:, n:] * det).tolist()
 
 
 def charpoly_int(a) -> tuple[int, ...]:

@@ -380,7 +380,7 @@ def oracle_hom(a: StableObject, b: StableObject, m: int = 0, q: int = DEFAULT_MO
 
 def probe_objects(ws: WeightSystem) -> list[StableObject]:
     """The deterministic probe set: cuboid objects under level-zero
-    twists in [-s, s] (coefficientwise zero-or-one sums of the x_i)."""
+    twists in [0, s], the zero-or-one sums of the x_i."""
     probes = []
     for base in cuboid_objects(ws):
         for bits in itertools.product((0, 1), repeat=ws.n):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grading import WeightSystem
-from .linalg import charpoly_int, inverse_unimodular
+from .linalg import charpoly_int, integer_matrix, inverse_unimodular
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,13 @@ class AlgebraPresentation:
     cartan: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.cartan, dtype=np.int64)
+        c = integer_matrix(self.cartan)
         if c.shape != (len(self.vertices), len(self.vertices)):
             raise ValueError("Cartan matrix size does not match the vertex count")
-        if (c < 0).any() or (np.diag(c) < 1).any():
-            raise ValueError("Cartan entries must be nonnegative with unit diagonal")
-        self.cartan = c
+        # an entry from 2**63 on would wrap in int64
+        if (c < 0).any() or (c >= 2**63).any() or (np.diag(c) < 1).any():
+            raise ValueError("Cartan entries must lie in [0, 2**63), with unit diagonal")
+        self.cartan = c.astype(np.int64)
 
     @property
     def size(self) -> int:

@@ -109,6 +109,22 @@ def test_bad_arguments_exit_two():
     assert exc.value.code == 2
 
 
+def test_quiver_dot_and_csv_exclude_each_other(capsys):
+    # --csv used to be dropped silently in favour of --dot
+    with pytest.raises(SystemExit) as exc:
+        main(["quiver", "--algebra", "nakayama:3,2", "--dot", "--csv"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_window_zero_checks_shift_zero_only(capsys):
+    # --window 0 used to fall back to the default window +-(2n + 4)
+    code, out, _ = run(capsys, "verify", "-p", "3,4", "--window", "0")
+    assert code == 0 and json.loads(out)["window"] == [0, 0]
+    code, out, _ = run(capsys, "verify", "-p", "3,4")
+    assert code == 0 and json.loads(out)["window"] == [-8, 8]
+
+
 def test_weight_cap():
     with pytest.raises(SystemExit):
         main(["describe", "-p", "100,100"])

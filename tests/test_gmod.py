@@ -276,3 +276,18 @@ def test_modules_live_over_one_field():
     ws = WeightSystem((2,))
     m = GradedModule(ws, {ws.zero(): 1, ws.x(0): 1}, {(0, ws.zero()): np.array([[DEFAULT_MODULUS + 1]])})
     assert m.act(0, ws.zero()).tolist() == [[1]]
+
+
+def test_actions_are_read_exactly():
+    # an action goes through linalg.residues: a float used to be truncated
+    # (0.4 became a dropped zero action) and a uint64 entry beyond int64
+    # used to wrap before its reduction
+    ws = WeightSystem((2,))
+    dims = {ws.zero(): 1, ws.x(0): 1}
+    for bad in ([[0.4]], np.array([[1.0]]), np.array([[1, 0.5]], dtype=object)):
+        with pytest.raises(ValueError, match="integer"):
+            GradedModule(ws, dims, {(0, ws.zero()): bad})
+    wide = GradedModule(ws, dims, {(0, ws.zero()): np.array([[2**64 - 1]], dtype=np.uint64)})
+    assert wide.act(0, ws.zero()).tolist() == [[(2**64 - 1) % DEFAULT_MODULUS]] == [[21708]]
+    big = GradedModule(ws, dims, {(0, ws.zero()): [[2**70]]})
+    assert big.act(0, ws.zero()).tolist() == [[2**70 % DEFAULT_MODULUS]]

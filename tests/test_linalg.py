@@ -11,10 +11,13 @@ from bpsing.linalg import (
     PARANOIA_MODULUS,
     charpoly_int,
     _exact_div,
+    _gauss_jordan,
     check_modulus,
+    integer_matrix,
     inverse_unimodular,
     rank_exact,
     rank_mod,
+    residues,
 )
 
 
@@ -290,3 +293,114 @@ def test_inexact_division_raises():
     assert _exact_div(num[:1], 2).tolist() == [[2, 3]]
     with pytest.raises(ArithmeticError, match="divide exactly"):
         _exact_div(num, 2)
+
+
+# -- one intake and one elimination -----------------------------------------
+#
+# The reference below is the Fraction-based Gauss-Jordan rank that
+# rank_exact used before it shared the fraction-free elimination of
+# inverse_unimodular; both must give the same rank on every input.
+
+
+def _ref_rank_exact(a):
+    m = [[Fraction(int(x)) for x in row] for row in a]
+    if not m or not m[0]:
+        return 0
+    rows, cols = len(m), len(m[0])
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def test_rank_exact_matches_fraction_reference():
+    rng = np.random.default_rng(29)
+    for _ in range(3000):
+        rows, cols = (int(x) for x in rng.integers(0, 11, 2))
+        a = _low_rank(rng, rows, cols, int(rng.integers(0, min(rows, cols) + 1)))
+        # zero rows and columns force row swaps and columns without a pivot
+        a[rng.random(rows) < 0.3] = 0
+        a[:, rng.random(cols) < 0.3] = 0
+        assert rank_exact(a) == _ref_rank_exact(a.tolist()), a.tolist()
+    # entries beyond int64 stay exact
+    big = 2**70
+    assert rank_exact([[big, big + 1], [2 * big, 2 * big + 2]]) == 1
+
+
+def test_elimination_returns_rank_and_last_pivot():
+    # the last pivot of a square matrix of full rank is +-det
+    rng = np.random.default_rng(31)
+    for n in range(1, 8):
+        a = rng.integers(-4, 5, (n, n))
+        m, rank, last = _gauss_jordan(np.array(a.tolist(), dtype=object))
+        if rank == n:
+            assert abs(last) == abs(round(np.linalg.det(a))), a.tolist()
+            assert (m == last * np.eye(n, dtype=int)).all()
+    # columns without a pivot are skipped, and ``cols`` bounds the columns
+    a = np.array([[0, 1, 2], [0, 2, 4]], dtype=object)
+    assert _gauss_jordan(a.copy())[1:] == (1, 1)
+    assert _gauss_jordan(a.copy(), 1)[1:] == (0, 1)
+
+
+def test_integer_matrix_is_the_one_intake():
+    a = np.arange(6, dtype=np.int64).reshape(2, 3)
+    assert integer_matrix(a) is a  # no copy
+    for dtype in (np.int8, np.uint16, np.uint64):
+        assert integer_matrix(a.astype(dtype)).dtype == dtype
+    assert integer_matrix([[2**70]])[0, 0] == 2**70
+    for empty, shape in (([], (0, 0)), ([[]], (1, 0)), (np.zeros((0, 3)), (0, 3))):
+        got = integer_matrix(empty)
+        assert got.shape == shape and got.dtype == np.int64
+    with pytest.raises(ValueError, match="ragged rows"):
+        integer_matrix([[1], [1, 1]])
+    with pytest.raises(ValueError, match=re.escape("2-D matrix, not shape (2,)")):
+        integer_matrix([1, 2])
+    with pytest.raises(ValueError, match="integer matrix, not dtype float64"):
+        integer_matrix([[1, 0.5]])
+    with pytest.raises(ValueError, match="integer entries"):
+        integer_matrix(np.array([[1, Fraction(1, 2)]], dtype=object))
+
+
+def test_residues_reduce_before_the_cast():
+    q = DEFAULT_MODULUS
+    wide = np.array([[2**64 - 1, 2**63]], dtype=np.uint64)
+    assert residues(wide, q).tolist() == [[(2**64 - 1) % q, 2**63 % q]]
+    assert residues([[2**70, -1]], q).tolist() == [[2**70 % q, q - 1]]
+    a = np.array([[-1, q + 2]], dtype=np.int64)
+    got = residues(a, q)
+    assert got.dtype == np.int64 and got.tolist() == [[q - 1, 2]] and a.tolist() == [[-1, q + 2]]
+
+
+def test_empty_list_is_the_empty_matrix_everywhere():
+    assert rank_mod([], DEFAULT_MODULUS) == rank_exact([]) == 0
+    assert inverse_unimodular([]) == []
+    assert charpoly_int([]) == (1,)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: inverse_unimodular([[1.5, 0], [0, 1]]),
+        lambda: charpoly_int(np.array([[2.9]])),
+        lambda: rank_exact([[0.4, 0], [0, 1]]),
+        lambda: rank_exact([[1], [1, 1]]),
+        lambda: rank_exact(np.array([[1, 0.5]], dtype=object)),
+    ],
+    ids=["inverse-float", "charpoly-float", "rank-float", "rank-ragged", "rank-object-float"],
+)
+def test_kernels_reject_non_integer_matrices(call):
+    # each used to truncate its input silently
+    with pytest.raises(ValueError):
+        call()

@@ -1,6 +1,8 @@
 """The matrix-factorization oracle: constructions, conventions, audits."""
 
+import functools
 import itertools
+import math
 import random
 
 import numpy as np
@@ -8,8 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bpsing.grading import GradeElement, WeightSystem
-from bpsing.linalg import PARANOIA_MODULUS, rank_mod
+from bpsing.grading import GradeElement, WeightSystem, normalize
+from bpsing.linalg import DEFAULT_MODULUS, PARANOIA_MODULUS, rank_mod
 from bpsing.mforacle import (
     GradedMF,
     MonomialMatrix,
@@ -617,3 +619,104 @@ def test_empty_middle_still_checks_the_modulus():
         oracle_hom(a, b, 0, q=32004)
     with pytest.raises(ValueError, match="not below 2"):
         stable_hom_dim_oracle(mf_of(a), mf_of(b), 0, 2**31 + 11)
+
+
+# -- the Kunneth count against the dense oracle ------------------------------
+#
+# U^l(x)[k] is a tensor product of rank-one factorizations, so its Hom
+# complex is a tensor product of one-variable Hom complexes, and by Kunneth
+# (the Thom-Sebastiani property of matrix-factorization categories) dim
+# Hom(A, B[m]) is a sum of products of one-variable dimensions.  The
+# reference below counts it from dense one-variable tables and
+# `normalize` alone, without the calculus, so that it can audit the
+# calculus where the dense oracle is too slow.
+
+
+@functools.lru_cache(maxsize=256)
+def _one_variable_table(p, a, b, q):
+    """The nonzero T(tau, m) = dim Hom(U^a, U^b(tau x)[m]) over
+    WeightSystem((p,)), as (tau, m, T), for m in {0, 1} and tau in
+    [-3p, 3p]; test_one_variable_hom_tables pins the support inside."""
+    ws = WeightSystem((p,))
+    entries = [(tau, m, oracle_hom(U(ws, (a,)), U(ws, (b,), ws.element((tau,))), m, q)) for tau in range(-3 * p, 3 * p + 1) for m in (0, 1)]
+    return tuple(e for e in entries if e[2])
+
+
+def _kunneth_count(a, b, m, q, left_c):
+    """dim Hom(A, B[m]) for A = U^a(x)[k] and B = U^b(y)[k'].
+
+    With z = y - x and M = k' + m - k, the sum of prod_i T_i(tau_i, m_i)
+    over one table entry per coordinate, for the choices with M - sum m_i
+    even and normalize(tau) + left_c(sum m_i) c == z + ((M - sum m_i) // 2) c.
+    The right rule has left_c = 0: tensor_mf's convention absorbs the
+    c-twist of odd-odd terms.
+    """
+    if a.is_zero or b.is_zero:
+        return 0
+    ws = a.weights
+    z, shift = b.twist - a.twist, b.shift + m - a.shift
+    # normalize(tau) has coefficients tau_i mod p_i, and a multiple of c
+    # moves only the level, so only entries with tau_i = z_i mod p_i can count
+    tables = [[e for e in _one_variable_table(p, ea, eb, q) if (e[0] - zi) % p == 0] for p, ea, eb, zi in zip(ws.p, a.ell, b.ell, z.coeffs)]
+    total = 0
+    for choice in itertools.product(*tables):
+        taus, ms, dims = zip(*choice)
+        mu = sum(ms)
+        if (shift - mu) % 2 == 0 and normalize(ws, taus) + left_c(mu) * ws.c() == z + (shift - mu) // 2 * ws.c():
+            total += math.prod(dims)
+    return total
+
+
+def _ref_kunneth_hom(a, b, m=0, q=DEFAULT_MODULUS):
+    return _kunneth_count(a, b, m, q, lambda mu: 0)
+
+
+def _probe_pairs(ws):
+    # probe x cuboid pairs, the cuboid object at shifts -2..2
+    for a in probe_objects(ws):
+        for b in cuboid_objects(ws):
+            for k in range(-2, 3):
+                yield a, StableObject(ws, b.ell, b.twist, k)
+
+
+def test_kunneth_count_matches_oracle_on_probe_pairs():
+    compared = 0
+    for p in ((2, 2), (3, 4), (3, 5), (2, 3, 4)):
+        for a, b in _probe_pairs(WeightSystem(p)):
+            for m in (0, 1):
+                assert _ref_kunneth_hom(a, b, m) == oracle_hom(a, b, m), (str(a), str(b), m)
+                compared += 1
+    assert compared == 6920
+
+
+@pytest.mark.parametrize("p, count", [((3, 4, 5), 200), ((2, 2, 2, 2), 10)])
+def test_kunneth_count_matches_oracle_on_random_pairs(p, count):
+    # twist levels and shifts in -2..2, at both primes
+    ws = WeightSystem(p)
+    rng = random.Random(sum(p))
+
+    def obj():
+        tw = ws.element([rng.randrange(w) for w in ws.p], rng.randrange(-2, 3))
+        return StableObject(ws, tuple(rng.randrange(1, w) for w in ws.p), tw, rng.randrange(-2, 3))
+
+    for _ in range(count):
+        a, b, m = obj(), obj(), rng.randrange(2)
+        for q in (DEFAULT_MODULUS, PARANOIA_MODULUS):
+            assert _ref_kunneth_hom(a, b, m, q) == oracle_hom(a, b, m, q), (str(a), str(b), m, q)
+
+
+def test_kunneth_count_catches_a_wrong_c_convention():
+    # adding floor(sum m_i / 2) c on the left must disagree with the oracle
+    wrong = [(a, b, m) for a, b in _probe_pairs(W34) for m in (0, 1) if _kunneth_count(a, b, m, DEFAULT_MODULUS, lambda mu: mu // 2) != oracle_hom(a, b, m)]
+    assert wrong
+
+
+def test_calculus_matches_kunneth_count_on_345():
+    # the first audit of the calculus beyond (3,4): every decided pair
+    decided = 0
+    for a, b in _probe_pairs(WeightSystem((3, 4, 5))):
+        h = hom_dim(a, b)
+        if h is not None:
+            assert h == _ref_kunneth_hom(a, b), (str(a), str(b))
+            decided += 1
+    assert decided == 22700

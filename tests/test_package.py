@@ -20,6 +20,22 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_fractions_in_src():
+    # integers are the one exact number type: the rational rank is the
+    # fraction-free elimination, so fractions is imported nowhere
+    found = []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            found += [f"{name}:{node.lineno}" for module in modules if module.split(".")[0] == "fractions"]
+    assert found == []
+
+
 def _cache_bound(decorator):
     """'unbounded', 'bounded' or None (not a functools cache)."""
     call = decorator if isinstance(decorator, ast.Call) else None

@@ -253,3 +253,13 @@ def test_dot_export():
     assert dot.startswith("digraph")
     assert "style=dashed" in dot
     assert dot.count("->") >= 7
+
+
+def test_cartan_is_read_exactly():
+    # a float Cartan used to be truncated ([[1.7, 0.9], [0, 1]] became the
+    # identity) and a uint64 entry beyond int64 used to wrap
+    for bad in ([[1.7, 0.9], [0, 1]], np.array([[1, 2**64 - 1], [0, 1]], dtype=np.uint64), [[1, 2**63], [0, 1]]):
+        with pytest.raises(ValueError):
+            AlgebraPresentation("bad", ("1", "2"), (), (), bad)
+    ok = AlgebraPresentation("ok", ("1", "2"), (), (), np.array([[1, 2**63 - 1], [0, 1]], dtype=np.uint64))
+    assert ok.cartan.dtype == np.int64 and ok.cartan.tolist() == [[1, 2**63 - 1], [0, 1]]
