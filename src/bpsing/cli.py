@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 
 from .functor import Ladder, check_recollement
@@ -371,11 +370,7 @@ def main(argv=None) -> int:
     add_weights(p)
     p.add_argument("--pair", nargs=2, metavar=("A", "B"), help='audit one pair, e.g. --pair "U[2,3]" "U[1,1](1,0;-1)[2]"')
     p.add_argument("--shift-window", type=int, default=2)
-    p.add_argument(
-        "--modulus",
-        default=os.environ.get("BPSING_MODULUS", str(DEFAULT_MODULUS)),
-        help=f"a prime below 2**31 (default: $BPSING_MODULUS or {DEFAULT_MODULUS})",
-    )
+    p.add_argument("--modulus", default=str(DEFAULT_MODULUS), help=f"a prime below 2**31 (default: {DEFAULT_MODULUS})")
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("quiver", help="emit a quiver presentation")

@@ -211,14 +211,11 @@ def check_recollement(ladder: Ladder, level_bound: int = 2) -> LadderReport:
     ff = []
     for j in (1, 2):
         srcj = ladder.emb(j).source
+        k = 0 if j == 2 else q - 1
         objs = cuboid_objects(srcj)
-        pairs = []
-        for a in objs:
-            for b in objs:
-                pairs.append((a, b))
-                pairs.append((a, b.twist_by(srcj.x(0))))
-        for a, b in pairs[:_FF_PAIRS]:
-            k = 0 if j == 2 else q - 1
+        # (a, b) and (a, b(x_1)) for all cuboid a, b, twisted only as far as read
+        pairs = ((a, c) for a in objs for b in objs for c in (b, b.twist_by(srcj.x(0))))
+        for a, b in itertools.islice(pairs, _FF_PAIRS):
             ha = hom_dim(a, b)
             hb = hom_dim(insert(ladder, j, k, a), insert(ladder, j, k, b))
             ff.append(

@@ -32,7 +32,7 @@ nothing can overflow.  It gives ``rank_exact`` its rank and
 characteristic polynomial is the Faddeev-LeVerrier recursion.  Both
 divide only where the quotient must be exact, and raise
 ``ArithmeticError`` if a remainder is left.  The square kernels reject
-a ragged or non-square matrix with ``ValueError``.
+a ragged, non-square or not 2-D matrix with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -210,7 +210,11 @@ def rank_exact(a) -> int:
 
 def _square_int(a) -> np.ndarray:
     """A square integer matrix as a numpy object array of Python ints."""
-    if any(len(row) != len(a) for row in a):
+    try:
+        ragged = any(len(row) != len(a) for row in a)
+    except TypeError:  # rows without a length: not 2-D, which the intake rejects
+        ragged = False
+    if ragged:
         raise ValueError("matrix is not square")
     return _python_ints(integer_matrix(a))
 

@@ -60,7 +60,6 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .grading import GradeElement, WeightSystem, normalize
 
@@ -176,10 +175,7 @@ class StableObject:
         elif reflections == 0 and self.shift == 0:
             return self
         level += (self.shift - reflections) // 2
-        new_ell = tuple(ell)
-        if new_ell == self.ell:
-            new_ell = self.ell  # share the tuple: the Hom cache keeps these objects
-        return StableObject(ws, new_ell, GradeElement(ws, tuple(coeffs), level), 0)
+        return StableObject(ws, tuple(ell), GradeElement(ws, tuple(coeffs), level), 0)
 
     def is_same(self, other: StableObject) -> bool:
         """Object equality, i.e. equality of canonical forms."""
@@ -334,18 +330,6 @@ def _replicated_zero(a: StableObject, b: StableObject) -> bool:
     return False
 
 
-@lru_cache(maxsize=2**16)
-def _hom_dim_canonical(a: StableObject, b: StableObject) -> int | None:
-    if a.is_zero or b.is_zero:
-        return 0
-    ans = _pair_answer(a, b)
-    if ans is None:
-        ans = _pair_answer(b, a.serre())
-    if ans is None and _replicated_zero(a, b):
-        ans = 0
-    return ans
-
-
 def hom_dim(a: StableObject, b: StableObject) -> int | None:
     """Hom dimension between stable objects; None when out of reach.
 
@@ -359,4 +343,12 @@ def hom_dim(a: StableObject, b: StableObject) -> int | None:
     """
     if a.weights != b.weights:
         raise ValueError("mismatched weight systems")
-    return _hom_dim_canonical(a.canonical(), b.canonical())
+    a, b = a.canonical(), b.canonical()
+    if a.is_zero or b.is_zero:
+        return 0
+    ans = _pair_answer(a, b)
+    if ans is None:
+        ans = _pair_answer(b, a.serre())
+    if ans is None and _replicated_zero(a, b):
+        ans = 0
+    return ans

@@ -155,6 +155,7 @@ def test_weight_cap():
         ["quiver", "--algebra", "dynkin:"],
         ["quiver", "--algebra", "dynkin:E"],
         ["quiver", "--algebra", "dynkin:7"],
+        ["oracle-check", "-p", "2,2", "--modulus", "abc"],
     ],
 )
 def test_unusable_arguments_exit_two(capsys, argv):
@@ -166,18 +167,8 @@ def test_unusable_arguments_exit_two(capsys, argv):
     assert len(out.err.splitlines()) == 1 and out.err.startswith("bpsing: error: ")
 
 
-@pytest.mark.parametrize("value", ["32004", "4294967311", "abc"])
-def test_modulus_from_environment_checked(capsys, monkeypatch, value):
-    monkeypatch.setenv("BPSING_MODULUS", value)
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle-check", "-p", "2,2", "--shift-window", "0"])
-    assert exc.value.code == 2
-    assert "modulus" in capsys.readouterr().err
-
-
-def test_modulus_from_environment_used(capsys, monkeypatch):
-    monkeypatch.setenv("BPSING_MODULUS", "65537")
-    code, out, _ = run(capsys, "oracle-check", "-p", "2,2", "--shift-window", "0")
+def test_modulus_option_used(capsys):
+    code, out, _ = run(capsys, "oracle-check", "-p", "2,2", "--shift-window", "0", "--modulus", "65537")
     assert code == 0 and json.loads(out)["modulus"] == 65537
 
 

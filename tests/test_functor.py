@@ -6,9 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from bpsing.functor import Ladder, check_recollement, insert, predict_projective_image, reduce
+from bpsing.functor import _FF_PAIRS, Ladder, check_recollement, insert, predict_projective_image, reduce
 from bpsing.grading import GroupEmbedding, WeightSystem, normalize
-from bpsing.stable import StableObject, U, cuboid_objects, rho_k, zero_object
+from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, rho_k, zero_object
 
 W34 = WeightSystem((3, 4))
 
@@ -136,6 +136,33 @@ def test_recollement_report():
     payload = report.to_json()
     assert '"passed": true' in payload
 
+
+
+def _ref_ff_pairs(ws):
+    """Every cuboid pair over ws, untwisted and with b twisted by x_1,
+    built eagerly: the full-faithfulness list check_recollement reads."""
+    objs = cuboid_objects(ws)
+    pairs = []
+    for a in objs:
+        for b in objs:
+            pairs.append((a, b))
+            pairs.append((a, b.twist_by(ws.x(0))))
+    return pairs
+
+
+@pytest.mark.parametrize("p", [(3, 4), (3, 4, 5), (2, 5)])
+def test_fully_faithful_samples_match_eager_list(p):
+    ws = WeightSystem(p)
+    for q in range(2, p[-1]):
+        lad = Ladder(ws, q)
+        expected = []
+        for j in (1, 2):
+            k = 0 if j == 2 else q - 1
+            for a, b in _ref_ff_pairs(lad.emb(j).source)[:_FF_PAIRS]:
+                ha, hb = hom_dim(a, b), hom_dim(insert(lad, j, k, a), insert(lad, j, k, b))
+                expected.append((j, k, [str(a), str(b)], ha, hb))
+        samples = check_recollement(lad, 0).fully_faithful_samples
+        assert [(s["j"], s["k"], s["pair"], s["reduced_hom"], s["inserted_hom"]) for s in samples] == expected
 
 
 def test_integer_like_ladder_arguments():

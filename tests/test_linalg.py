@@ -280,6 +280,16 @@ def test_kernels_reject_non_square_input():
             charpoly_int(a)
 
 
+@pytest.mark.parametrize("a", [[1, 2], 5, np.array([1, 2]), np.array(5)])
+def test_kernels_reject_input_that_is_not_2d(a):
+    # the same ValueError that rank_mod gives, not a TypeError from len
+    for kernel in (inverse_unimodular, charpoly_int, rank_exact):
+        with pytest.raises(ValueError, match="2-D"):
+            kernel(a)
+    with pytest.raises(ValueError, match="2-D"):
+        rank_mod(a, DEFAULT_MODULUS)
+
+
 def test_kernels_stay_exact_beyond_int64():
     # entries near 2**62 overflow int64 products; Python ints do not
     big = 2**62 + 1

@@ -1,7 +1,9 @@
 """Stable objects: rewriting, canonical forms, and the Hom calculus."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -157,6 +159,17 @@ def test_hom_examples():
 def test_hom_zero_object():
     assert hom_dim(zero_object(W34), rho_k(W34)) == 0
     assert hom_dim(rho_k(W34), zero_object(W34)) == 0
+
+
+def test_hom_dim_keeps_no_reference_to_its_arguments():
+    # both are their own canonical forms, so a cache keyed on canonical
+    # forms would keep exactly these objects alive
+    a, b = U(W34, (1, 1)), rho_k(W34, W34.x(0))
+    hom_dim(a, b)
+    refs = [weakref.ref(a), weakref.ref(b)]
+    del a, b
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_hom_mismatched_weights():
