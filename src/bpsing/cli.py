@@ -18,18 +18,9 @@ from .functor import Ladder, check_recollement
 from .grading import WeightSystem
 from .linalg import DEFAULT_MODULUS, check_modulus
 from .mforacle import oracle_hom, probe_objects
-from .qalg import (
-    coxeter_polynomial,
-    dynkin_path_algebra,
-    gamma_quiver,
-    lambda_q,
-    nakayama,
-    replicated,
-    tensor,
-    tensor_chain,
-)
+from .qalg import COXETER_SUITES, coxeter_polynomial, dynkin_path_algebra, gamma_quiver, lambda_q, matrix_csv, nakayama
 from .stable import StableObject, cuboid_objects, hom_dim, parse_object
-from .tilting import UnknownHomError, family, glue, hom_matrix, hom_matrix_csv, predicted_cartan, same_family, verify_tilting
+from .tilting import UnknownHomError, family, glue, hom_matrix, predicted_cartan, same_family, verify_tilting
 
 MAX_CUBOID = 512
 
@@ -121,7 +112,7 @@ def cmd_endo(args) -> int:
     diff = (mat - pred.cartan).tolist()
     equal = bool((mat == pred.cartan).all())
     if args.csv:
-        sys.stdout.write(hom_matrix_csv(fam, mat))
+        sys.stdout.write(matrix_csv(fam.labels, mat))
     else:
         _emit(
             {
@@ -185,50 +176,12 @@ def cmd_glue(args) -> int:
     return 0 if ok else 1
 
 
-def _coxeter_suite(name: str):
-    rows = []
-    if name == "happel-seidel":
-        for a, b in ((3, 3), (3, 4), (3, 5), (4, 4), (2, 7)):
-            m = (a - 1) * (b - 1)
-            polys = [
-                ("A_m({})".format(a), coxeter_polynomial(nakayama(m, a))),
-                ("A_m({})".format(b), coxeter_polynomial(nakayama(m, b))),
-                ("tensor", coxeter_polynomial(tensor(nakayama(a - 1, a - 1), nakayama(b - 1, b - 1)))),
-            ]
-            rows.append(((a, b), polys))
-    elif name == "replicated":
-        for p in ((3, 4), (3, 4, 5), (2, 3, 4)):
-            ws = WeightSystem(p)
-            target = coxeter_polynomial(tensor_chain(nakayama(w - 1, w - 1) for w in p))
-            polys = [("cuboid", target)]
-            for t in range(len(p)):
-                polys.append((f"Gamma^{t + 1}", coxeter_polynomial(gamma_quiver(ws, t))))
-            rows.append((p, polys))
-    elif name == "dynkin":
-        for m, letter, rank in ((2, "D", 4), (3, "E", 6), (4, "E", 8)):
-            polys = [
-                (f"A2xA{m}", coxeter_polynomial(tensor(nakayama(2, 2), nakayama(m, m)))),
-                (f"{letter}{rank}", coxeter_polynomial(dynkin_path_algebra(letter, rank))),
-            ]
-            rows.append(((2, m), polys))
-        for l, m in ((2, 2), (2, 3), (3, 3)):
-            polys = [
-                (f"A{l}xA{m}", coxeter_polynomial(tensor(nakayama(l, l), nakayama(m, m)))),
-                (f"A{m}^({l - 1})", coxeter_polynomial(replicated(nakayama(m, m), l - 1))),
-            ]
-            rows.append(((l, m), polys))
-    else:
-        raise UsageError(f"unknown suite {name!r}")
-    return rows
-
-
 def cmd_coxeter(args) -> int:
-    rows = _coxeter_suite(args.suite)
     payload = []
     ok = True
-    for key, polys in rows:
-        coeffs = [list(p.coeffs) for _, p in polys]
-        equal = all(c == coeffs[0] for c in coeffs)
+    for key, algebras in COXETER_SUITES[args.suite]():
+        polys = [(name, coxeter_polynomial(alg)) for name, alg in algebras]
+        equal = all(p == polys[0][1] for _, p in polys)
         ok = ok and equal
         payload.append(
             {
@@ -363,7 +316,7 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_glue)
 
     p = sub.add_parser("coxeter", help="derived-invariant polynomial suites")
-    p.add_argument("--suite", required=True, choices=("happel-seidel", "replicated", "dynkin"))
+    p.add_argument("--suite", required=True, choices=tuple(COXETER_SUITES))
     p.set_defaults(func=cmd_coxeter)
 
     p = sub.add_parser("oracle-check", help="audit the Hom calculus against the factorization oracle")

@@ -11,7 +11,10 @@ with transposed duality blocks on the subdiagonal.
 Coxeter polynomials are characteristic polynomials of -C^(-T) C in
 exact integer arithmetic.  They are invariant under simultaneous
 vertex permutation and under the transpose convention, which is
-checked on every call rather than assumed.
+checked on every call rather than assumed.  ``COXETER_SUITES`` holds
+the one definition of each derived-equivalence suite: Happel-Seidel,
+the cuboid algebra Lambda(p - 1) against every Gamma^t, and the
+Dynkin and replicated pairs.
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ def tensor_chain(factors) -> AlgebraPresentation:
     return functools.reduce(tensor, factors) if factors else nakayama(1, 1)
 
 
-def _box_descending(ws: WeightSystem):
+def box_descending(ws: WeightSystem):
     """The box [0, delta] in descending lexicographic order."""
     ranges = [range(w - 2, -1, -1) for w in ws.p]
     return [tuple(t) for t in itertools.product(*ranges)]
@@ -186,7 +189,7 @@ def lambda_q(ws: WeightSystem, qvec) -> AlgebraPresentation:
         raise ValueError(f"truncation exponents {qvec} have length {len(qvec)}, weights {ws} have length {ws.n}")
     if any(not 1 <= qq <= w - 1 for qq, w in zip(qvec, ws.p)):
         raise ValueError(f"truncation exponents {qvec} out of range for {ws}")
-    box = _box_descending(ws)
+    box = box_descending(ws)
     label = {x: "(" + ",".join(str(v) for v in x) + ")" for x in box}
     vertices = tuple(label[x] for x in box)
     in_box = set(box)
@@ -324,6 +327,40 @@ def dynkin_path_algebra(letter: str, rank: int) -> AlgebraPresentation:
         adj[index[s], index[t]] = 1
     cartan = inverse_unimodular(np.eye(k, dtype=np.int64) - adj)
     return AlgebraPresentation(f"{letter}{rank}", vertices, arrows, (), cartan)
+
+
+def _happel_seidel_suite():
+    for a, b in ((3, 3), (3, 4), (3, 5), (4, 4), (2, 7)):
+        m = (a - 1) * (b - 1)
+        yield (a, b), [
+            (f"A_m({a})", nakayama(m, a)),
+            (f"A_m({b})", nakayama(m, b)),
+            ("tensor", tensor(nakayama(a - 1, a - 1), nakayama(b - 1, b - 1))),
+        ]
+
+
+def _replicated_suite():
+    for p in ((3, 4), (3, 4, 5), (2, 3, 4)):
+        ws = WeightSystem(p)
+        cuboid = ("cuboid", lambda_q(ws, [w - 1 for w in p]))
+        yield p, [cuboid] + [(f"Gamma^{t + 1}", gamma_quiver(ws, t)) for t in range(ws.n)]
+
+
+def _dynkin_suite():
+    for m, letter, rank in ((2, "D", 4), (3, "E", 6), (4, "E", 8)):
+        yield (2, m), [(f"A2xA{m}", tensor(nakayama(2, 2), nakayama(m, m))), (f"{letter}{rank}", dynkin_path_algebra(letter, rank))]
+    for l, m in ((2, 2), (2, 3), (3, 3)):
+        yield (l, m), [(f"A{l}xA{m}", tensor(nakayama(l, l), nakayama(m, m))), (f"A{m}^({l - 1})", replicated(nakayama(m, m), l - 1))]
+
+
+# The derived-equivalence suites by name.  Calling one yields its cases
+# as (case, [(name, algebra), ...]) rows; the algebras of a row must
+# share one Coxeter polynomial.
+COXETER_SUITES = {
+    "happel-seidel": _happel_seidel_suite,
+    "replicated": _replicated_suite,
+    "dynkin": _dynkin_suite,
+}
 
 
 def coxeter_polynomial(a: AlgebraPresentation) -> IntPolynomial:

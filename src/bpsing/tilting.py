@@ -4,9 +4,14 @@ Four families share the summand count prod(p_i - 1): the cuboid
 (all U^ell), the Koszul family (twists of U^s with balancing shifts),
 the mixed extended families indexed by coordinate subsets, and the
 replicated families indexed by a coordinate and built from Serre
-twists.  Families are ordered descending (copy index, then ell, then
-twist), which makes the endomorphism matrix equal to the predicted
-Cartan matrix on the nose and realizes the exceptional-sequence order.
+twists.  Each family predicts its endomorphism algebra: an extended
+family (the cuboid and Koszul families among them) the tensor product
+Lambda(q) of Nakayama algebras built by ``qalg.lambda_q``, as the paper
+proves for the extended tilting cuboids, and a replicated family the
+replicated algebra Gamma^t of ``qalg.gamma_quiver``.  A family is
+listed in the vertex order of its algebra, which makes the
+endomorphism matrix equal to the predicted Cartan matrix on the nose
+and realizes the exceptional-sequence order.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from .functor import Ladder, insert, reduce
 from .grading import WeightSystem, normalize
-from .qalg import AlgebraPresentation, matrix_csv, nakayama, replicated, tensor_chain
+from .qalg import AlgebraPresentation, box_descending, gamma_quiver, lambda_q
 from .stable import StableObject, U, hom_dim
 
 
@@ -48,65 +53,58 @@ class TiltingFamily:
         }
 
 
-def _desc(lo: int, hi: int):
-    return range(hi, lo - 1, -1)
-
-
 def family(
     weights: WeightSystem,
     kind: str,
     subset: tuple[int, ...] | None = None,
     t: int | None = None,
 ) -> TiltingFamily:
-    """Construct one of the four tilting families.
+    """Construct one of the four tilting families, in the vertex order
+    of its predicted algebra.
 
     kind is "cuboid", "koszul", "extended" (with a 0-based coordinate
-    subset) or "replicated" (with a 0-based coordinate t).
+    subset I, without repeats) or "replicated" (with a 0-based
+    coordinate t).  An extended family walks the descending box
+    [0, delta] of ``lambda_q``: box element w gives U^ell(x)[-sum x]
+    with ell_i = w_i + 1, x_i = 0 for i in I and ell_i = 1, x_i = w_i
+    off I.  A replicated family walks the copies and then the slab of
+    ``gamma_quiver``, both descending.
     """
     ws = weights
     n = ws.n
-    p = ws.p
     if kind not in ("cuboid", "koszul", "extended", "replicated"):
         raise ValueError(f"unknown family kind {kind!r}")
     if subset is not None and kind != "extended":
         raise ValueError(f"{kind} families take no coordinate subset")
     if t is not None and kind != "replicated":
         raise ValueError(f"{kind} families take no coordinate t")
-    if kind == "cuboid":
-        subset = tuple(range(n))
-        kind = "extended"
-    elif kind == "koszul":
-        subset = ()
-        kind = "extended"
-    if kind == "extended":
-        if subset is None:
+    if kind == "replicated":
+        if t is None or not 0 <= t < n:
+            raise ValueError("replicated families need a coordinate t")
+        s = ws.s()
+        slab = list(itertools.product(*((w - 1,) if i == t else range(w - 1, 0, -1) for i, w in enumerate(ws.p))))
+        members = [U(ws, ell, -copy * s, copy * n) for copy in range(ws.p[t] - 2, -1, -1) for ell in slab]
+        name = f"replicated:{t}"
+    else:
+        if kind == "cuboid":
+            subset = tuple(range(n))
+        elif kind == "koszul":
+            subset = ()
+        elif subset is None:
             raise ValueError("extended families need a coordinate subset")
-        subset = tuple(sorted(set(subset)))
-        if any(not 0 <= i < n for i in subset):
-            raise ValueError(f"subset {subset} out of range")
-        inside = set(subset)
-        ell_ranges = [_desc(1, p[i] - 1) if i in inside else (1,) for i in range(n)]
-        x_ranges = [(0,) if i in inside else _desc(0, p[i] - 2) for i in range(n)]
-        labels, objs = [], []
-        for ell in itertools.product(*ell_ranges):
-            for x in itertools.product(*x_ranges):
-                tw = normalize(ws, x)
-                obj = U(ws, ell, tw, -sum(x))
-                labels.append(str(obj))
-                objs.append(obj.canonical())
+        subset = tuple(sorted(subset))
+        for i in subset:
+            if not 0 <= i < n:
+                raise ValueError(f"subset {subset} out of range")
+            if subset.count(i) > 1:
+                raise ValueError(f"subset {subset} repeats coordinate {i}")
+        members = []
+        for w in box_descending(ws):
+            x = tuple(0 if i in subset else wi for i, wi in enumerate(w))
+            ell = tuple(wi + 1 if i in subset else 1 for i, wi in enumerate(w))
+            members.append(U(ws, ell, normalize(ws, x), -sum(x)))
         name = {tuple(range(n)): "cuboid", (): "koszul"}.get(subset, f"extended:{','.join(str(i) for i in subset)}")
-        return TiltingFamily(ws, name, tuple(labels), tuple(objs))
-    if t is None or not 0 <= t < n:
-        raise ValueError("replicated families need a coordinate t")
-    ell_ranges = [(p[i] - 1,) if i == t else _desc(1, p[i] - 1) for i in range(n)]
-    labels, objs = [], []
-    s = ws.s()
-    for copy in range(p[t] - 2, -1, -1):
-        for ell in itertools.product(*ell_ranges):
-            obj = U(ws, ell, -copy * s, copy * n)
-            labels.append(str(obj))
-            objs.append(obj.canonical())
-    return TiltingFamily(ws, f"replicated:{t}", tuple(labels), tuple(objs))
+    return TiltingFamily(ws, name, tuple(map(str, members)), tuple(o.canonical() for o in members))
 
 
 def hom_matrix(fam: TiltingFamily) -> np.ndarray:
@@ -125,29 +123,25 @@ def hom_matrix(fam: TiltingFamily) -> np.ndarray:
 def predicted_cartan(fam: TiltingFamily) -> AlgebraPresentation:
     """The algebra whose Cartan the endomorphism matrix must equal.
 
-    Extended families over I (the cuboid: all, Koszul: none) predict
-    A_(p_i-1)(p_i-1) for i in I, tensored with A_(p_i-1)(2) for the rest.
+    A replicated family over t predicts ``gamma_quiver(ws, t)``.  An
+    extended family over I (the cuboid: all, Koszul: none) predicts
+    ``lambda_q(ws, q)`` with q_i = p_i - 1 for i in I and
+    min(2, p_i - 1) off I: the tensor product of the Nakayama algebras
+    A_(p_i-1)(q_i) in coordinate order.
     """
     ws = fam.weights
-    if fam.kind.startswith("replicated:"):
-        t = int(fam.kind.split(":")[1])
-        base = tensor_chain(nakayama(w - 1, w - 1) for i, w in enumerate(ws.p) if i != t)
-        return replicated(base, ws.p[t] - 2)
-    if fam.kind == "cuboid":
-        subset = set(range(ws.n))
-    elif fam.kind == "koszul":
-        subset = set()
-    elif fam.kind.startswith("extended:"):
-        subset = {int(s) for s in fam.kind.split(":")[1].split(",")}
+    kind, _, arg = fam.kind.partition(":")
+    if kind == "replicated":
+        return gamma_quiver(ws, int(arg))
+    if kind == "cuboid":
+        inside = range(ws.n)
+    elif kind == "koszul":
+        inside = ()
+    elif kind == "extended":
+        inside = [int(i) for i in arg.split(",")]
     else:
         raise ValueError(f"no Cartan prediction for kind {fam.kind!r}")
-    factors = [nakayama(w - 1, w - 1) for i, w in enumerate(ws.p) if i in subset]
-    factors += [nakayama(w - 1, 2) for i, w in enumerate(ws.p) if i not in subset]
-    return tensor_chain(factors)
-
-
-def hom_matrix_csv(fam: TiltingFamily, mat: np.ndarray) -> str:
-    return matrix_csv(fam.labels, mat)
+    return lambda_q(ws, [w - 1 if i in inside else min(2, w - 1) for i, w in enumerate(ws.p)])
 
 
 @dataclass

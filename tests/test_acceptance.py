@@ -10,21 +10,14 @@ import time
 
 import numpy as np
 
-from bpsing.functor import Ladder, insert, reduce
+from bpsing.functor import Ladder, _some_ells, insert, reduce
 from bpsing.gmod import adjunction_check, make_E, make_simple
-from bpsing.grading import Dichotomy, GradeElement, WeightSystem, dichotomy, normalize
+from bpsing.grading import Dichotomy, WeightSystem, dichotomy, normalize
 from bpsing.mforacle import hom_profile, mf_of, rank1_mf, stable_hom_dim_oracle, tensor_mf
-from bpsing.qalg import (
-    coxeter_polynomial,
-    dynkin_path_algebra,
-    gamma_quiver,
-    lambda_q,
-    nakayama,
-    replicated,
-    tensor,
-)
+from bpsing.qalg import COXETER_SUITES, coxeter_polynomial, gamma_quiver, lambda_q
 from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, knorrer_transport, rho_k
 from bpsing.tilting import family, glue, hom_matrix, predicted_cartan, same_family
+from kunneth_ref import criterion_1_pairs, ref_kunneth_hom
 
 ORACLE_TYPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 4)]
 
@@ -33,52 +26,31 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-def _interval_twists(ws):
-    """All v with -s <= v <= s, widened by the level window [-2, 2]."""
-    out = set()
-    s = ws.s()
-    for coeffs in itertools.product(*(range(p) for p in ws.p)):
-        for lev in range(-ws.n - 1, ws.n + 2):
-            v = GradeElement(ws, coeffs, lev)
-            if (s - v).level >= 0 and (s + v).level >= 0:
-                for t in range(-2, 3):
-                    out.add(v + t * ws.c())
-    return sorted(out, key=lambda e: (e.level, e.coeffs))
-
-
 def test_criterion_1_oracle_agreement():
     t0 = time.time()
-    total = unknown = disagreements = 0
-    per_type = []
+    total = unknown = disagreements = kunneth_disagreements = 0
     for p in ORACLE_TYPES:
-        ws = WeightSystem(p)
-        cub = cuboid_objects(ws)
-        for a0 in cub:
-            for u in _interval_twists(ws):
-                for m in range(-4, 5):
-                    a = StableObject(ws, a0.ell, u, m)
-                    fa = None
-                    for b in cub:
-                        h = hom_dim(a, b)
-                        total += 1
-                        if h is None:
-                            unknown += 1
-                            continue
-                        if fa is None:
-                            fa = mf_of(a)
-                        if h != stable_hom_dim_oracle(fa, mf_of(b), 0):
-                            disagreements += 1
-        per_type.append(p)
+        for a, b in criterion_1_pairs(WeightSystem(p)):
+            total += 1
+            dense = stable_hom_dim_oracle(mf_of(a), mf_of(b), 0)
+            # ROADMAP item 1's gate: the Kunneth count on every pair
+            kunneth_disagreements += ref_kunneth_hom(a, b) != dense
+            h = hom_dim(a, b)
+            if h is None:
+                unknown += 1
+            elif h != dense:
+                disagreements += 1
     elapsed = time.time() - t0
     rate = unknown / total
-    ok = disagreements == 0 and rate < 0.20 and elapsed < 600
+    ok = disagreements == 0 and kunneth_disagreements == 0 and rate < 0.20 and elapsed < 600
     _report(
         "1",
         ok,
-        f"{total} probed pairs on {per_type}, {disagreements} disagreements, "
-        f"unknown rate {rate:.3f}, {elapsed:.1f}s",
+        f"{total} probed pairs on {ORACLE_TYPES}, {disagreements} disagreements, "
+        f"{kunneth_disagreements} Kunneth disagreements, unknown rate {rate:.3f}, {elapsed:.1f}s",
     )
     assert disagreements == 0
+    assert kunneth_disagreements == 0
     assert rate < 0.20
     assert elapsed < 600
 
@@ -168,8 +140,8 @@ def test_criterion_3_ladder_verification():
             count = 0
             for j in (1, 2):
                 emb = lad.emb(j)
-                mods_m = [make_E(ws, ell, y) for ell in _ell_samples(ws) for y in (ws.zero(), ws.x(ws.n - 1))]
-                mods_n = [make_E(emb.source, ell) for ell in _ell_samples(emb.source)]
+                mods_m = [make_E(ws, ell, y) for ell in _some_ells(ws) for y in (ws.zero(), ws.x(ws.n - 1))]
+                mods_n = [make_E(emb.source, ell) for ell in _some_ells(emb.source)]
                 mods_n.append(make_simple(emb.source))
                 for m in mods_m:
                     for nm in mods_n:
@@ -183,18 +155,6 @@ def test_criterion_3_ladder_verification():
     _report("3", ok, f"ladder checks on (3,4) and (3,4,5), all splits; {adjunction_total} adjunction pairs; failures: {failures[:4]}")
     assert adjunction_total >= 50
     assert not failures
-
-
-def _ell_samples(ws):
-    full = tuple(w - 1 for w in ws.p)
-    ones = (1,) * ws.n
-    out = [ones]
-    if full != ones:
-        out.append(full)
-        mid = tuple(max(1, w - 2) for w in ws.p)
-        if mid not in out:
-            out.append(mid)
-    return out
 
 
 def test_criterion_4_rewriting_identities_via_oracle():
@@ -238,40 +198,12 @@ def test_criterion_4_rewriting_identities_via_oracle():
 def test_criterion_5_derived_invariant_suites():
     timings = {}
     failures = []
-
-    t0 = time.time()
-    for a, b in ((3, 3), (3, 4), (3, 5), (4, 4), (2, 7)):
-        m = (a - 1) * (b - 1)
-        p1 = coxeter_polynomial(nakayama(m, a))
-        p2 = coxeter_polynomial(nakayama(m, b))
-        p3 = coxeter_polynomial(tensor(nakayama(a - 1, a - 1), nakayama(b - 1, b - 1)))
-        if not p1 == p2 == p3:
-            failures.append(("happel-seidel", a, b))
-    timings["happel-seidel"] = time.time() - t0
-
-    t0 = time.time()
-    for p in ((3, 4), (3, 4, 5), (2, 3, 4)):
-        ws = WeightSystem(p)
-        cub = None
-        for w in p:
-            piece = nakayama(w - 1, w - 1)
-            cub = piece if cub is None else tensor(cub, piece)
-        target = coxeter_polynomial(cub)
-        for t in range(len(p)):
-            if coxeter_polynomial(gamma_quiver(ws, t)) != target:
-                failures.append(("replicated", p, t))
-    timings["replicated"] = time.time() - t0
-
-    t0 = time.time()
-    for m, letter, rank in ((2, "D", 4), (3, "E", 6), (4, "E", 8)):
-        lhs = coxeter_polynomial(tensor(nakayama(2, 2), nakayama(m, m)))
-        if lhs != coxeter_polynomial(dynkin_path_algebra(letter, rank)):
-            failures.append(("dynkin", letter, rank))
-    for l, m in ((2, 2), (2, 3), (3, 3)):
-        lhs = coxeter_polynomial(tensor(nakayama(l, l), nakayama(m, m)))
-        if lhs != coxeter_polynomial(replicated(nakayama(m, m), l - 1)):
-            failures.append(("replicated-pair", l, m))
-    timings["dynkin"] = time.time() - t0
+    for name, suite in COXETER_SUITES.items():
+        t0 = time.time()
+        for case, algebras in suite():
+            if len({coxeter_polynomial(alg) for _, alg in algebras}) != 1:
+                failures.append((name, case))
+        timings[name] = time.time() - t0
 
     slow = {k: v for k, v in timings.items() if v >= 5.0}
     ok = not failures and not slow

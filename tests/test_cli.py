@@ -58,6 +58,24 @@ def test_endo_csv_matches_json(capsys):
     assert [[int(x) for x in r[1:]] for r in rows[1:]] == json.loads(endo)["hom_matrix"]
 
 
+@pytest.mark.parametrize(
+    "endo, quiver",
+    [
+        (["-p", "3,4", "--kind", "cuboid"], ["-p", "3,4", "--algebra", "lambda:2,3"]),
+        (["-p", "3,4,5", "--kind", "replicated:2"], ["-p", "3,4,5", "--algebra", "gamma:2"]),
+    ],
+)
+def test_endo_predicts_the_quiver_algebra(capsys, endo, quiver):
+    code, out, _ = run(capsys, "endo", *endo)
+    assert code == 0
+    predicted = json.loads(out)
+    code, out, _ = run(capsys, "quiver", *quiver)
+    assert code == 0
+    algebra = json.loads(out)
+    assert predicted["predicted_algebra"] == algebra["name"]
+    assert predicted["predicted_cartan"] == algebra["cartan"] == predicted["hom_matrix"]
+
+
 def test_verify(capsys):
     code, out, _ = run(capsys, "verify", "-p", "3,4", "--kind", "cuboid", "--window", "4")
     assert code == 0
@@ -156,6 +174,7 @@ def test_weight_cap():
         ["quiver", "--algebra", "dynkin:E"],
         ["quiver", "--algebra", "dynkin:7"],
         ["oracle-check", "-p", "2,2", "--modulus", "abc"],
+        ["tilt", "-p", "3,4", "--kind", "extended:1,1"],
     ],
 )
 def test_unusable_arguments_exit_two(capsys, argv):

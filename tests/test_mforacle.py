@@ -1,8 +1,6 @@
 """The matrix-factorization oracle: constructions, conventions, audits."""
 
-import functools
 import itertools
-import math
 import random
 
 import numpy as np
@@ -10,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bpsing.grading import GradeElement, WeightSystem, normalize
+from bpsing.grading import GradeElement, WeightSystem
 from bpsing.linalg import DEFAULT_MODULUS, PARANOIA_MODULUS, rank_mod
 from bpsing.mforacle import (
     GradedMF,
@@ -29,6 +27,7 @@ from bpsing.mforacle import (
     tensor_mf,
 )
 from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, knorrer_transport, rho_k, zero_object
+from kunneth_ref import criterion_1_pairs, kunneth_count, ref_kunneth_hom
 from test_linalg import _ref_rank_mod
 
 W2 = WeightSystem((2,))
@@ -245,29 +244,16 @@ def test_oracle_agrees_with_closed_hom_formula():
 
 
 def test_field_independence_full_34_suite():
-    # the complete (3,4) probe suite over both primes
-    import itertools
-
-    ws = W34
-    s = ws.s()
-    cub = cuboid_objects(ws)
-    twists = set()
-    for coeffs in itertools.product(*(range(p) for p in ws.p)):
-        for lev in range(-3, 4):
-            v = StableObject(ws, (1, 1), ws.element(coeffs, lev), 0).twist
-            if (s - v).level >= 0 and (s + v).level >= 0:
-                for t in range(-2, 3):
-                    twists.add(v + t * ws.c())
+    # criterion 1's complete (3,4) suite over both primes, each dense
+    # answer also against the Kunneth count at the same prime
     checked = 0
-    for a0 in cub:
-        for u in sorted(twists, key=lambda e: (e.level, e.coeffs)):
-            for m in range(-4, 5):
-                a = StableObject(ws, a0.ell, u, m)
-                fa = mf_of(a)
-                for b in cub:
-                    fb = mf_of(b)
-                    assert stable_hom_dim_oracle(fa, fb, 0) == stable_hom_dim_oracle(fa, fb, 0, PARANOIA_MODULUS)
-                    checked += 1
+    for a, b in criterion_1_pairs(W34):
+        fa, fb = mf_of(a), mf_of(b)
+        dense = stable_hom_dim_oracle(fa, fb, 0)
+        assert dense == stable_hom_dim_oracle(fa, fb, 0, PARANOIA_MODULUS), (str(a), str(b))
+        for q in (DEFAULT_MODULUS, PARANOIA_MODULUS):
+            assert ref_kunneth_hom(a, b, 0, q) == dense, (str(a), str(b), q)
+        checked += 1
     assert checked >= 6000
 
 
@@ -622,53 +608,6 @@ def test_empty_middle_still_checks_the_modulus():
 
 
 # -- the Kunneth count against the dense oracle ------------------------------
-#
-# U^l(x)[k] is a tensor product of rank-one factorizations, so its Hom
-# complex is a tensor product of one-variable Hom complexes, and by Kunneth
-# (the Thom-Sebastiani property of matrix-factorization categories) dim
-# Hom(A, B[m]) is a sum of products of one-variable dimensions.  The
-# reference below counts it from dense one-variable tables and
-# `normalize` alone, without the calculus, so that it can audit the
-# calculus where the dense oracle is too slow.
-
-
-@functools.lru_cache(maxsize=256)
-def _one_variable_table(p, a, b, q):
-    """The nonzero T(tau, m) = dim Hom(U^a, U^b(tau x)[m]) over
-    WeightSystem((p,)), as (tau, m, T), for m in {0, 1} and tau in
-    [-3p, 3p]; test_one_variable_hom_tables pins the support inside."""
-    ws = WeightSystem((p,))
-    entries = [(tau, m, oracle_hom(U(ws, (a,)), U(ws, (b,), ws.element((tau,))), m, q)) for tau in range(-3 * p, 3 * p + 1) for m in (0, 1)]
-    return tuple(e for e in entries if e[2])
-
-
-def _kunneth_count(a, b, m, q, left_c):
-    """dim Hom(A, B[m]) for A = U^a(x)[k] and B = U^b(y)[k'].
-
-    With z = y - x and M = k' + m - k, the sum of prod_i T_i(tau_i, m_i)
-    over one table entry per coordinate, for the choices with M - sum m_i
-    even and normalize(tau) + left_c(sum m_i) c == z + ((M - sum m_i) // 2) c.
-    The right rule has left_c = 0: tensor_mf's convention absorbs the
-    c-twist of odd-odd terms.
-    """
-    if a.is_zero or b.is_zero:
-        return 0
-    ws = a.weights
-    z, shift = b.twist - a.twist, b.shift + m - a.shift
-    # normalize(tau) has coefficients tau_i mod p_i, and a multiple of c
-    # moves only the level, so only entries with tau_i = z_i mod p_i can count
-    tables = [[e for e in _one_variable_table(p, ea, eb, q) if (e[0] - zi) % p == 0] for p, ea, eb, zi in zip(ws.p, a.ell, b.ell, z.coeffs)]
-    total = 0
-    for choice in itertools.product(*tables):
-        taus, ms, dims = zip(*choice)
-        mu = sum(ms)
-        if (shift - mu) % 2 == 0 and normalize(ws, taus) + left_c(mu) * ws.c() == z + (shift - mu) // 2 * ws.c():
-            total += math.prod(dims)
-    return total
-
-
-def _ref_kunneth_hom(a, b, m=0, q=DEFAULT_MODULUS):
-    return _kunneth_count(a, b, m, q, lambda mu: 0)
 
 
 def _probe_pairs(ws):
@@ -684,7 +623,7 @@ def test_kunneth_count_matches_oracle_on_probe_pairs():
     for p in ((2, 2), (3, 4), (3, 5), (2, 3, 4)):
         for a, b in _probe_pairs(WeightSystem(p)):
             for m in (0, 1):
-                assert _ref_kunneth_hom(a, b, m) == oracle_hom(a, b, m), (str(a), str(b), m)
+                assert ref_kunneth_hom(a, b, m) == oracle_hom(a, b, m), (str(a), str(b), m)
                 compared += 1
     assert compared == 6920
 
@@ -702,12 +641,24 @@ def test_kunneth_count_matches_oracle_on_random_pairs(p, count):
     for _ in range(count):
         a, b, m = obj(), obj(), rng.randrange(2)
         for q in (DEFAULT_MODULUS, PARANOIA_MODULUS):
-            assert _ref_kunneth_hom(a, b, m, q) == oracle_hom(a, b, m, q), (str(a), str(b), m, q)
+            assert ref_kunneth_hom(a, b, m, q) == oracle_hom(a, b, m, q), (str(a), str(b), m, q)
+
+
+def test_kunneth_count_matches_oracle_on_small_criterion_1_types_at_second_prime():
+    # criterion 1 compares at 32003; its fifth type, (3,4), meets 65537
+    # in test_field_independence_full_34_suite
+    compared = 0
+    for p in ((2, 2), (2, 3), (3, 3), (2, 2, 2)):
+        for a, b in criterion_1_pairs(WeightSystem(p)):
+            dense = stable_hom_dim_oracle(mf_of(a), mf_of(b), 0, PARANOIA_MODULUS)
+            assert ref_kunneth_hom(a, b, 0, PARANOIA_MODULUS) == dense, (str(a), str(b))
+            compared += 1
+    assert compared == 8352
 
 
 def test_kunneth_count_catches_a_wrong_c_convention():
     # adding floor(sum m_i / 2) c on the left must disagree with the oracle
-    wrong = [(a, b, m) for a, b in _probe_pairs(W34) for m in (0, 1) if _kunneth_count(a, b, m, DEFAULT_MODULUS, lambda mu: mu // 2) != oracle_hom(a, b, m)]
+    wrong = [(a, b, m) for a, b in _probe_pairs(W34) for m in (0, 1) if kunneth_count(a, b, m, DEFAULT_MODULUS, lambda mu: mu // 2) != oracle_hom(a, b, m)]
     assert wrong
 
 
@@ -717,6 +668,6 @@ def test_calculus_matches_kunneth_count_on_345():
     for a, b in _probe_pairs(WeightSystem((3, 4, 5))):
         h = hom_dim(a, b)
         if h is not None:
-            assert h == _ref_kunneth_hom(a, b), (str(a), str(b))
+            assert h == ref_kunneth_hom(a, b), (str(a), str(b))
             decided += 1
     assert decided == 22700

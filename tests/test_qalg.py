@@ -7,6 +7,7 @@ import pytest
 
 from bpsing.grading import WeightSystem, normalize
 from bpsing.qalg import (
+    COXETER_SUITES,
     AlgebraPresentation,
     IntPolynomial,
     coxeter_polynomial,
@@ -199,37 +200,29 @@ def test_coxeter_orientation_independent_for_d4():
     assert coxeter_polynomial(d4) == coxeter_polynomial(rev)
 
 
+def _suite_rows_agree(name):
+    cases = []
+    for case, algebras in COXETER_SUITES[name]():
+        assert len({coxeter_polynomial(alg) for _, alg in algebras}) == 1, (name, case)
+        cases.append(case)
+    return cases
+
+
 def test_happel_seidel_triples():
-    for a, b in ((3, 3), (3, 4), (3, 5), (4, 4), (2, 7)):
-        m = (a - 1) * (b - 1)
-        p1 = coxeter_polynomial(nakayama(m, a))
-        p2 = coxeter_polynomial(nakayama(m, b))
-        p3 = coxeter_polynomial(tensor(nakayama(a - 1, a - 1), nakayama(b - 1, b - 1)))
-        assert p1 == p2 == p3, (a, b)
+    assert _suite_rows_agree("happel-seidel") == [(3, 3), (3, 4), (3, 5), (4, 4), (2, 7)]
 
 
 def test_replicated_derived_suite():
-    for p in ((3, 4), (3, 4, 5), (2, 3, 4)):
-        ws = WeightSystem(p)
-        cub = None
-        for w in p:
-            piece = nakayama(w - 1, w - 1)
-            cub = piece if cub is None else tensor(cub, piece)
-        target = coxeter_polynomial(cub)
-        for t in range(len(p)):
-            assert coxeter_polynomial(gamma_quiver(ws, t)) == target, (p, t)
+    assert _suite_rows_agree("replicated") == [(3, 4), (3, 4, 5), (2, 3, 4)]
+    # the suite's cuboid entry is the cuboid algebra, one Gamma^t per coordinate
+    for p, algebras in COXETER_SUITES["replicated"]():
+        (name, cuboid), *gammas = algebras
+        assert name == "cuboid" and (cuboid.cartan == tensor_chain(nakayama(w - 1, w - 1) for w in p).cartan).all()
+        assert [g.name for _, g in gammas] == [f"Gamma^{t + 1}{WeightSystem(p)}" for t in range(len(p))]
 
 
 def test_dynkin_suite():
-    cases = ((2, "D", 4), (3, "E", 6), (4, "E", 8))
-    for m, letter, rank in cases:
-        lhs = coxeter_polynomial(tensor(nakayama(2, 2), nakayama(m, m)))
-        rhs = coxeter_polynomial(dynkin_path_algebra(letter, rank))
-        assert lhs == rhs, (letter, rank)
-    for l, m in ((2, 2), (2, 3), (3, 3)):
-        lhs = coxeter_polynomial(tensor(nakayama(l, l), nakayama(m, m)))
-        rhs = coxeter_polynomial(replicated(nakayama(m, m), l - 1))
-        assert lhs == rhs, (l, m)
+    assert _suite_rows_agree("dynkin") == [(2, 2), (2, 3), (2, 4), (2, 2), (2, 3), (3, 3)]
 
 
 def test_determinant_constant_on_classes():

@@ -7,14 +7,13 @@ import pytest
 
 from bpsing.functor import Ladder, check_recollement
 from bpsing.grading import WeightSystem
-from bpsing.qalg import nakayama, tensor
+from bpsing.qalg import gamma_quiver, lambda_q, matrix_csv, nakayama, tensor
 from bpsing.stable import StableObject, U, rho_k
 from bpsing.tilting import (
     TiltingFamily,
     family,
     glue,
     hom_matrix,
-    hom_matrix_csv,
     predicted_cartan,
     same_family,
     verify_tilting,
@@ -44,6 +43,53 @@ def test_family_rejects_arguments_that_do_not_apply():
         family(W345, "extended", subset=(0,), t=2)
     with pytest.raises(ValueError, match="unknown family kind"):
         family(W34, "nonsense", subset=(0,))
+
+
+def test_family_rejects_repeated_subset_coordinates():
+    # a repeated coordinate used to be merged, and (0, 0) gave the extended:0 family
+    with pytest.raises(ValueError, match=r"subset \(0, 0\) repeats coordinate 0"):
+        family(W34, "extended", subset=(0, 0))
+    with pytest.raises(ValueError, match="repeats coordinate 2"):
+        family(W345, "extended", subset=(2, 0, 2))
+
+
+def _nested_family(ws, subset):
+    # the order before families followed their algebras: the ell
+    # coordinates of the subset outside, the twists off it inside
+    ell_ranges = [range(w - 1, 0, -1) if i in subset else (1,) for i, w in enumerate(ws.p)]
+    x_ranges = [(0,) if i in subset else range(w - 2, -1, -1) for i, w in enumerate(ws.p)]
+    return [U(ws, ell, ws.element(x), -sum(x)) for ell in itertools.product(*ell_ranges) for x in itertools.product(*x_ranges)]
+
+
+@pytest.mark.parametrize("p", [(3, 4), (3, 4, 5), (2, 3, 4), (2, 2, 3)])
+def test_extended_family_order(p):
+    # a prefix subset keeps the nested order; any other subset lists the
+    # same objects in the vertex order of Lambda(q)
+    ws = WeightSystem(p)
+    for r in range(ws.n + 1):
+        for subset in itertools.combinations(range(ws.n), r):
+            fam = family(ws, "extended", subset=subset)
+            nested = _nested_family(ws, subset)
+            if subset == tuple(range(r)):
+                assert fam.labels == tuple(map(str, nested)), subset
+            assert same_family(fam, TiltingFamily(ws, "nested", (), tuple(o.canonical() for o in nested))), subset
+
+
+def test_predicted_algebras_are_lambda_q_and_gamma():
+    for ws in (W34, W345, WeightSystem((2, 3, 4))):
+        for r in range(ws.n + 1):
+            for subset in itertools.combinations(range(ws.n), r):
+                qvec = [w - 1 if i in subset else min(2, w - 1) for i, w in enumerate(ws.p)]
+                pred, alg = predicted_cartan(family(ws, "extended", subset=subset)), lambda_q(ws, qvec)
+                assert pred.name == alg.name and (pred.cartan == alg.cartan).all(), subset
+        for t in range(ws.n):
+            pred, alg = predicted_cartan(family(ws, "replicated", t=t)), gamma_quiver(ws, t)
+            assert pred.name == alg.name and (pred.cartan == alg.cartan).all(), t
+
+
+def test_endomorphisms_of_a_non_prefix_extended_family_are_lambda_q():
+    fam = family(W345, "extended", subset=(1,))
+    assert (hom_matrix(fam) == lambda_q(W345, (2, 3, 2)).cartan).all()
 
 
 def test_extended_extremes():
@@ -133,7 +179,7 @@ def test_csv_export():
     import io
 
     fam = family(WeightSystem((3, 3)), "cuboid")
-    text = hom_matrix_csv(fam, hom_matrix(fam))
+    text = matrix_csv(fam.labels, hom_matrix(fam))
     rows = list(csv.reader(io.StringIO(text)))
     assert len(rows) == 5
     assert all(len(r) == 5 for r in rows)
