@@ -20,7 +20,10 @@ each elimination step rewrites only the columns in which the pivot row
 is nonzero.  Both keep the rank: ordering the retired rows first gives
 a block matrix [[A, B], [0, C]] with A of full row rank, whose rank is
 rank A + rank C, and the columns outside the pivot row's support are
-left unchanged by subtracting a multiple of that row.  Every
+left unchanged by subtracting a multiple of that row.  The pivot row
+is read and retired from the pivot column on, where all its nonzeros
+lie, and the rows below it are gathered and scattered on that support
+with ``take`` and ``put`` on the flat view of the row-major copy.  Every
 intermediate value stays below q**2 <= 2**62 in absolute value, so
 nothing overflows int64.
 
@@ -116,37 +119,41 @@ def rank_mod(a, q: int) -> int:
     """Rank of an integer matrix over F_q by Gaussian elimination.
 
     ``a`` goes through ``integer_matrix`` and is reduced mod q by
-    ``residues`` into a fresh int64 array; ``a`` is left unchanged.
+    ``residues`` into a fresh int64 array, made row-major; ``a`` is left
+    unchanged.
 
     Left to right, column c takes the first live row nonzero in column c
     as pivot row.  Its support, the columns where it is nonzero, starts
-    at c, since every live row is zero left of c.  Each other live row
-    nonzero in column c subtracts its multiple of the pivot row on that
-    support only, and the pivot row is retired (zeroed).  The retired
-    rows, in order, form an echelon block of full row rank above the
-    live rows, so the rank is their count.  Residues stay below q, and
-    a block entry minus multiplier times pivot entry stays below
-    q**2 <= 2**62 in absolute value before it is reduced.
+    at c, since every live row is zero left of c, so the row is scanned
+    and retired (zeroed) from c on only.  Each other live row nonzero in
+    column c subtracts its multiple of the pivot row on that support
+    only: the block of those rows and columns is gathered with ``take``
+    and written back with ``put`` at flat indices row * cols + column.
+    The retired rows, in order, form an echelon block of full row rank
+    above the live rows, so the rank is their count.  Residues stay
+    below q, and a block entry minus multiplier times pivot entry stays
+    below q**2 <= 2**62 in absolute value before it is reduced.
     """
     check_modulus(q)
-    m = residues(a, q)
+    m = np.ascontiguousarray(residues(a, q))
+    flat = m.reshape(-1)  # a view, since m is row-major
     rows, cols = m.shape
     r = 0
     for c in range(cols):
-        nz = np.flatnonzero(m[:, c])
+        nz = m[:, c].nonzero()[0]
         if not nz.size:
             continue
         row = m[nz[0]]
-        support = np.flatnonzero(row)
+        support = row[c:].nonzero()[0] + c
         prow = row[support] * pow(int(row[c]), -1, q) % q
-        row[support] = 0
+        row[c:] = 0
         if nz.size > 1:
             # column c leads the support, so block[:, 0] holds the multipliers
-            below = (nz[1:, None], support)
-            block = m[below]
+            below = nz[1:, None] * cols + support
+            block = flat.take(below)
             block -= block[:, :1] * prow
             block %= q
-            m[below] = block
+            flat.put(below, block)
         r += 1
         if r == rows:
             break

@@ -16,11 +16,27 @@ nonzero entries as ``(column, coeff, exponents)``, and the matrix builds
 the same entries by column once, when it is made.  The Hom complex
 reads generator degrees straight from their ``GradeElement`` normal
 forms as ``(coeffs, level)`` pairs: the c-shift of position k is an
-integer offset on the level, degree differences borrow coordinatewise
-as ``GradeElement.__sub__`` does, and the differentials visit only
-nonzero entries, d_F by row and d_G by column.  The factorization check
-compares the same pairs and multiplies along the rows.  No
+integer offset on the level, and degree differences borrow
+coordinatewise as ``GradeElement.__sub__`` does.  The factorization
+check compares the same pairs and multiplies along the rows.  No
 ``GradeElement`` is built per generator pair or per matrix entry.
+
+Each term of the Hom complex is a layout: one block per generator pair
+(slot, a, b) of nonnegative degree, ``(coeffs, level, offset, size)``,
+whose monomials are indexed by the weak compositions of the level.
+Terms m - 1 and m + 1 pair the same generators one level apart, so the
+m + 1 layout is the m - 1 layout one level up and their degrees are
+borrowed once; a pair that no layout can use (level below -1, or below
+0 for the middle term) is dropped as it is borrowed.  A differential
+is assembled one piece at a time, a piece being one source block and
+one matrix entry, d_F by row or d_G by column: the entry sends the
+block's monomials into one target block, through a position map that
+depends only on the number of variables, the level and the carry of
+the entry's exponents past the weights.  The pieces of a factorization
+pair are cached per matrix objects and parity, which all twists of the
+pair share; the position maps are cached too, and every cache is
+bounded.  A target block of another degree than the product raises
+``ValueError``.
 
 ``mf_of`` builds the untwisted tensor factorization of U^ell once per
 weight system, ell and shift parity, in a bounded cache, and realizes
@@ -29,11 +45,12 @@ U^ell(x)[k] as one twist of it: a rotation commutes with twists and
 every twist of a base shares its rows and column views by reference;
 the factorization check still runs on every construction.  The Hom
 complex is a subquotient of its middle term, so an empty middle term
-answers 0 before the outer term bases, the differentials and the
-ranks are built (the modulus is checked first all the same).  The
+answers 0 before the outer layouts, the differentials and the ranks
+are built (the modulus is checked first all the same).  The
 differentials are integer matrices of small signed entries (sums of
 monomial coefficients); ``rank_mod`` alone reduces them mod q, on the
-copy it eliminates.
+copy it eliminates.  The outgoing differential is built and ranked
+before the incoming one is built, so one is alive at a time.
 
 Conventions are pinned by self-checks rather than trusted: the
 suspension is the twisted rotation
@@ -77,6 +94,10 @@ from .stable import StableObject, cuboid_objects
 Degree = "tuple[tuple[int, ...], int]"
 # A nonzero matrix entry: (column or row index, coeff, exponents).
 Term = "tuple[int, int, tuple[int, ...]]"
+# A generator pair of a Hom complex term: (slot, a, b).
+Key = "tuple[int, int, int]"
+# The blocks of one term: (slot, a, b) -> (coeffs, level, offset, size).
+Layout = "dict[Key, tuple[tuple[int, ...], int, int, int]]"
 
 
 @dataclass(frozen=True)
@@ -85,12 +106,14 @@ class MonomialMatrix:
     row as (column, coeff, exponents) and its column count.
 
     ``cols`` lists the same entries by column as (row, coeff, exponents);
-    it is built once, here, and an entry outside the columns raises.
+    it is built once, here, and an entry outside the columns raises.  So
+    is the hash, since the Hom complex looks its pieces up by matrix.
     """
 
     rows: tuple[tuple[Term, ...], ...]
     ncols: int
     cols: tuple[tuple[Term, ...], ...] = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         cols = [[] for _ in range(self.ncols)]
@@ -100,6 +123,10 @@ class MonomialMatrix:
                     raise ValueError(f"entry in column {j} of a matrix with {self.ncols} columns")
                 cols[j].append((i, coeff, exps))
         object.__setattr__(self, "cols", tuple(map(tuple, cols)))
+        object.__setattr__(self, "_hash", hash((self.rows, self.ncols)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -312,18 +339,110 @@ def _gens_at(f: GradedMF, k: int) -> tuple[Degree, ...]:
     return tuple((g.coeffs, g.level - j) for g in gens)
 
 
-def _term_basis(f: GradedMF, g: GradedMF, k: int):
-    """Basis of Hom(F at 0/1, G at k/k+1) in graded degree zero."""
-    ws = f.weights
-    basis = []
+def _pair_degrees(f: GradedMF, g: GradedMF, k: int, floor: int) -> list[tuple[Key, Degree]]:
+    """Degree of Hom(F_a at 0/1, G_b at k/k+1) for every generator pair
+    (slot, a, b) of level at least ``floor``, in term order."""
+    p = f.weights.p
+    out = []
     for slot in (0, 1):
         gb = _gens_at(g, k + slot)
         for a, fa in enumerate(_gens_at(f, slot)):
             for b, gb_deg in enumerate(gb):
-                coeffs, level = _borrow_sub(ws.p, fa, gb_deg)
-                if level >= 0:  # a negative degree has no monomials
-                    basis.extend((slot, a, b, exps) for exps in _monomial_basis(ws, coeffs, level))
-    return basis
+                coeffs, level = _borrow_sub(p, fa, gb_deg)
+                if level >= floor:
+                    out.append(((slot, a, b), (coeffs, level)))
+    return out
+
+
+def _layout(ws: WeightSystem, degrees: list[tuple[Key, Degree]], lift: int = 0) -> Layout:
+    """The blocks of one term, (slot, a, b) -> (coeffs, level, offset,
+    size), from its pair degrees with every level raised by ``lift``.
+
+    A pair of negative level has no monomials and no block.  Block
+    (slot, a, b) spans the basis elements offset .. offset + size - 1,
+    its monomials in the order of ``_monomial_basis``.
+    """
+    layout, offset = {}, 0
+    for key, (coeffs, level) in degrees:
+        level += lift
+        if level >= 0:
+            size = len(_monomial_basis(ws, coeffs, level))
+            layout[key] = (coeffs, level, offset, size)
+            offset += size
+    return layout
+
+
+def _dim(layout: Layout) -> int:
+    """The dimension of a term: where its last block ends."""
+    for _, _, offset, size in reversed(layout.values()):
+        return offset + size
+    return 0
+
+
+@lru_cache(maxsize=2**10)
+def _position_map(n: int, level: int, carry: tuple[int, ...]) -> np.ndarray:
+    """Where the monomials of a block go under an entry that carries.
+
+    The monomials of a degree of level ``level`` are indexed by the weak
+    compositions of level into n parts, in ``_weak_compositions`` order.
+    Multiplying by an entry whose exponents carry past the weights by
+    ``carry`` adds carry to each composition; entry i of the result is
+    the index of composition i plus carry among the compositions of
+    level + sum(carry).  Read-only, since the cache shares it.
+    """
+    index = {comp: i for i, comp in enumerate(_weak_compositions(level + sum(carry), n))}
+    out = np.array([index[tuple(map(add, comp, carry))] for comp in _weak_compositions(level, n)], dtype=np.intp)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=2**12)
+def _landing(p: tuple[int, ...], coeffs: tuple[int, ...], level: int, exps: tuple[int, ...]) -> tuple[tuple[int, ...], int, np.ndarray]:
+    """The monomials of degree (coeffs, level) times the monomial
+    ``exps``: the product's coeffs and level, and the position map that
+    sends each monomial to its product."""
+    carry = tuple((x + y) // w for x, y, w in zip(coeffs, exps, p))
+    landed = tuple((x + y) % w for x, y, w in zip(coeffs, exps, p))
+    return landed, level + sum(carry), _position_map(len(p), level, carry)
+
+
+@lru_cache(maxsize=2**12)
+def _pair(slot: int, a: int, b: int) -> Key:
+    """The generator pair (slot, a, b) as one tuple object that every
+    cached piece table shares."""
+    return slot, a, b
+
+
+@lru_cache(maxsize=2**8)
+def _pieces(f0: MonomialMatrix, f1: MonomialMatrix, g0: MonomialMatrix, g1: MonomialMatrix, parity: int) -> dict:
+    """The entries of the Hom complex differential at a position of the
+    given parity, for the factorization pair with differentials (f0, f1)
+    and (g0, g1): by source pair (slot, a, b), one flat tuple of
+    (target pair, coeff, exponents) triples.
+
+    A twist passes on the very matrix objects, so all twists of a pair
+    share one cache entry, and every entry names its pairs by the
+    shared tuples of ``_pair``.
+    """
+    # alternating sign on the phi o d_F terms; squares to zero
+    sign = -1 if parity else 1
+    # by slot: columns of d_G at positions k and k+1, and rows of d_F
+    # from positions 0 and 1 (F even to F odd, F odd to F even)
+    dg = (g1.cols, g0.cols) if parity == 0 else (g0.cols, g1.cols)
+    df = (f0.rows, f1.rows)
+    out = {}
+    for slot in (0, 1):
+        for a in range(len(df[slot])):
+            for b in range(len(dg[slot])):
+                flat = []
+                # component d_G o phi, into G gens at position k+1+slot
+                for r, coeff, e in dg[slot][b]:
+                    flat += (_pair(slot, a, r), coeff, e)
+                # component -(-1)^k phi o d_F, from F gens at the other position
+                for a2, coeff, e in df[slot][a]:
+                    flat += (_pair(1 - slot, a2, b), sign * coeff, e)
+                out[_pair(slot, a, b)] = tuple(flat)
+    return out
 
 
 def stable_hom_dim_oracle(f: GradedMF, g: GradedMF, m: int, q: int = DEFAULT_MODULUS) -> int:
@@ -331,39 +450,53 @@ def stable_hom_dim_oracle(f: GradedMF, g: GradedMF, m: int, q: int = DEFAULT_MOD
     if f.weights != g.weights:
         raise ValueError("mismatched weight systems")
     check_modulus(q)
-    basis_mid = _term_basis(f, g, m)
-    if not basis_mid:
+    ws = f.weights
+    mid = _layout(ws, _pair_degrees(f, g, m, 0))
+    if not mid:
         # the answer is a subquotient of the middle term
         return 0
-    basis_prev = _term_basis(f, g, m - 1)
-    basis_next = _term_basis(f, g, m + 1)
-    d_prev = _differential(f, g, m - 1, basis_prev, basis_mid)
-    d_mid = _differential(f, g, m, basis_mid, basis_next)
-    return len(basis_mid) - rank_mod(d_mid, q) - rank_mod(d_prev, q)
+    # terms m - 1 and m + 1 pair the same generators, one level apart;
+    # each differential is ranked before the next one is built
+    outer = _pair_degrees(f, g, m - 1, -1)
+    rank_mid = rank_mod(_differential(f, g, m, mid, _layout(ws, outer, 1)), q)
+    return _dim(mid) - rank_mid - rank_mod(_differential(f, g, m - 1, _layout(ws, outer), mid), q)
 
 
-def _differential(f: GradedMF, g: GradedMF, k: int, cols, rows) -> np.ndarray:
-    index = {key: i for i, key in enumerate(rows)}
-    # alternating sign on the phi o d_F terms; squares to zero
-    sign = -1 if k % 2 else 1
-    # by slot: columns of d_G at positions k and k+1, and rows of d_F
-    # from positions 0 and 1 (F even to F odd, F odd to F even)
-    dg = (g.d1.cols, g.d0.cols) if k % 2 == 0 else (g.d0.cols, g.d1.cols)
-    df = (f.d0.rows, f.d1.rows)
-    at_row, at_col, values = [], [], []
-    for ci, (slot, a, b, exps) in enumerate(cols):
-        # component d_G o phi, rows over G gens at position k+1+slot
-        for r, coeff, e in dg[slot][b]:
-            at_row.append(index[(slot, a, r, tuple(map(add, exps, e)))])
-            at_col.append(ci)
+def _differential(f: GradedMF, g: GradedMF, k: int, cols: Layout, rows: Layout) -> np.ndarray:
+    """The differential from term k to term k + 1 as an unreduced int64
+    matrix, from the layouts of both terms.
+
+    Each piece, a block of ``cols`` and one matrix entry leaving it,
+    sends the block's monomial i to monomial ``pos[i]`` of one block of
+    ``rows``, where ``pos`` is the position map of ``_landing``.  A
+    target block missing from ``rows`` or of another degree than the
+    product raises ``ValueError``.  One ``np.add.at`` writes every piece.
+    """
+    p = f.weights.p
+    stay = (0,) * len(p)
+    pieces = _pieces(f.d0, f.d1, g.d0, g.d1, k % 2)
+    nrows, ncols = _dim(rows), _dim(cols)
+    # piece j adds values[j] at flat index starts[j] + ncols * maps[j][i]
+    # + spans[j][i], for each monomial i of its source block
+    maps, spans, starts, sizes, values = [], [], [], [], []
+    for key, (coeffs, level, offset, size) in cols.items():
+        span = _position_map(len(p), level, stay)  # 0 .. size - 1
+        entries = iter(pieces[key])
+        for target, coeff, e in zip(entries, entries, entries):
+            landed, landed_level, pos = _landing(p, coeffs, level, e)
+            block = rows.get(target)
+            if block is None or block[1] != landed_level or block[0] != landed:
+                raise ValueError(f"an entry maps pair {key} into pair {target}, whose block has another degree")
+            maps.append(pos)
+            spans.append(span)
+            starts.append(block[2] * ncols + offset)
+            sizes.append(size)
             values.append(coeff)
-        # component -(-1)^k phi o d_F, from F gens at the other position
-        for a2, coeff, e in df[slot][a]:
-            at_row.append(index[(1 - slot, a2, b, tuple(map(add, exps, e)))])
-            at_col.append(ci)
-            values.append(sign * coeff)
-    mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    np.add.at(mat, (np.array(at_row, dtype=np.intp), np.array(at_col, dtype=np.intp)), np.array(values, dtype=np.int64))
+    mat = np.zeros((nrows, ncols), dtype=np.int64)
+    if maps:
+        sizes = np.array(sizes, dtype=np.intp)
+        at = np.repeat(np.array(starts, dtype=np.intp), sizes) + ncols * np.concatenate(maps) + np.concatenate(spans)
+        np.add.at(mat.reshape(-1), at, np.repeat(np.array(values, dtype=np.int64), sizes))
     return mat
 
 

@@ -182,7 +182,8 @@ def lambda_q(ws: WeightSystem, qvec) -> AlgebraPresentation:
     q componentwise, matching the graded pieces of R/(X_i^q_i).  This
     algebra is the tensor product of the Nakayama algebras A_(p_i - 1)
     with nilpotency q_i, and the descending box order is the Kronecker
-    order of their vertices, so the Cartan is that of ``tensor_chain``.
+    order of their vertices, so the Cartan is the Kronecker product of
+    their Cartans, as ``tensor_chain`` would give it.
     """
     qvec = tuple(operator.index(x) for x in qvec)
     if len(qvec) != ws.n:
@@ -212,7 +213,7 @@ def lambda_q(ws: WeightSystem, qvec) -> AlgebraPresentation:
             y = x[:i] + (x[i] + qvec[i],) + x[i + 1 :]
             if y in in_box:
                 relations.append(f"x{i + 1}^{qvec[i]} {label[x]} => {label[y]}")
-    cartan = tensor_chain(nakayama(w - 1, qq) for w, qq in zip(ws.p, qvec)).cartan
+    cartan = functools.reduce(np.kron, (nakayama(w - 1, qq).cartan for w, qq in zip(ws.p, qvec)))
     return AlgebraPresentation(f"Lambda{ws}{qvec}", vertices, tuple(arrows), tuple(relations), cartan)
 
 

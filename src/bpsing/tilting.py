@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,8 @@ def family(
     [0, delta] of ``lambda_q``: box element w gives U^ell(x)[-sum x]
     with ell_i = w_i + 1, x_i = 0 for i in I and ell_i = 1, x_i = w_i
     off I.  A replicated family walks the copies and then the slab of
-    ``gamma_quiver``, both descending.
+    ``gamma_quiver``, both descending.  A coordinate that is not an
+    integer (``operator.index`` fails on it) raises ``TypeError``.
     """
     ws = weights
     n = ws.n
@@ -79,6 +81,7 @@ def family(
     if t is not None and kind != "replicated":
         raise ValueError(f"{kind} families take no coordinate t")
     if kind == "replicated":
+        t = None if t is None else operator.index(t)
         if t is None or not 0 <= t < n:
             raise ValueError("replicated families need a coordinate t")
         s = ws.s()
@@ -92,7 +95,7 @@ def family(
             subset = ()
         elif subset is None:
             raise ValueError("extended families need a coordinate subset")
-        subset = tuple(sorted(subset))
+        subset = tuple(sorted(map(operator.index, subset)))
         for i in subset:
             if not 0 <= i < n:
                 raise ValueError(f"subset {subset} out of range")

@@ -2,6 +2,9 @@
 
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +19,14 @@ from bpsing.mforacle import (
     _base_mf,
     _borrow_sub,
     _differential,
+    _landing,
+    _layout,
+    _monomial_basis,
     _neg,
-    _term_basis,
+    _pair,
+    _pair_degrees,
+    _pieces,
+    _position_map,
     hom_profile,
     mf_of,
     oracle_hom,
@@ -89,7 +98,7 @@ def test_invariant_guards_matrix_shapes():
 def test_monomial_matrix_columns():
     mat = _matrix(((None, (1, (1, 0)), (-1, (0, 2))), (None, None, None), ((2, (0, 0)), None, (1, (1, 1)))), 3)
     assert mat.cols == (((2, 2, (0, 0)),), ((0, 1, (1, 0)),), ((0, -1, (0, 2)), (2, 1, (1, 1))))
-    assert _matrix(_dense(mat), 3) == mat
+    assert _matrix(_dense(mat), 3) == mat and hash(_matrix(_dense(mat), 3)) == hash(mat)
     for j in (3, -1):
         with pytest.raises(ValueError, match=f"entry in column {j} of a matrix with 3 columns"):
             MonomialMatrix((((j, 1, (0, 0)),),), 3)
@@ -264,17 +273,26 @@ def test_zero_object_has_zero_profile():
     assert all(d == 0 for _, d in hom_profile(f))
 
 
+def _term(f, g, k):
+    # the layout of term k of the Hom complex, as the oracle builds it
+    return _layout(f.weights, _pair_degrees(f, g, k, 0))
+
+
+def _expanded(layout, ws):
+    # the basis elements of a layout in order, as (slot, a, b, exps)
+    out = []
+    for (slot, a, b), (coeffs, level, offset, size) in layout.items():
+        monomials = _monomial_basis(ws, coeffs, level)
+        assert (offset, size) == (len(out), len(monomials))
+        out += [(slot, a, b, exps) for exps in monomials]
+    return out
+
+
 def test_hom_complex_differentials_compose_to_zero():
-    import numpy as np
-
-    from bpsing.mforacle import _differential, _term_basis
-
     f = mf_of(U(W34, (2, 3), W34.x(0), 1))
     g = mf_of(rho_k(W34))
     for m in (-2, -1, 0, 1, 2):
-        prev = _term_basis(f, g, m - 1)
-        mid = _term_basis(f, g, m)
-        nxt = _term_basis(f, g, m + 1)
+        prev, mid, nxt = (_term(f, g, k) for k in (m - 1, m, m + 1))
         d1 = _differential(f, g, m - 1, prev, mid)
         d2 = _differential(f, g, m, mid, nxt)
         # unreduced, so this holds over the integers
@@ -360,16 +378,20 @@ def _ref_differential(f, g, k, cols, rows, q):
 
 def _assert_matches_reference(a, b, ks=range(-2, 3), q=32003):
     f, g = mf_of(a), mf_of(b)
-    bases = {}
+    ws = f.weights
+    layouts, bases = {}, {}
     for k in range(ks.start, ks.stop + 1):
-        bases[k] = _term_basis(f, g, k)
-        assert bases[k] == _ref_term_basis(f, g, k), (str(a), str(b), k)
+        layouts[k] = _term(f, g, k)
+        bases[k] = _ref_term_basis(f, g, k)
+        assert _expanded(layouts[k], ws) == bases[k], (str(a), str(b), k)
+        # term k + 1 pairs the generators of term k - 1, one level up
+        assert _layout(ws, _pair_degrees(f, g, k - 1, -1), 1) == _term(f, g, k + 1), (str(a), str(b), k)
     shapes = {}
     for k in ks:
-        got = _differential(f, g, k, bases[k], bases[k + 1])
+        got = _differential(f, g, k, layouts[k], layouts[k + 1])
         want = _ref_differential(f, g, k, bases[k], bases[k + 1], q)
         # the oracle leaves the reduction mod q to rank_mod
-        assert got.dtype == want.dtype and np.array_equal(got % q, want), (str(a), str(b), k)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got % q, want), (str(a), str(b), k)
         shapes[k] = got.shape
     return shapes
 
@@ -413,12 +435,53 @@ def test_deep_ranks_match_reference_kernel(p, level, shapes):
     ell = (1,) * ws.n
     a, b = StableObject(ws, ell, ws.element((0,) * ws.n, level), 0), U(ws, ell)
     f, g = mf_of(a), mf_of(b)
-    bases = [_term_basis(f, g, k) for k in (-1, 0, 1)]
-    diffs = [_differential(f, g, k, bases[k + 1], bases[k + 2]) for k in (-1, 0)]
+    layouts = [_term(f, g, k) for k in (-1, 0, 1)]
+    bases = [_ref_term_basis(f, g, k) for k in (-1, 0, 1)]
+    assert [_expanded(layout, ws) for layout in layouts] == bases
+    diffs = [_differential(f, g, k, layouts[k + 1], layouts[k + 2]) for k in (-1, 0)]
     assert [d.shape for d in diffs] == shapes
+    for k, d in zip((-1, 0), diffs):
+        assert d.dtype == np.int64 and np.array_equal(d % 32003, _ref_differential(f, g, k, bases[k + 1], bases[k + 2], 32003))
     for q in (32003, PARANOIA_MODULUS):
         assert [rank_mod(d, q) for d in diffs] == [_ref_rank_mod(d, q) for d in diffs]
     assert oracle_hom(a, b) == hom_dim(a, b)
+
+
+def test_position_map_is_a_composition_lookup():
+    # every carry a rank-one entry X_i^e with e < p_i can produce: none,
+    # or one past the weight in a single coordinate
+    for n in range(1, 5):
+        carries = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        for level, carry in itertools.product(range(11), carries):
+            index = {comp: i for i, comp in enumerate(_ref_weak_compositions(level + sum(carry), n))}
+            want = [index[tuple(c + d for c, d in zip(comp, carry))] for comp in _ref_weak_compositions(level, n)]
+            got = _position_map(n, level, carry)
+            assert got.tolist() == want, (n, level, carry)
+            assert not got.flags.writeable
+    assert _position_map.cache_info().maxsize is not None
+
+
+def test_wrong_degree_block_raises_without_asserts():
+    # every target block one level too high: the check must survive
+    # python -O, which strips assert statements
+    code = """
+from bpsing.grading import WeightSystem
+from bpsing.mforacle import _differential, _layout, _pair_degrees, mf_of
+from bpsing.stable import U, rho_k
+ws = WeightSystem((3, 4))
+f, g = mf_of(U(ws, (2, 3), ws.x(0), 1)), mf_of(rho_k(ws))
+cols, rows = (_layout(ws, _pair_degrees(f, g, k, 0)) for k in (1, 2))
+nonzero = _differential(f, g, 1, cols, rows).any()
+rows = {key: (coeffs, level + 1, offset, size) for key, (coeffs, level, offset, size) in rows.items()}
+try:
+    _differential(f, g, 1, cols, rows)
+except ValueError as exc:
+    print(nonzero, "ValueError:", exc)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("True ValueError: an entry maps pair"), out.stdout
 
 
 @given(st.data())
@@ -547,14 +610,22 @@ def test_twists_share_the_base_tables():
         assert f.d0 is base.d0 and f.d1 is base.d1
     assert mf_of(StableObject(ws, (1, 2, 3), ws.zero(), 0)) is base
     assert _base_mf.cache_info().maxsize is not None
+    # so do the pieces of their Hom complexes: one entry per parity
+    _pieces.cache_clear()
+    g = mf_of(U(ws, (1, 1, 1)))
+    for level in (-1, -2, -3):
+        stable_hom_dim_oracle(mf_of(StableObject(ws, (1, 2, 3), ws.element((1, 0, 1), level), 0)), g, 0)
+    info = _pieces.cache_info()
+    assert (info.currsize, info.hits) == (2, 4)
+    assert all(cache.cache_info().maxsize is not None for cache in (_pieces, _landing, _pair))
 
 
 def _ref_stable_hom_dim_oracle(f, g, m, q=32003):
-    basis_prev = _term_basis(f, g, m - 1)
-    basis_mid = _term_basis(f, g, m)
-    basis_next = _term_basis(f, g, m + 1)
-    d_prev = _differential(f, g, m - 1, basis_prev, basis_mid)
-    d_mid = _differential(f, g, m, basis_mid, basis_next)
+    basis_prev = _ref_term_basis(f, g, m - 1)
+    basis_mid = _ref_term_basis(f, g, m)
+    basis_next = _ref_term_basis(f, g, m + 1)
+    d_prev = _ref_differential(f, g, m - 1, basis_prev, basis_mid, q)
+    d_mid = _ref_differential(f, g, m, basis_mid, basis_next, q)
     return len(basis_mid) - rank_mod(d_mid, q) - rank_mod(d_prev, q)
 
 
@@ -567,7 +638,7 @@ def test_empty_middle_exit_matches_three_terms(p):
             f, g = mf_of(a), mf_of(b)
             for m in range(-2, 3):
                 assert stable_hom_dim_oracle(f, g, m) == _ref_stable_hom_dim_oracle(f, g, m), (str(a), str(b), m)
-                empty += not _term_basis(f, g, m)
+                empty += not _ref_term_basis(f, g, m)
     assert empty  # the exit is taken
 
 
@@ -599,7 +670,7 @@ def test_one_variable_hom_tables():
 
 def test_empty_middle_still_checks_the_modulus():
     ws = WeightSystem((2, 3, 4))
-    a, b = next((a, b) for a in probe_objects(ws) for b in cuboid_objects(ws) if not _term_basis(mf_of(a), mf_of(b), 0))
+    a, b = next((a, b) for a in probe_objects(ws) for b in cuboid_objects(ws) if not _ref_term_basis(mf_of(a), mf_of(b), 0))
     assert oracle_hom(a, b, 0) == 0
     with pytest.raises(ValueError, match="not prime"):
         oracle_hom(a, b, 0, q=32004)

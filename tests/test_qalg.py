@@ -107,6 +107,19 @@ def test_lambda_q_cartan_matches_defining_rule(p):
         assert (lambda_q(ws, qvec).cartan == _ref_lambda_cartan(ws, qvec)).all(), qvec
 
 
+def test_lambda_q_cartan_is_the_tensor_chain_cartan():
+    # the Kronecker product of the Nakayama Cartans, as the full tensor
+    # presentation gives it, on every type of criterion 2 and on (5,6,7)
+    from test_acceptance import _types_with_cuboid_at_most
+
+    for p in _types_with_cuboid_at_most(24) + [(5, 6, 7)]:
+        ws = WeightSystem(p)
+        for qvec in itertools.product(*[range(1, w) for w in p]):
+            got = lambda_q(ws, qvec).cartan
+            want = tensor_chain(nakayama(w - 1, qq) for w, qq in zip(p, qvec)).cartan
+            assert got.dtype == want.dtype and np.array_equal(got, want), (p, qvec)
+
+
 @pytest.mark.parametrize("letter, rank", [("D", 4), ("E", 6), ("E", 7), ("E", 8)])
 def test_dynkin_cartan_counts_paths(letter, rank):
     alg = dynkin_path_algebra(letter, rank)

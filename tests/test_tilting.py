@@ -53,6 +53,18 @@ def test_family_rejects_repeated_subset_coordinates():
         family(W345, "extended", subset=(2, 0, 2))
 
 
+def test_family_rejects_non_integer_coordinates():
+    # 0.5 used to give a Koszul family named extended:0.5, and t=1.0 a
+    # TypeError from inside the slab walk
+    with pytest.raises(TypeError):
+        family(W34, "extended", subset=(0.5,))
+    with pytest.raises(TypeError):
+        family(W34, "replicated", t=1.0)
+    # integer types other than int are coordinates all the same
+    assert family(W345, "extended", subset=(np.int64(2), np.int64(0))) == family(W345, "extended", subset=(0, 2))
+    assert family(W345, "replicated", t=np.int64(1)) == family(W345, "replicated", t=1)
+
+
 def _nested_family(ws, subset):
     # the order before families followed their algebras: the ell
     # coordinates of the subset outside, the twists off it inside
