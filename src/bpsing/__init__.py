@@ -23,8 +23,6 @@ from .qalg import (
     lambda_q,
     nakayama,
     replicated,
-    tensor,
-    tensor_chain,
 )
 from .mforacle import GradedMF, hom_profile, mf_of, oracle_hom, rank1_mf, stable_hom_dim_oracle, tensor_mf
 from .linalg import DEFAULT_MODULUS, PARANOIA_MODULUS

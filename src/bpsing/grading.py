@@ -16,6 +16,7 @@ and c, which in normal form just means level(y - x) >= 0.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -76,6 +77,12 @@ class WeightSystem:
     def delta(self) -> GradeElement:
         """The dominant element sum((p_i - 2) x_i)."""
         return normalize(self, [w - 2 for w in self.p], 0)
+
+    def box(self) -> list[tuple[int, ...]]:
+        """The coefficient tuples of the box [0, delta], in descending
+        lexicographic order: the one vertex order that the box algebras
+        and the tilting families built on them share."""
+        return list(itertools.product(*(range(w - 2, -1, -1) for w in self.p)))
 
     def specials(self) -> dict[str, GradeElement]:
         return {"c": self.c(), "omega": self.omega(), "delta": self.delta(), "s": self.s()}

@@ -4,9 +4,14 @@ Cartan matrices follow one global convention, fixed once against the
 cuboid endomorphism matrix and frozen: C[a][b] is the Hom dimension
 from the projective at vertex position a to the one at position b.
 For the equioriented A_n quiver with nilpotency m this reads
-C[i][j] = 1 iff 0 <= j - i < m.  Tensor products take Kronecker
-products of Cartans; replicated algebras are block lower bidiagonal
-with transposed duality blocks on the subdiagonal.
+C[i][j] = 1 iff 0 <= j - i < m.  ``lambda_q`` is the one tensor
+product of Nakayama algebras: its vertices are the box [0, delta] in
+the order of ``WeightSystem.box``, which is the Kronecker order of the
+factors' vertices, so its Cartan is the Kronecker product of theirs.
+Replicated algebras are block lower bidiagonal with transposed duality
+blocks on the subdiagonal.  The arrows of ``lambda_q`` and
+``gamma_quiver`` follow one convention: an arrow s -> t means
+C[t][s] >= 1.
 
 Coxeter polynomials are characteristic polynomials of -C^(-T) C in
 exact integer arithmetic.  They are invariant under simultaneous
@@ -22,7 +27,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import operator
 from dataclasses import dataclass
 
@@ -84,6 +88,13 @@ class AlgebraPresentation:
         if (c < 0).any() or (c >= 2**63).any() or (np.diag(c) < 1).any():
             raise ValueError("Cartan entries must lie in [0, 2**63), with unit diagonal")
         self.cartan = c.astype(np.int64)
+        known = set(self.vertices)
+        if len(known) != len(self.vertices):
+            repeated = next(v for i, v in enumerate(self.vertices) if v in self.vertices[:i])
+            raise ValueError(f"vertex label {repeated!r} is repeated")
+        for label, s, t in self.arrows:
+            if s not in known or t not in known:
+                raise ValueError(f"arrow {label!r} from {s!r} to {t!r} does not join two vertices")
 
     @property
     def size(self) -> int:
@@ -145,35 +156,6 @@ def nakayama(n: int, m: int) -> AlgebraPresentation:
     return AlgebraPresentation(f"A{n}({m})", vertices, arrows, relations, cartan)
 
 
-def tensor(a: AlgebraPresentation, b: AlgebraPresentation) -> AlgebraPresentation:
-    """Tensor product, with commutativity squares and Kronecker Cartan."""
-    vertices = tuple(f"{v}|{w}" for v in a.vertices for w in b.vertices)
-    arrows = []
-    for lab, s, t in a.arrows:
-        for w in b.vertices:
-            arrows.append((f"{lab}|{w}", f"{s}|{w}", f"{t}|{w}"))
-    for v in a.vertices:
-        for lab, s, t in b.arrows:
-            arrows.append((f"{v}|{lab}", f"{v}|{s}", f"{v}|{t}"))
-    relations = [f"square ({la},{lb})" for la, _, _ in a.arrows for lb, _, _ in b.arrows]
-    relations += [f"left {r}" for r in a.relations] + [f"right {r}" for r in b.relations]
-    cartan = np.kron(a.cartan, b.cartan)
-    return AlgebraPresentation(f"{a.name}(x){b.name}", vertices, tuple(arrows), tuple(relations), cartan)
-
-
-def tensor_chain(factors) -> AlgebraPresentation:
-    """Tensor product of the factors, left to right; the ground field
-    A1(1) for no factors."""
-    factors = list(factors)
-    return functools.reduce(tensor, factors) if factors else nakayama(1, 1)
-
-
-def box_descending(ws: WeightSystem):
-    """The box [0, delta] in descending lexicographic order."""
-    ranges = [range(w - 2, -1, -1) for w in ws.p]
-    return [tuple(t) for t in itertools.product(*ranges)]
-
-
 def lambda_q(ws: WeightSystem, qvec) -> AlgebraPresentation:
     """The matrix algebra on the box [0, delta] with truncation exponents q.
 
@@ -183,14 +165,14 @@ def lambda_q(ws: WeightSystem, qvec) -> AlgebraPresentation:
     algebra is the tensor product of the Nakayama algebras A_(p_i - 1)
     with nilpotency q_i, and the descending box order is the Kronecker
     order of their vertices, so the Cartan is the Kronecker product of
-    their Cartans, as ``tensor_chain`` would give it.
+    their Cartans.
     """
     qvec = tuple(operator.index(x) for x in qvec)
     if len(qvec) != ws.n:
         raise ValueError(f"truncation exponents {qvec} have length {len(qvec)}, weights {ws} have length {ws.n}")
     if any(not 1 <= qq <= w - 1 for qq, w in zip(qvec, ws.p)):
         raise ValueError(f"truncation exponents {qvec} out of range for {ws}")
-    box = box_descending(ws)
+    box = ws.box()
     label = {x: "(" + ",".join(str(v) for v in x) + ")" for x in box}
     vertices = tuple(label[x] for x in box)
     in_box = set(box)
@@ -247,26 +229,21 @@ def gamma_quiver(ws: WeightSystem, t: int) -> AlgebraPresentation:
     """Replicated-algebra quiver attached to coordinate t (0-based).
 
     Vertices are slab elements (the cuboid face with coordinate t
-    maximal) times copy indices 0..p_t - 2, with the coordinate arrows
-    inside each slab and one connecting arrow per consecutive pair of
-    copies from the top corner to the bottom corner.  The Cartan is
-    the replicated Cartan of the tensor algebra on the remaining
-    coordinates, with vertex positions ordered copy-descending and
-    slab-descending to match the tilting-family convention.
+    maximal: ell = w + 1 for the box elements w with w_t = p_t - 2)
+    times copy indices 0..p_t - 2, with the coordinate arrows inside
+    each slab and one connecting arrow per consecutive pair of copies,
+    from the top corner of copy c + 1 to the bottom corner of copy c.
+    The Cartan is the replicated Cartan of ``lambda_q`` on the remaining
+    coordinates (the ground field when there are none), with vertex
+    positions ordered copy-descending and slab-descending to match the
+    tilting-family convention.
     """
     n = ws.n
     if not 0 <= t < n:
         raise ValueError("coordinate index out of range")
     pt = ws.p[t]
     others = [i for i in range(n) if i != t]
-    slab = []
-    ranges = [range(ws.p[i] - 1, 0, -1) for i in others]
-    for combo in itertools.product(*ranges):
-        ell = [0] * n
-        ell[t] = pt - 1
-        for i, v in zip(others, combo):
-            ell[i] = v
-        slab.append(tuple(ell))
+    slab = [tuple(w + 1 for w in x) for x in ws.box() if x[t] == pt - 2]
     label = {}
     vertices = []
     for copy in range(pt - 2, -1, -1):
@@ -282,14 +259,13 @@ def gamma_quiver(ws: WeightSystem, t: int) -> AlgebraPresentation:
                 tgt = ell[:i] + (ell[i] + 1,) + ell[i + 1 :]
                 if tgt in slab_set:
                     arrows.append((f"x{i + 1}", label[(ell, copy)], label[(tgt, copy)]))
-    top = tuple(w - 1 for w in ws.p)
-    bottom = tuple(1 if i != t else pt - 1 for i in range(n))
+    top, bottom = slab[0], slab[-1]
     connecting = "*".join(f"x{i + 1}" for i in others)
     for copy in range(pt - 2):
-        arrows.append((connecting, label[(top, copy)], label[(bottom, copy + 1)]))
+        arrows.append((connecting, label[(top, copy + 1)], label[(bottom, copy)]))
     relations = [f"x{i + 1}x{j + 1}=x{j + 1}x{i + 1}" for i in others for j in others if i < j]
     relations += [f"x{i + 1}^{ws.p[i]}=0" for i in others]
-    base = tensor_chain(nakayama(ws.p[i] - 1, ws.p[i] - 1) for i in others)
+    base = lambda_q(WeightSystem(tuple(ws.p[i] for i in others)), [ws.p[i] - 1 for i in others]) if others else nakayama(1, 1)
     cartan = replicated(base, pt - 2).cartan
     return AlgebraPresentation(f"Gamma^{t + 1}{ws}", tuple(vertices), tuple(arrows), tuple(relations), cartan)
 
@@ -336,7 +312,7 @@ def _happel_seidel_suite():
         yield (a, b), [
             (f"A_m({a})", nakayama(m, a)),
             (f"A_m({b})", nakayama(m, b)),
-            ("tensor", tensor(nakayama(a - 1, a - 1), nakayama(b - 1, b - 1))),
+            ("tensor", lambda_q(WeightSystem((a, b)), (a - 1, b - 1))),
         ]
 
 
@@ -349,9 +325,9 @@ def _replicated_suite():
 
 def _dynkin_suite():
     for m, letter, rank in ((2, "D", 4), (3, "E", 6), (4, "E", 8)):
-        yield (2, m), [(f"A2xA{m}", tensor(nakayama(2, 2), nakayama(m, m))), (f"{letter}{rank}", dynkin_path_algebra(letter, rank))]
+        yield (2, m), [(f"A2xA{m}", lambda_q(WeightSystem((3, m + 1)), (2, m))), (f"{letter}{rank}", dynkin_path_algebra(letter, rank))]
     for l, m in ((2, 2), (2, 3), (3, 3)):
-        yield (l, m), [(f"A{l}xA{m}", tensor(nakayama(l, l), nakayama(m, m))), (f"A{m}^({l - 1})", replicated(nakayama(m, m), l - 1))]
+        yield (l, m), [(f"A{l}xA{m}", lambda_q(WeightSystem((l + 1, m + 1)), (l, m))), (f"A{m}^({l - 1})", replicated(nakayama(m, m), l - 1))]
 
 
 # The derived-equivalence suites by name.  Calling one yields its cases

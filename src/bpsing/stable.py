@@ -56,7 +56,6 @@ Pairs outside every matching configuration honestly return ``None``
 
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -210,9 +209,9 @@ def zero_object(weights: WeightSystem) -> StableObject:
 
 
 def cuboid_objects(weights: WeightSystem) -> list[StableObject]:
-    """All U^ell with s <= ell <= s + delta, in descending order."""
-    ranges = [range(w - 1, 0, -1) for w in weights.p]
-    return [U(weights, ell) for ell in itertools.product(*ranges)]
+    """All U^ell with s <= ell <= s + delta, in descending order: ell = w + 1
+    for w in the box [0, delta]."""
+    return [U(weights, tuple(w + 1 for w in x)) for x in weights.box()]
 
 
 _OBJ_RE = re.compile(

@@ -16,7 +16,6 @@ and realizes the exceptional-sequence order.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ import numpy as np
 
 from .functor import Ladder, insert, reduce
 from .grading import WeightSystem, normalize
-from .qalg import AlgebraPresentation, box_descending, gamma_quiver, lambda_q
+from .qalg import AlgebraPresentation, gamma_quiver, lambda_q
 from .stable import StableObject, U, hom_dim
 
 
@@ -66,11 +65,13 @@ def family(
     kind is "cuboid", "koszul", "extended" (with a 0-based coordinate
     subset I, without repeats) or "replicated" (with a 0-based
     coordinate t).  An extended family walks the descending box
-    [0, delta] of ``lambda_q``: box element w gives U^ell(x)[-sum x]
-    with ell_i = w_i + 1, x_i = 0 for i in I and ell_i = 1, x_i = w_i
-    off I.  A replicated family walks the copies and then the slab of
-    ``gamma_quiver``, both descending.  A coordinate that is not an
-    integer (``operator.index`` fails on it) raises ``TypeError``.
+    [0, delta] of ``lambda_q`` (``WeightSystem.box``): box element w
+    gives U^ell(x)[-sum x] with ell_i = w_i + 1, x_i = 0 for i in I and
+    ell_i = 1, x_i = w_i off I.  A replicated family walks the copies
+    and then the slab of ``gamma_quiver``, both descending; the slab is
+    ell = w + 1 over the box elements w with w_t = p_t - 2.  A
+    coordinate that is not an integer (``operator.index`` fails on it)
+    raises ``TypeError``.
     """
     ws = weights
     n = ws.n
@@ -85,7 +86,7 @@ def family(
         if t is None or not 0 <= t < n:
             raise ValueError("replicated families need a coordinate t")
         s = ws.s()
-        slab = list(itertools.product(*((w - 1,) if i == t else range(w - 1, 0, -1) for i, w in enumerate(ws.p))))
+        slab = [tuple(wi + 1 for wi in w) for w in ws.box() if w[t] == ws.p[t] - 2]
         members = [U(ws, ell, -copy * s, copy * n) for copy in range(ws.p[t] - 2, -1, -1) for ell in slab]
         name = f"replicated:{t}"
     else:
@@ -102,7 +103,7 @@ def family(
             if subset.count(i) > 1:
                 raise ValueError(f"subset {subset} repeats coordinate {i}")
         members = []
-        for w in box_descending(ws):
+        for w in ws.box():
             x = tuple(0 if i in subset else wi for i, wi in enumerate(w))
             ell = tuple(wi + 1 if i in subset else 1 for i, wi in enumerate(w))
             members.append(U(ws, ell, normalize(ws, x), -sum(x)))

@@ -95,11 +95,48 @@ def test_glue(capsys):
     assert data["cuboid"]["equals_cuboid"] and data["koszul"]["equals_koszul"]
 
 
+_C4 = [1, 1, 0, 1, 1]
+_C6 = [1, 1, 0, -1, 0, 1, 1]
+_C8 = [1, 1, 0, -1, -1, -1, 0, 1, 1]
+_C9 = [1, 1, 0, 0, -2, -2, 0, 0, 1, 1]
+_C24 = [1, 1, 1, 0, -1, -2, -2, -1, 0, 1, 1, 1, 1, 1, 1, 1, 0, -1, -2, -2, -1, 0, 1, 1, 1]
+
+# (case, algebra names, the row's one Coxeter polynomial), pinned so that
+# the same wrong algebra in every row of a suite cannot pass
+COXETER_SUITE_ROWS = {
+    "happel-seidel": [
+        ([3, 3], ["A_m(3)", "A_m(3)", "tensor"], _C4),
+        ([3, 4], ["A_m(3)", "A_m(4)", "tensor"], _C6),
+        ([3, 5], ["A_m(3)", "A_m(5)", "tensor"], _C8),
+        ([4, 4], ["A_m(4)", "A_m(4)", "tensor"], _C9),
+        ([2, 7], ["A_m(2)", "A_m(7)", "tensor"], [1, 1, 1, 1, 1, 1, 1]),
+    ],
+    "replicated": [
+        ([3, 4], ["cuboid", "Gamma^1", "Gamma^2"], _C6),
+        ([3, 4, 5], ["cuboid", "Gamma^1", "Gamma^2", "Gamma^3"], _C24),
+        ([2, 3, 4], ["cuboid", "Gamma^1", "Gamma^2", "Gamma^3"], _C6),
+    ],
+    "dynkin": [
+        ([2, 2], ["A2xA2", "D4"], _C4),
+        ([2, 3], ["A2xA3", "E6"], _C6),
+        ([2, 4], ["A2xA4", "E8"], _C8),
+        ([2, 2], ["A2xA2", "A2^(1)"], _C4),
+        ([2, 3], ["A2xA3", "A3^(1)"], _C6),
+        ([3, 3], ["A3xA3", "A3^(2)"], _C9),
+    ],
+}
+
+
 @pytest.mark.parametrize("suite", ["happel-seidel", "replicated", "dynkin"])
 def test_coxeter_suites(capsys, suite):
     code, out, _ = run(capsys, "coxeter", "--suite", suite)
     assert code == 0
-    assert json.loads(out)["all_equal"] is True
+    data = json.loads(out)
+    assert data["all_equal"] is True
+    rows = [(c["case"], [p["name"] for p in c["polynomials"]], c["polynomials"]) for c in data["cases"]]
+    assert [(case, names) for case, names, _ in rows] == [(case, names) for case, names, _ in COXETER_SUITE_ROWS[suite]]
+    for (case, _, polys), (_, _, coeffs) in zip(rows, COXETER_SUITE_ROWS[suite]):
+        assert all(p["coeffs"] == coeffs for p in polys), (suite, case)
 
 
 def test_oracle_check_small(capsys):

@@ -168,6 +168,14 @@ def test_specials():
     assert W222.delta() == W222.zero()
 
 
+@pytest.mark.parametrize("p", [(2,), (5,), (3, 4), (2, 2, 2), (3, 4, 5), (2, 5, 3)])
+def test_box_is_zero_to_delta_descending(p):
+    ws = WeightSystem(p)
+    want = sorted(itertools.product(*(range(w - 1) for w in p)), reverse=True)
+    assert ws.box() == want
+    assert all(ws.zero() <= ws.element(x) <= ws.delta() for x in ws.box())
+
+
 def test_sigma():
     assert W34.zero().sigma() == 0
     assert W34.delta().sigma() == 3

@@ -1,5 +1,6 @@
 """Quiver algebras, Cartan matrices, Coxeter polynomials."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -16,8 +17,6 @@ from bpsing.qalg import (
     lambda_q,
     nakayama,
     replicated,
-    tensor,
-    tensor_chain,
 )
 
 W34 = WeightSystem((3, 4))
@@ -33,18 +32,9 @@ def test_nakayama_cartans():
             assert band[i, j] == (1 if 0 <= j - i < 4 else 0)
 
 
-def test_tensor_kron():
-    a, b = nakayama(2, 2), nakayama(3, 2)
-    t = tensor(a, b)
-    assert (t.cartan == np.kron(a.cartan, b.cartan)).all()
-    assert t.size == 6
-    one = nakayama(1, 1)
-    assert (tensor(one, b).cartan == b.cartan).all()
-
-
 def test_tensor_determinant_identity():
     a, b = nakayama(3, 3), nakayama(4, 2)
-    det = round(np.linalg.det(tensor(a, b).cartan))
+    det = round(np.linalg.det(lambda_q(WeightSystem((4, 5)), (3, 2)).cartan))
     da, db = round(np.linalg.det(a.cartan)), round(np.linalg.det(b.cartan))
     assert det == da ** b.size * db ** a.size
 
@@ -59,9 +49,9 @@ def test_lambda_q_figure_counts():
 
 
 def test_lambda_q_cartans():
-    assert (lambda_q(W34, (2, 2)).cartan == tensor(nakayama(2, 2), nakayama(3, 2)).cartan).all()
+    assert (lambda_q(W34, (2, 2)).cartan == np.kron(nakayama(2, 2).cartan, nakayama(3, 2).cartan)).all()
     full = lambda_q(W34, (2, 3))
-    assert (full.cartan == tensor(nakayama(2, 2), nakayama(3, 3)).cartan).all()
+    assert (full.cartan == np.kron(nakayama(2, 2).cartan, nakayama(3, 3).cartan)).all()
     one = lambda_q(WeightSystem((5,)), (1,))
     assert (one.cartan == np.eye(4, dtype=int)).all()
     with pytest.raises(ValueError):
@@ -108,15 +98,16 @@ def test_lambda_q_cartan_matches_defining_rule(p):
 
 
 def test_lambda_q_cartan_is_the_tensor_chain_cartan():
-    # the Kronecker product of the Nakayama Cartans, as the full tensor
-    # presentation gives it, on every type of criterion 2 and on (5,6,7)
+    # the Kronecker product of the Nakayama Cartans, left to right, on
+    # every type of criterion 2 and on (5,6,7); a single weight is the
+    # Nakayama algebra itself
     from test_acceptance import _types_with_cuboid_at_most
 
     for p in _types_with_cuboid_at_most(24) + [(5, 6, 7)]:
         ws = WeightSystem(p)
         for qvec in itertools.product(*[range(1, w) for w in p]):
             got = lambda_q(ws, qvec).cartan
-            want = tensor_chain(nakayama(w - 1, qq) for w, qq in zip(p, qvec)).cartan
+            want = functools.reduce(np.kron, [nakayama(w - 1, qq).cartan for w, qq in zip(p, qvec)])
             assert got.dtype == want.dtype and np.array_equal(got, want), (p, qvec)
 
 
@@ -145,9 +136,26 @@ def test_gamma_quiver_shapes():
     assert len(connecting) == 1
     assert len([a for a in gamma_quiver(W345, 1).arrows if "*" in a[0]]) == 2
     assert len([a for a in gamma_quiver(W345, 2).arrows if "*" in a[0]]) == 3
-    # connecting arrows run from the top corner into the next copy's bottom corner
+    # a connecting arrow runs from the top corner of copy c + 1 to the bottom corner of copy c
     src, tgt = connecting[0][1], connecting[0][2]
-    assert src == "(2,3,4)@0" and tgt == "(2,1,1)@1"
+    assert src == "(2,3,4)@1" and tgt == "(2,1,1)@0"
+
+
+def test_arrows_follow_the_cartan_convention():
+    # an arrow s -> t needs C[t][s] >= 1; q_i >= 2 wherever p_i >= 3, so
+    # that each coordinate arrow survives its truncation
+    from test_acceptance import _types_with_cuboid_at_most
+
+    types = _types_with_cuboid_at_most(24) + [(2, 5), (3, 3), (2, 2, 3), (3, 4, 5), (2, 3, 4, 5), (5, 6, 7)]
+    algebras = []
+    for p in dict.fromkeys(types):
+        ws = WeightSystem(p)
+        algebras += [lambda_q(ws, qvec) for qvec in itertools.product(*[range(min(2, w - 1), w) for w in p])]
+        algebras += [gamma_quiver(ws, t) for t in range(ws.n)]
+    for alg in algebras:
+        index = {v: i for i, v in enumerate(alg.vertices)}
+        for label, s, t in alg.arrows:
+            assert alg.cartan[index[t], index[s]] >= 1, (alg.name, label, s, t)
 
 
 def test_gamma_34_is_nakayama_up_to_coxeter():
@@ -174,8 +182,9 @@ def test_coxeter_examples():
 
 def test_coxeter_polynomial_of_345_cuboid():
     # the 24-vertex cuboid algebra of (3,4,5), the largest in the suites
-    cub = tensor_chain(nakayama(w - 1, w - 1) for w in (3, 4, 5))
+    cub = lambda_q(W345, (2, 3, 4))
     assert cub.size == 24
+    assert (cub.cartan == functools.reduce(np.kron, [nakayama(w - 1, w - 1).cartan for w in (3, 4, 5)])).all()
     assert coxeter_polynomial(cub).coeffs == (
         1, 1, 1, 0, -1, -2, -2, -1, 0, 1, 1, 1, 1, 1, 1, 1, 0, -1, -2, -2, -1, 0, 1, 1, 1,
     )  # fmt: skip
@@ -196,7 +205,8 @@ def test_coxeter_transpose_check_fires(monkeypatch):
 
 
 def test_coxeter_deterministic():
-    a = tensor(nakayama(2, 2), nakayama(3, 3))
+    a = lambda_q(W34, (2, 3))
+    assert (a.cartan == np.kron(nakayama(2, 2).cartan, nakayama(3, 3).cartan)).all()
     assert coxeter_polynomial(a) == coxeter_polynomial(a)
 
 
@@ -230,20 +240,27 @@ def test_replicated_derived_suite():
     # the suite's cuboid entry is the cuboid algebra, one Gamma^t per coordinate
     for p, algebras in COXETER_SUITES["replicated"]():
         (name, cuboid), *gammas = algebras
-        assert name == "cuboid" and (cuboid.cartan == tensor_chain(nakayama(w - 1, w - 1) for w in p).cartan).all()
+        assert name == "cuboid" and (cuboid.cartan == _ref_lambda_cartan(WeightSystem(p), [w - 1 for w in p])).all()
         assert [g.name for _, g in gammas] == [f"Gamma^{t + 1}{WeightSystem(p)}" for t in range(len(p))]
 
 
 def test_dynkin_suite():
     assert _suite_rows_agree("dynkin") == [(2, 2), (2, 3), (2, 4), (2, 2), (2, 3), (3, 3)]
+    # each row's first algebra is A_l (x) A_m
+    for (l, m), ((name, alg), _) in COXETER_SUITES["dynkin"]():
+        assert name == f"A{l}xA{m}" and (alg.cartan == np.kron(nakayama(l, l).cartan, nakayama(m, m).cartan)).all()
 
 
 def test_determinant_constant_on_classes():
     for a, b in ((3, 4), (4, 4)):
         m = (a - 1) * (b - 1)
         d1 = round(np.linalg.det(nakayama(m, a).cartan))
-        d2 = round(np.linalg.det(tensor(nakayama(a - 1, a - 1), nakayama(b - 1, b - 1)).cartan))
+        d2 = round(np.linalg.det(np.kron(nakayama(a - 1, a - 1).cartan, nakayama(b - 1, b - 1).cartan)))
         assert abs(d1) == abs(d2) == 1
+    # the Happel-Seidel suite's tensor entry is that Kronecker product
+    for (a, b), algebras in COXETER_SUITES["happel-seidel"]():
+        name, alg = algebras[-1]
+        assert name == "tensor" and (alg.cartan == np.kron(nakayama(a - 1, a - 1).cartan, nakayama(b - 1, b - 1).cartan)).all()
 
 
 def test_int_polynomial_str_and_json():
@@ -269,3 +286,16 @@ def test_cartan_is_read_exactly():
             AlgebraPresentation("bad", ("1", "2"), (), (), bad)
     ok = AlgebraPresentation("ok", ("1", "2"), (), (), np.array([[1, 2**63 - 1], [0, 1]], dtype=np.uint64))
     assert ok.cartan.dtype == np.int64 and ok.cartan.tolist() == [[1, 2**63 - 1], [0, 1]]
+
+
+def test_presentation_rejects_an_arrow_off_its_vertices():
+    # to_dot used to fail on such an arrow with a KeyError
+    for arrow in (("a", "1", "3"), ("a", "0", "2")):
+        with pytest.raises(ValueError, match="does not join two vertices"):
+            AlgebraPresentation("bad", ("1", "2"), (arrow,), (), np.eye(2, dtype=np.int64))
+
+
+def test_presentation_rejects_a_repeated_vertex():
+    # to_dot's index used to merge the two vertices silently
+    with pytest.raises(ValueError, match="vertex label '1' is repeated"):
+        AlgebraPresentation("bad", ("1", "2", "1"), (("a", "1", "2"),), (), np.eye(3, dtype=np.int64))

@@ -200,6 +200,10 @@ def test_cuboid_enumeration():
     assert len(cub) == 6
     assert cub[0].ell == (2, 3)
     assert cub[-1].ell == (1, 1)
+    # ell = w + 1 over the box [0, delta], in the box order
+    for ws in (W34, W22, WeightSystem((5,)), WeightSystem((3, 4, 5)), WeightSystem((2, 3, 2))):
+        assert [obj.ell for obj in cuboid_objects(ws)] == [tuple(w + 1 for w in x) for x in ws.box()]
+        assert all(obj.twist.is_zero() and obj.shift == 0 for obj in cuboid_objects(ws))
 
 
 def test_knorrer_transport():

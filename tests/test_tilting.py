@@ -7,7 +7,7 @@ import pytest
 
 from bpsing.functor import Ladder, check_recollement
 from bpsing.grading import WeightSystem
-from bpsing.qalg import gamma_quiver, lambda_q, matrix_csv, nakayama, tensor
+from bpsing.qalg import gamma_quiver, lambda_q, matrix_csv, nakayama
 from bpsing.stable import StableObject, U, rho_k
 from bpsing.tilting import (
     TiltingFamily,
@@ -87,6 +87,21 @@ def test_extended_family_order(p):
             assert same_family(fam, TiltingFamily(ws, "nested", (), tuple(o.canonical() for o in nested))), subset
 
 
+@pytest.mark.parametrize("p", [(5,), (3, 4), (3, 4, 5), (2, 3, 4)])
+def test_replicated_slab_is_the_top_face_of_the_box(p):
+    # copies descending, then the cuboid exponents ell with ell_t = p_t - 1
+    # in descending order; the family and Gamma^t share that order
+    ws = WeightSystem(p)
+    cuboid = sorted(itertools.product(*(range(1, w) for w in p)), reverse=True)
+    for t in range(ws.n):
+        slab = [ell for ell in cuboid if ell[t] == p[t] - 1]
+        copies = range(p[t] - 2, -1, -1)
+        fam = family(ws, "replicated", t=t)
+        assert fam.labels == tuple(str(U(ws, ell, -copy * ws.s(), copy * ws.n)) for copy in copies for ell in slab)
+        want = tuple("(" + ",".join(map(str, ell)) + f")@{copy}" for copy in copies for ell in slab)
+        assert gamma_quiver(ws, t).vertices == want
+
+
 def test_predicted_algebras_are_lambda_q_and_gamma():
     for ws in (W34, W345, WeightSystem((2, 3, 4))):
         for r in range(ws.n + 1):
@@ -121,8 +136,7 @@ def test_cuboid_matrix_is_grid_incidence():
 
 def test_koszul_matrix_matches_radical_square_tensor():
     fam = family(W34, "koszul")
-    pred = tensor(nakayama(2, 2), nakayama(3, 2))
-    assert (hom_matrix(fam) == pred.cartan).all()
+    assert (hom_matrix(fam) == np.kron(nakayama(2, 2).cartan, nakayama(3, 2).cartan)).all()
 
 
 @pytest.mark.parametrize("ws", [W34, W345])
