@@ -28,7 +28,7 @@ Terms m - 1 and m + 1 pair the same generators one level apart, so the
 m + 1 layout is the m - 1 layout one level up and their degrees are
 borrowed once; a pair that no layout can use (level below -1, or below
 0 for the middle term) is dropped as it is borrowed.  A differential
-is assembled one piece at a time, a piece being one source block and
+is described one piece at a time, a piece being one source block and
 one matrix entry, d_F by row or d_G by column: the entry sends the
 block's monomials into one target block, through a position map that
 depends only on the number of variables, the level and the carry of
@@ -36,7 +36,17 @@ the entry's exponents past the weights.  The pieces of a factorization
 pair are cached per matrix objects and parity, which all twists of the
 pair share; the position maps are cached too, and every cache is
 bounded.  A target block of another degree than the product raises
-``ValueError``.
+``ValueError``, on every call, cached rank or not.
+
+The description of a differential is its recipe: the number of
+variables, the shape, and per piece the flat start of its block pair,
+the source level, the carry and the coefficient.  That is everything
+the assembly reads, so two equal recipes are the same matrix, and the
+ranks are cached by (recipe, q) in one more bounded cache, exactly,
+with no digest: a sweep over many pairs that meet the same small
+complexes assembles and eliminates each distinct one once.  The
+modulus is part of the key, so a second-prime audit still ranks every
+matrix at both primes.
 
 ``mf_of`` builds the untwisted tensor factorization of U^ell once per
 weight system, ell and shift parity, in a bounded cache, and realizes
@@ -50,7 +60,8 @@ are built (the modulus is checked first all the same).  The
 differentials are integer matrices of small signed entries (sums of
 monomial coefficients); ``rank_mod`` alone reduces them mod q, on the
 copy it eliminates.  The outgoing differential is built and ranked
-before the incoming one is built, so one is alive at a time.
+before the incoming one is built, so one matrix is alive at a time;
+the cache keeps recipes and ranks, not matrices.
 
 Conventions are pinned by self-checks rather than trusted: the
 suspension is the twisted rotation
@@ -98,6 +109,8 @@ Term = "tuple[int, int, tuple[int, ...]]"
 Key = "tuple[int, int, int]"
 # The blocks of one term: (slot, a, b) -> (coeffs, level, offset, size).
 Layout = "dict[Key, tuple[tuple[int, ...], int, int, int]]"
+# A differential as its assembly reads it: (n, nrows, ncols, pieces).
+Recipe = "tuple[int, int, int, tuple]"
 
 
 @dataclass(frozen=True)
@@ -397,13 +410,13 @@ def _position_map(n: int, level: int, carry: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=2**12)
-def _landing(p: tuple[int, ...], coeffs: tuple[int, ...], level: int, exps: tuple[int, ...]) -> tuple[tuple[int, ...], int, np.ndarray]:
+def _landing(p: tuple[int, ...], coeffs: tuple[int, ...], level: int, exps: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """The monomials of degree (coeffs, level) times the monomial
-    ``exps``: the product's coeffs and level, and the position map that
-    sends each monomial to its product."""
+    ``exps``: the product's coeffs and level, and the carry of the
+    exponents past the weights, which names the position map."""
     carry = tuple((x + y) // w for x, y, w in zip(coeffs, exps, p))
     landed = tuple((x + y) % w for x, y, w in zip(coeffs, exps, p))
-    return landed, level + sum(carry), _position_map(len(p), level, carry)
+    return landed, level + sum(carry), carry
 
 
 @lru_cache(maxsize=2**12)
@@ -458,46 +471,63 @@ def stable_hom_dim_oracle(f: GradedMF, g: GradedMF, m: int, q: int = DEFAULT_MOD
     # terms m - 1 and m + 1 pair the same generators, one level apart;
     # each differential is ranked before the next one is built
     outer = _pair_degrees(f, g, m - 1, -1)
-    rank_mid = rank_mod(_differential(f, g, m, mid, _layout(ws, outer, 1)), q)
-    return _dim(mid) - rank_mid - rank_mod(_differential(f, g, m - 1, _layout(ws, outer), mid), q)
+    rank_mid = _rank(_recipe(f, g, m, mid, _layout(ws, outer, 1)), q)
+    return _dim(mid) - rank_mid - _rank(_recipe(f, g, m - 1, _layout(ws, outer), mid), q)
 
 
-def _differential(f: GradedMF, g: GradedMF, k: int, cols: Layout, rows: Layout) -> np.ndarray:
-    """The differential from term k to term k + 1 as an unreduced int64
-    matrix, from the layouts of both terms.
+def _recipe(f: GradedMF, g: GradedMF, k: int, cols: Layout, rows: Layout) -> Recipe:
+    """The differential from term k to term k + 1, from the layouts of
+    both terms, as everything its assembly reads: (n, nrows, ncols,
+    pieces), with pieces one flat tuple of (flat start, source level,
+    carry, coeff) quadruples, one per piece.
 
     Each piece, a block of ``cols`` and one matrix entry leaving it,
     sends the block's monomial i to monomial ``pos[i]`` of one block of
-    ``rows``, where ``pos`` is the position map of ``_landing``.  A
-    target block missing from ``rows`` or of another degree than the
-    product raises ``ValueError``.  One ``np.add.at`` writes every piece.
+    ``rows``, where ``pos`` is the position map of (n, source level,
+    carry); its flat start is where the block pair begins in the
+    row-major matrix.  A target block missing from ``rows`` or of
+    another degree than the product raises ``ValueError``.  The flat
+    tuple holds half the objects of a tuple of quadruples, which counts
+    since the rank cache keeps every recipe it ranks.
     """
     p = f.weights.p
-    stay = (0,) * len(p)
     pieces = _pieces(f.d0, f.d1, g.d0, g.d1, k % 2)
-    nrows, ncols = _dim(rows), _dim(cols)
-    # piece j adds values[j] at flat index starts[j] + ncols * maps[j][i]
-    # + spans[j][i], for each monomial i of its source block
-    maps, spans, starts, sizes, values = [], [], [], [], []
-    for key, (coeffs, level, offset, size) in cols.items():
-        span = _position_map(len(p), level, stay)  # 0 .. size - 1
+    ncols = _dim(cols)
+    out = []
+    for key, (coeffs, level, offset, _) in cols.items():
         entries = iter(pieces[key])
         for target, coeff, e in zip(entries, entries, entries):
-            landed, landed_level, pos = _landing(p, coeffs, level, e)
+            landed, landed_level, carry = _landing(p, coeffs, level, e)
             block = rows.get(target)
             if block is None or block[1] != landed_level or block[0] != landed:
                 raise ValueError(f"an entry maps pair {key} into pair {target}, whose block has another degree")
-            maps.append(pos)
-            spans.append(span)
-            starts.append(block[2] * ncols + offset)
-            sizes.append(size)
-            values.append(coeff)
+            out += (block[2] * ncols + offset, level, carry, coeff)
+    return len(p), _dim(rows), ncols, tuple(out)
+
+
+def _assemble(recipe: Recipe) -> np.ndarray:
+    """The matrix of a recipe of ``_recipe``, unreduced int64.  One
+    ``np.add.at`` writes every piece."""
+    n, nrows, ncols, pieces = recipe
     mat = np.zeros((nrows, ncols), dtype=np.int64)
-    if maps:
-        sizes = np.array(sizes, dtype=np.intp)
-        at = np.repeat(np.array(starts, dtype=np.intp), sizes) + ncols * np.concatenate(maps) + np.concatenate(spans)
-        np.add.at(mat.reshape(-1), at, np.repeat(np.array(values, dtype=np.int64), sizes))
+    if pieces:
+        stay = (0,) * n
+        # piece j adds values[j] at flat index starts[j] + ncols * maps[j][i]
+        # + spans[j][i], for each monomial i of its source block
+        levels = pieces[1::4]
+        maps = [_position_map(n, level, carry) for level, carry in zip(levels, pieces[2::4])]
+        spans = [_position_map(n, level, stay) for level in levels]  # 0 .. size - 1
+        sizes = np.array([len(pos) for pos in maps], dtype=np.intp)
+        at = np.repeat(np.array(pieces[::4], dtype=np.intp), sizes) + ncols * np.concatenate(maps) + np.concatenate(spans)
+        np.add.at(mat.reshape(-1), at, np.repeat(np.array(pieces[3::4], dtype=np.int64), sizes))
     return mat
+
+
+@lru_cache(maxsize=2**10)
+def _rank(recipe: Recipe, q: int) -> int:
+    """The rank mod q of the matrix of a recipe.  A recipe is everything
+    the assembly reads, so equal keys are equal matrices."""
+    return rank_mod(_assemble(recipe), q)
 
 
 @lru_cache(maxsize=2**16)

@@ -260,7 +260,8 @@ def gamma_quiver(ws: WeightSystem, t: int) -> AlgebraPresentation:
                 if tgt in slab_set:
                     arrows.append((f"x{i + 1}", label[(ell, copy)], label[(tgt, copy)]))
     top, bottom = slab[0], slab[-1]
-    connecting = "*".join(f"x{i + 1}" for i in others)
+    # the empty product when n = 1
+    connecting = "*".join(f"x{i + 1}" for i in others) or "1"
     for copy in range(pt - 2):
         arrows.append((connecting, label[(top, copy + 1)], label[(bottom, copy)]))
     relations = [f"x{i + 1}x{j + 1}=x{j + 1}x{i + 1}" for i in others for j in others if i < j]
@@ -281,6 +282,8 @@ def dynkin_path_algebra(letter: str, rank: int) -> AlgebraPresentation:
     has no oriented cycle, so A is nilpotent and I - A is unimodular.
     """
     letter = letter.upper()
+    if rank < 1:
+        raise ValueError(f"Dynkin rank {rank} is below 1")
     if letter == "A":
         return nakayama(rank, rank)
     if letter == "D":

@@ -82,9 +82,11 @@ def family(
     if t is not None and kind != "replicated":
         raise ValueError(f"{kind} families take no coordinate t")
     if kind == "replicated":
-        t = None if t is None else operator.index(t)
-        if t is None or not 0 <= t < n:
+        if t is None:
             raise ValueError("replicated families need a coordinate t")
+        t = operator.index(t)
+        if not 0 <= t < n:
+            raise ValueError(f"coordinate t = {t} out of range")
         s = ws.s()
         slab = [tuple(wi + 1 for wi in w) for w in ws.box() if w[t] == ws.p[t] - 2]
         members = [U(ws, ell, -copy * s, copy * n) for copy in range(ws.p[t] - 2, -1, -1) for ell in slab]

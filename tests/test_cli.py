@@ -152,6 +152,16 @@ def test_quiver_dot(capsys):
     assert out.startswith("digraph")
 
 
+def test_quiver_gamma_one_weight_names_its_arrows(capsys):
+    # the connecting arrows of one weight are the empty product, 1
+    code, out, _ = run(capsys, "quiver", "-p", "5", "--algebra", "gamma:1")
+    assert code == 0
+    assert json.loads(out)["arrows"] == [["1", "(4)@1", "(4)@0"], ["1", "(4)@2", "(4)@1"], ["1", "(4)@3", "(4)@2"]]
+    code, out, _ = run(capsys, "quiver", "-p", "5", "--algebra", "gamma:1", "--dot")
+    assert code == 0
+    assert out.count('[label="1"];') == 3 and 'label=""' not in out
+
+
 def test_quiver_csv(capsys):
     code, out, _ = run(capsys, "quiver", "--algebra", "nakayama:3,2", "--csv")
     assert code == 0
@@ -210,6 +220,7 @@ def test_weight_cap():
         ["quiver", "--algebra", "dynkin:"],
         ["quiver", "--algebra", "dynkin:E"],
         ["quiver", "--algebra", "dynkin:7"],
+        ["quiver", "--algebra", "dynkin:A0"],
         ["oracle-check", "-p", "2,2", "--modulus", "abc"],
         ["tilt", "-p", "3,4", "--kind", "extended:1,1"],
     ],
@@ -221,6 +232,21 @@ def test_unusable_arguments_exit_two(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert len(out.err.splitlines()) == 1 and out.err.startswith("bpsing: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["endo", "-p", "3,4", "--kind", "replicated:9"], "family kind 'replicated:9': coordinate t = 8 out of range"),
+        (["endo", "-p", "3,4", "--kind", "extended:9"], "family kind 'extended:9': subset (8,) out of range"),
+        (["quiver", "--algebra", "dynkin:A0"], "algebra 'dynkin:A0': Dynkin rank 0 is below 1"),
+    ],
+)
+def test_out_of_range_arguments_say_so(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"bpsing: error: {message}\n"
 
 
 def test_modulus_option_used(capsys):

@@ -16,9 +16,9 @@ from bpsing.linalg import DEFAULT_MODULUS, PARANOIA_MODULUS, rank_mod
 from bpsing.mforacle import (
     GradedMF,
     MonomialMatrix,
+    _assemble,
     _base_mf,
     _borrow_sub,
-    _differential,
     _landing,
     _layout,
     _monomial_basis,
@@ -27,6 +27,8 @@ from bpsing.mforacle import (
     _pair_degrees,
     _pieces,
     _position_map,
+    _rank,
+    _recipe,
     hom_profile,
     mf_of,
     oracle_hom,
@@ -293,8 +295,8 @@ def test_hom_complex_differentials_compose_to_zero():
     g = mf_of(rho_k(W34))
     for m in (-2, -1, 0, 1, 2):
         prev, mid, nxt = (_term(f, g, k) for k in (m - 1, m, m + 1))
-        d1 = _differential(f, g, m - 1, prev, mid)
-        d2 = _differential(f, g, m, mid, nxt)
+        d1 = _assemble(_recipe(f, g, m - 1, prev, mid))
+        d2 = _assemble(_recipe(f, g, m, mid, nxt))
         # unreduced, so this holds over the integers
         assert not (d2 @ d1).any()
 
@@ -388,7 +390,7 @@ def _assert_matches_reference(a, b, ks=range(-2, 3), q=32003):
         assert _layout(ws, _pair_degrees(f, g, k - 1, -1), 1) == _term(f, g, k + 1), (str(a), str(b), k)
     shapes = {}
     for k in ks:
-        got = _differential(f, g, k, layouts[k], layouts[k + 1])
+        got = _assemble(_recipe(f, g, k, layouts[k], layouts[k + 1]))
         want = _ref_differential(f, g, k, bases[k], bases[k + 1], q)
         # the oracle leaves the reduction mod q to rank_mod
         assert got.dtype == want.dtype == np.int64 and np.array_equal(got % q, want), (str(a), str(b), k)
@@ -438,7 +440,7 @@ def test_deep_ranks_match_reference_kernel(p, level, shapes):
     layouts = [_term(f, g, k) for k in (-1, 0, 1)]
     bases = [_ref_term_basis(f, g, k) for k in (-1, 0, 1)]
     assert [_expanded(layout, ws) for layout in layouts] == bases
-    diffs = [_differential(f, g, k, layouts[k + 1], layouts[k + 2]) for k in (-1, 0)]
+    diffs = [_assemble(_recipe(f, g, k, layouts[k + 1], layouts[k + 2])) for k in (-1, 0)]
     assert [d.shape for d in diffs] == shapes
     for k, d in zip((-1, 0), diffs):
         assert d.dtype == np.int64 and np.array_equal(d % 32003, _ref_differential(f, g, k, bases[k + 1], bases[k + 2], 32003))
@@ -466,15 +468,15 @@ def test_wrong_degree_block_raises_without_asserts():
     # python -O, which strips assert statements
     code = """
 from bpsing.grading import WeightSystem
-from bpsing.mforacle import _differential, _layout, _pair_degrees, mf_of
+from bpsing.mforacle import _assemble, _layout, _pair_degrees, _recipe, mf_of
 from bpsing.stable import U, rho_k
 ws = WeightSystem((3, 4))
 f, g = mf_of(U(ws, (2, 3), ws.x(0), 1)), mf_of(rho_k(ws))
 cols, rows = (_layout(ws, _pair_degrees(f, g, k, 0)) for k in (1, 2))
-nonzero = _differential(f, g, 1, cols, rows).any()
+nonzero = _assemble(_recipe(f, g, 1, cols, rows)).any()
 rows = {key: (coeffs, level + 1, offset, size) for key, (coeffs, level, offset, size) in rows.items()}
 try:
-    _differential(f, g, 1, cols, rows)
+    _assemble(_recipe(f, g, 1, cols, rows))
 except ValueError as exc:
     print(nonzero, "ValueError:", exc)
 """
@@ -617,7 +619,61 @@ def test_twists_share_the_base_tables():
         stable_hom_dim_oracle(mf_of(StableObject(ws, (1, 2, 3), ws.element((1, 0, 1), level), 0)), g, 0)
     info = _pieces.cache_info()
     assert (info.currsize, info.hits) == (2, 4)
-    assert all(cache.cache_info().maxsize is not None for cache in (_pieces, _landing, _pair))
+    assert all(cache.cache_info().maxsize is not None for cache in (_pieces, _landing, _pair, _rank))
+
+
+def _small_recipe():
+    # the 12x8 differential out of term 1 of End(U[1,1]) over (3,4),
+    # half of whose 32 pieces carry
+    f = g = mf_of(U(W34, (1, 1)))
+    cols, rows = (_term(f, g, k) for k in (1, 2))
+    recipe = _recipe(f, g, 1, cols, rows)
+    assert recipe[:3] == (2, 12, 8) and len(recipe[3]) == 4 * 32
+    return recipe
+
+
+def test_rank_cache_keys_on_recipe_and_modulus():
+    recipe = _small_recipe()
+    _rank.cache_clear()
+    got = [_rank(recipe, q) for q in (DEFAULT_MODULUS, PARANOIA_MODULUS, DEFAULT_MODULUS)]
+    info = _rank.cache_info()
+    # one matrix at two primes is two misses; the repeat is a hit
+    assert (info.misses, info.hits) == (2, 1)
+    assert got == [rank_mod(_assemble(recipe), q) for q in (DEFAULT_MODULUS, PARANOIA_MODULUS, DEFAULT_MODULUS)]
+    assert got[0] > 0
+
+
+def test_rank_cache_misses_on_a_changed_piece():
+    n, nrows, ncols, pieces = recipe = _small_recipe()
+    # the first piece that carries; pieces are flat quadruples
+    j = next(j for j in range(0, len(pieces), 4) if any(pieces[j + 2]))
+    start, level, carry, coeff = pieces[j : j + 4]
+    # the zero carry keeps every index inside the target block
+    changed = [(start, level, carry, coeff + 1), (start, level, (0,) * n, coeff)]
+    _rank.cache_clear()
+    _rank(recipe, DEFAULT_MODULUS)
+    for piece in changed:
+        other = (n, nrows, ncols, pieces[:j] + piece + pieces[j + 4 :])
+        assert not np.array_equal(_assemble(other), _assemble(recipe))
+        assert _rank(other, DEFAULT_MODULUS) == rank_mod(_assemble(other), DEFAULT_MODULUS)
+    info = _rank.cache_info()
+    assert (info.misses, info.hits) == (3, 0)
+
+
+def test_rank_cache_sweep_matches_reference():
+    ws = W34
+    _rank.cache_clear()
+    compared = 0
+    for a in probe_objects(ws):
+        for b in cuboid_objects(ws):
+            f, g = mf_of(a), mf_of(b)
+            for m in range(-2, 3):
+                assert stable_hom_dim_oracle(f, g, m) == _ref_stable_hom_dim_oracle(f, g, m), (str(a), str(b), m)
+                compared += 1
+    assert compared == 720
+    # 660 ranked pairs of differentials among 43 distinct ones
+    info = _rank.cache_info()
+    assert info.hits > info.misses > 0
 
 
 def _ref_stable_hom_dim_oracle(f, g, m, q=32003):
