@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over prime fields, the rationals and Z.
+"""Exact linear algebra over prime fields, the rationals and Z.
 
 All ranks computed here feed dimension counts, so the arithmetic must be
 exact.  The default working field is F_q with q = 32003; a second prime
@@ -13,19 +13,14 @@ wrapping a wide integer would lose exactness silently.  ``residues`` is
 the one reduction of such a matrix mod q to int64; uint64 entries and
 Python ints are reduced before the cast.
 
-``rank_mod`` takes the rank over F_q.  Its elimination is shaped by the
-oracle's matrices, which are about 1% nonzero.  A pivot row, once used,
-is copied out and zeroed ("retired") instead of swapped into place, and
-each elimination step rewrites only the columns in which the pivot row
-is nonzero.  Both keep the rank: ordering the retired rows first gives
-a block matrix [[A, B], [0, C]] with A of full row rank, whose rank is
-rank A + rank C, and the columns outside the pivot row's support are
-left unchanged by subtracting a multiple of that row.  The pivot row
-is read and retired from the pivot column on, where all its nonzeros
-lie, and the rows below it are gathered and scattered on that support
-with ``take`` and ``put`` on the flat view of the row-major copy.  Every
-intermediate value stays below q**2 <= 2**62 in absolute value, so
-nothing overflows int64.
+``rank_mod`` takes the rank over F_q.  The oracle's large matrices are
+about 1% nonzero, so it eliminates them sparsely: in rounds, each a
+batch of pivots whose block is diagonal, removed at once through the
+Schur complement, on coordinate arrays of the nonzeros.  A block at
+least 1/``DENSE`` nonzero, which the small matrices of the oracle and
+of ``gmod`` are, goes to a column loop on a dense copy instead.  Both
+keep every intermediate value below q**2 <= 2**62 in absolute value,
+so nothing overflows int64.
 
 Over the rationals and Z there is one elimination, fraction-free
 Gauss-Jordan (Bareiss), on numpy object arrays of Python ints: numpy
@@ -46,6 +41,17 @@ import numpy as np
 
 DEFAULT_MODULUS = 32003
 PARANOIA_MODULUS = 65537
+
+# ``rank_mod`` hands a block with at least one nonzero in DENSE cells
+# to the column loop.  Denser blocks give few independent pivots per
+# round, and on small ones the per-round overhead outweighs the loop's
+# work on cells; the small matrices of the oracle are both.  Timed one
+# by one on the matrices of one job of each benchmark workload, the
+# sparse rounds lost on all 210 of up to 4000 cells (7.5-100% nonzero)
+# and won on 226 of the 230 larger ones (0.4-5.1% nonzero); thresholds
+# from 1/12 to 1/20 gave the least total time, and ``gmod``'s matrices
+# (at least 1/12 nonzero) all stay dense.
+DENSE = 16
 
 
 def is_prime(q: int) -> bool:
@@ -118,24 +124,165 @@ def residues(a, q: int) -> np.ndarray:
 def rank_mod(a, q: int) -> int:
     """Rank of an integer matrix over F_q by Gaussian elimination.
 
-    ``a`` goes through ``integer_matrix`` and is reduced mod q by
-    ``residues`` into a fresh int64 array, made row-major; ``a`` is left
-    unchanged.
+    ``a`` goes through ``integer_matrix`` and is left unchanged.  A
+    matrix at least 1/``DENSE`` nonzero, or of 2**32 cells or more, is
+    reduced mod q by ``residues`` and ranked by ``_column_rank``.
+    Otherwise its nonzeros are read once, as row-major flat indices,
+    only they are reduced, and exact zeros are dropped.  Each round then
+    looks at the live block, the rows and columns that still hold a
+    nonzero: once that block is 1/``DENSE`` nonzero it goes to
+    ``_column_rank``, and else one batch of pivots is chosen by
+    ``_pivot_batch`` and eliminated by ``_eliminate``.
 
-    Left to right, column c takes the first live row nonzero in column c
-    as pivot row.  Its support, the columns where it is nonzero, starts
-    at c, since every live row is zero left of c, so the row is scanned
-    and retired (zeroed) from c on only.  Each other live row nonzero in
+    A batch is a set of nonzeros (i_k, j_k), no row i_k nonzero in
+    another batch column j_l.  Ordering the batch rows and columns
+    first gives [[D, B], [C, E]] with D diagonal and invertible, whose
+    rank is rank D + rank(E - C D^(-1) B): subtracting multiples of the
+    batch rows clears C and leaves the Schur complement, and the batch
+    columns then clear B.  So the rank is the sum of the batch sizes
+    plus the rank of the last dense block.  The least priority of
+    ``_pivot_batch`` always makes the batch, so every round takes a
+    pivot and the rounds end; the priority is a total order of counts and indices with no
+    random input, so the pivots, the rounds and the rank repeat exactly.
+    This is structured Gaussian elimination (LaMacchia and Odlyzko,
+    1990) with each batch an independent set chosen as local minima, in
+    the manner of Luby (1986).
+
+    In int64: a product of two residues is below q**2 <= 2**62 and is
+    reduced before it is summed, a sum of at most one residue per pivot
+    plus one is below 2**63, flat indices are below the cell count, and
+    the priorities are below 2 * cells * (nonzeros + 1) < 2**61 for a
+    matrix under 2**32 cells at most 1/``DENSE`` nonzero.
+    """
+    check_modulus(q)
+    m = integer_matrix(a)
+    nonzero = m != 0
+    if np.count_nonzero(nonzero) * DENSE >= m.size or m.size >= 2**32:
+        return _column_rank(np.ascontiguousarray(residues(m, q)), q)
+    nrows, ncols = m.shape
+    keys = np.flatnonzero(nonzero)
+    # the nonzeros as a 1 x nnz matrix, so that ``residues`` reduces them
+    vals = residues(m[np.divmod(keys, ncols)][None], q)[0]
+    keep = vals != 0
+    keys, vals = keys[keep], vals[keep]
+    rank = 0
+    while keys.size:
+        rows, cols = np.divmod(keys, ncols)
+        row_count = np.bincount(rows, minlength=nrows)
+        col_count = np.bincount(cols, minlength=ncols)
+        live_rows, live_cols = row_count > 0, col_count > 0
+        live = np.count_nonzero(live_rows), np.count_nonzero(live_cols)
+        if keys.size * DENSE >= live[0] * live[1]:
+            block = np.zeros(live, dtype=np.int64)
+            block[(np.cumsum(live_rows) - 1)[rows], (np.cumsum(live_cols) - 1)[cols]] = vals
+            return rank + _column_rank(block, q)
+        pivots = _pivot_batch(rows, cols, row_count, col_count)
+        rank += pivots.size
+        keys, vals = _eliminate(keys, vals, rows, cols, m.shape, pivots, q)
+    return rank
+
+
+def _pivot_batch(rows: np.ndarray, cols: np.ndarray, row_count: np.ndarray, col_count: np.ndarray) -> np.ndarray:
+    """Positions, among the nonzeros, of one batch of pivots whose block
+    is diagonal, in row-major order.
+
+    The nonzeros are given row-major by ``rows`` and ``cols``.  Each
+    column proposes its nonzero in the row of fewest nonzeros, the
+    first such, with the priority (column entries, row entries, column
+    index), packed into one int64 that is unique per proposal.  A
+    proposal (i, j) clashes with a proposal (i', j') when (i, j') or
+    (i', j) is nonzero, which includes a shared row, and it is kept
+    when its priority is below that of every proposal it clashes with:
+    counting each nonzero with the priority of its column's proposal,
+    the least over row i must be its own, and counting each nonzero
+    with the least priority proposed in its row, so must the least over
+    column j.
+    """
+    big = np.iinfo(np.int64).max
+    by_row = row_count[rows] * len(row_count) + rows
+    least = np.full(len(col_count), big)
+    np.minimum.at(least, cols, by_row)
+    proposed = np.flatnonzero(by_row == least[cols])
+    prow, pcol = rows[proposed], cols[proposed]
+    priority = (col_count[pcol] * (row_count.max() + 1) + row_count[prow]) * len(col_count) + pcol
+    row_priority = np.full(len(row_count), big)
+    np.minimum.at(row_priority, prow, priority)
+    col_priority = np.full(len(col_count), big)
+    col_priority[pcol] = priority
+    row_least = np.full(len(row_count), big)
+    np.minimum.at(row_least, rows, col_priority[cols])
+    col_least = np.full(len(col_count), big)
+    np.minimum.at(col_least, cols, row_priority[rows])
+    return proposed[(row_least[prow] == priority) & (col_least[pcol] == priority)]
+
+
+def _eliminate(
+    keys: np.ndarray, vals: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int], pivots: np.ndarray, q: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzeros of the Schur complement of a diagonal pivot block.
+
+    The nonzeros are (keys, vals), row-major, a key being the flat index
+    row * ncols + column in a matrix of ``shape`` = (nrows, ncols), and
+    ``pivots`` is a batch of ``_pivot_batch``, so pivot k is the k-th
+    pivot row from the top.
+    The other nonzeros of pivot row k (B) are scaled by the inverse of
+    its pivot.  Each nonzero of pivot column k off the pivot (C) pairs
+    with every scaled entry of row k and subtracts the product at its
+    row and that entry's column.  The nonzeros outside the pivot rows
+    and columns (E) stay; the products, each reduced, are summed into
+    them per flat index in one sort, and exact zeros are dropped, so
+    the output is row-major again.
+    """
+    nrows, ncols = shape
+    batch = np.arange(pivots.size)
+    pivot_of_row = np.full(nrows, -1)
+    pivot_of_row[rows[pivots]] = batch
+    pivot_of_col = np.full(ncols, -1)
+    pivot_of_col[cols[pivots]] = batch
+    in_row, in_col = pivot_of_row[rows], pivot_of_col[cols]
+    row_in, col_in = in_row >= 0, in_col >= 0
+    # a nonzero in a pivot row and a pivot column is that pivot
+    b, c, e = row_in > col_in, col_in > row_in, ~(row_in | col_in)
+    inverse = np.array([pow(v, -1, q) for v in vals[pivots].tolist()], dtype=np.int64)
+    # B is row-major, so its pivot numbers never decrease
+    b_pivot = in_row[b]
+    b_cols = cols[b]
+    b_vals = vals[b] * inverse[b_pivot] % q
+    b_count = np.bincount(b_pivot, minlength=pivots.size)
+    c_pivot = in_col[c]
+    reps = b_count[c_pivot]
+    ends = np.cumsum(reps)
+    if not ends.size or not ends[-1]:
+        return keys[e], vals[e]
+    # pair t of C entry i is the t-th entry of its pivot's run in B
+    left = np.repeat(np.arange(c_pivot.size), reps)
+    starts = np.cumsum(b_count) - b_count
+    right = np.arange(ends[-1]) - np.repeat(ends - reps - starts[c_pivot], reps)
+    keys = np.concatenate([keys[e], rows[c][left] * ncols + b_cols[right]])
+    vals = np.concatenate([vals[e], q - vals[c][left] * b_vals[right] % q])
+    # E comes sorted, a run that the stable sort exploits
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    sums = np.add.reduceat(vals[order], first) % q
+    return keys[first][sums != 0], sums[sums != 0]
+
+
+def _column_rank(m: np.ndarray, q: int) -> int:
+    """Rank over F_q of a row-major int64 matrix of residues, eliminated
+    in place column by column.
+
+    Column c takes the first live row nonzero in column c as pivot
+    row.  Its support, the columns where it is nonzero, starts at c,
+    since every live row is zero left of c, so the row is scanned and
+    retired (zeroed) from c on only.  Each other live row nonzero in
     column c subtracts its multiple of the pivot row on that support
     only: the block of those rows and columns is gathered with ``take``
     and written back with ``put`` at flat indices row * cols + column.
     The retired rows, in order, form an echelon block of full row rank
-    above the live rows, so the rank is their count.  Residues stay
-    below q, and a block entry minus multiplier times pivot entry stays
-    below q**2 <= 2**62 in absolute value before it is reduced.
+    above the live rows, so the rank is their count; the pivot row is
+    zero outside its support, so the other columns need no update.
     """
-    check_modulus(q)
-    m = np.ascontiguousarray(residues(a, q))
     flat = m.reshape(-1)  # a view, since m is row-major
     rows, cols = m.shape
     r = 0

@@ -52,16 +52,19 @@ matrix at both primes.
 weight system, ell and shift parity, in a bounded cache, and realizes
 U^ell(x)[k] as one twist of it: a rotation commutes with twists and
 [2] = (c).  A twist passes on the very matrix objects d0 and d1, so
-every twist of a base shares its rows and column views by reference;
-the factorization check still runs on every construction.  The Hom
-complex is a subquotient of its middle term, so an empty middle term
-answers 0 before the outer layouts, the differentials and the ranks
-are built (the modulus is checked first all the same).  The
-differentials are integer matrices of small signed entries (sums of
-monomial coefficients); ``rank_mod`` alone reduces them mod q, on the
-copy it eliminates.  The outgoing differential is built and ranked
-before the incoming one is built, so one matrix is alive at a time;
-the cache keeps recipes and ranks, not matrices.
+every twist of a base shares its rows and column views by reference.
+The factorization check runs on every construction, but only its
+homogeneity half reads the generator degrees: the composite half is
+cached per (exponents, d0, d1, variables), so a twist reuses its
+verdict.  The Hom complex is a subquotient of its middle term, so an
+empty middle term answers 0 before the outer layouts, the
+differentials and the ranks are built (the modulus is checked first
+all the same).  The differentials are integer matrices of small signed
+entries (sums of monomial coefficients); ``rank_mod`` alone reduces
+them mod q, the nonzeros it reads of a sparse one and the whole of a
+dense one.  The outgoing differential is built and ranked before the
+incoming one is built, so one matrix is alive at a time; the cache
+keeps recipes and ranks, not matrices.
 
 Conventions are pinned by self-checks rather than trusted: the
 suspension is the twisted rotation
@@ -201,12 +204,24 @@ def _check_factorization(f: GradedMF) -> None:
                 coeffs, level = _borrow_sub(p, col_degs[j], (g.coeffs, g.level))
                 if _exps_degree(p, exps) != (coeffs, level + lift):
                     raise ValueError(f"{name} entry is not homogeneous of the required degree")
+    _check_composites(p, f.d0, f.d1, f.variables)
+
+
+@lru_cache(maxsize=2**10)
+def _check_composites(p: tuple[int, ...], d0: MonomialMatrix, d1: MonomialMatrix, variables: frozenset[int]) -> None:
+    """Raise unless d0 d1 and d1 d0 are the potential, the sum of X_i^p_i
+    over ``variables``, times the identity.
+
+    The verdict depends on these arguments alone, so it is cached: every
+    twist of a factorization passes on the same d0 and d1 and reuses it.
+    A failing pair raises on every call, since no exception is cached.
+    """
     potential = []
-    for i in sorted(f.variables):
+    for i in sorted(variables):
         exps = [0] * len(p)
         exps[i] = p[i]
         potential.append(tuple(exps))
-    for a_rows, b_rows in ((f.d0.rows, f.d1.rows), (f.d1.rows, f.d0.rows)):
+    for a_rows, b_rows in ((d0.rows, d1.rows), (d1.rows, d0.rows)):
         for r, row in enumerate(a_rows):
             # row r of the product, as {(column, exponents): coeff}
             acc = {}

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bpsing import linalg
+from bpsing.grading import WeightSystem
 from bpsing.linalg import (
     DEFAULT_MODULUS,
     PARANOIA_MODULUS,
@@ -19,6 +21,8 @@ from bpsing.linalg import (
     rank_mod,
     residues,
 )
+from bpsing.mforacle import _assemble, _layout, _pair_degrees, _recipe, mf_of
+from bpsing.stable import U, StableObject
 
 
 def _low_rank(rng, rows, cols, rank):
@@ -76,12 +80,13 @@ def test_valid_modulus_checked_once():
 
 
 
-# -- the sparse-aware rank kernel against the swapping one ------------------
+# -- the rank kernel against the swapping one ------------------------------
 #
 # The reference below is the row-swapping elimination that updates every
-# row below the pivot across the full width right of the pivot column;
-# the kernel retires pivot rows and updates only the pivot row's support,
-# and must give the same rank on every input.
+# row below the pivot across the full width right of the pivot column.
+# ``rank_mod`` eliminates sparse matrices in batches of pivots and dense
+# blocks column by column; each way must give the same rank on every
+# input.
 
 
 def _ref_rank_mod(a, q):
@@ -125,19 +130,44 @@ def _sparse_low_rank(rng, rows, cols, density, q):
     return a
 
 
+def _oracle_differentials():
+    """The differentials of two deep Hom complexes, about 1% to 2%
+    nonzero: U[1,1](0,0;-30) against U[1,1] over (3,4) and
+    U[1,1,1](0,0,0;-4) against U[1,1,1] over (2,3,4)."""
+    out = []
+    for p, level in (((3, 4), -30), ((2, 3, 4), -4)):
+        ws = WeightSystem(p)
+        ell = (1,) * ws.n
+        f = mf_of(StableObject(ws, ell, ws.element((0,) * ws.n, level), 0))
+        g = mf_of(U(ws, ell))
+        terms = [_layout(ws, _pair_degrees(f, g, k, 0)) for k in (-1, 0, 1)]
+        out += [_assemble(_recipe(f, g, k, terms[k + 1], terms[k + 2])) for k in (-1, 0)]
+    return out
+
+
 @pytest.mark.parametrize("q", [2, 3, 32003, 65537, 2**31 - 1])
-def test_rank_mod_matches_reference_kernel(q):
+def test_rank_mod_matches_reference_kernel(q, monkeypatch):
     rng = np.random.default_rng(q % 1009)
+    inputs = []
     for _ in range(40):
         rows, cols = (int(x) for x in rng.integers(0, 61, 2))
         density = float(rng.uniform(0.01, 0.2))
-        for a in (_sparse_low_rank(rng, rows, cols, density, q), _sparse_low_rank(rng, cols, rows, density, q)):
-            before = a.copy()
-            want = _ref_rank_mod(a, q)
-            # column-major input: the kernel eliminates on a row-major copy
+        inputs += [_sparse_low_rank(rng, rows, cols, density, q), _sparse_low_rank(rng, cols, rows, density, q)]
+    for rows, cols in ((400, 300), (300, 400), (150, 40), (60, 200)):
+        inputs.append(_sparse_low_rank(rng, rows, cols, float(rng.uniform(0.002, 0.03)), q))
+    inputs += _oracle_differentials()
+    default = linalg.DENSE
+    assert sum(np.count_nonzero(a) * default < a.size for a in inputs) >= 10
+    for a in inputs:
+        before = a.copy()
+        want = _ref_rank_mod(a, q)
+        # sparse rounds to the end, the rank_mod dispatch, the column loop alone
+        for dense in (0, default, a.size + 1):
+            monkeypatch.setattr(linalg, "DENSE", dense)
+            # column-major input: the kernel reads it in row-major order
             for layout in (a, np.asfortranarray(a)):
-                assert rank_mod(layout, q) == want, (a.shape, density)
-            assert np.array_equal(a, before)
+                assert rank_mod(layout, q) == want, (a.shape, dense)
+        assert np.array_equal(a, before)
 
 
 def test_rank_mod_rejects_non_integer_dtypes():
@@ -158,6 +188,13 @@ def test_rank_mod_reduces_wide_integers_exactly():
     assert rank_mod(big, 3) == 1 and rank_mod(big, 5) == 2
     for dtype in (np.int8, np.uint8, np.int32, np.uint32):
         assert rank_mod(np.array([[1, 2], [3, 4]], dtype=dtype), 2) == 1
+    # the same entries in sparse matrices, whose nonzeros alone are reduced
+    for wide in (np.zeros((40, 40), dtype=np.uint64), np.zeros((40, 40), dtype=object)):
+        wide[0, 0], wide[5, 7] = 2**63 + 1, 2**64 - 2
+        assert rank_mod(wide, 3) == 1 and rank_mod(wide, 5) == 2
+    big = np.zeros((40, 40), dtype=object)
+    big[3, 1], big[3, 2], big[9, 1], big[9, 2] = 2**70, 1, 1, 1
+    assert rank_mod(big, 3) == 1 and rank_mod(big, 5) == 2
 
 
 def test_rank_mod_rejects_shapes_that_are_not_2d():

@@ -19,6 +19,7 @@ from bpsing.mforacle import (
     _assemble,
     _base_mf,
     _borrow_sub,
+    _check_composites,
     _landing,
     _layout,
     _monomial_basis,
@@ -107,7 +108,8 @@ def test_monomial_matrix_columns():
 
 
 def test_invariant_guards_wrong_degree_alone():
-    # the odd generator moved by c: the composites are intact
+    # the odd generator moved by c: the composites are intact, and their
+    # cached verdict does not spare the degree check
     f = rank1_mf(W2, 0, 1)
     with pytest.raises(ValueError, match="d0 entry is not homogeneous"):
         GradedMF(W2, f.even, (f.odd[0] + W2.c(),), f.d0, f.d1, f.variables)
@@ -116,8 +118,15 @@ def test_invariant_guards_wrong_degree_alone():
 def test_invariant_guards_wrong_composite_alone():
     # d0 negated: every entry keeps its degree
     f = tensor_mf(rank1_mf(W22, 0, 1), rank1_mf(W22, 1, 1))
-    with pytest.raises(ValueError, match="composite of the factorization pair is not f times identity"):
-        GradedMF(W22, f.even, f.odd, _neg(f.d0), f.d1, f.variables)
+    # no exception is cached, so the bad pair raises on every construction
+    for _ in range(2):
+        with pytest.raises(ValueError, match="composite of the factorization pair is not f times identity"):
+            GradedMF(W22, f.even, f.odd, _neg(f.d0), f.d1, f.variables)
+    # a twist passes on the same matrices and reuses the verdict
+    hits = _check_composites.cache_info().hits
+    f.twist(W22.element((1, 0)))
+    assert _check_composites.cache_info().hits == hits + 1
+    assert _check_composites.cache_info().maxsize is not None
 
 
 def _ref_shift_once(f):
@@ -423,6 +432,11 @@ def test_hom_complex_matches_reference_on_deep_anchor():
     assert shapes == {-1: (1224, 1088), 0: (1368, 1224)}
 
 
+# the ranks of the deep pairs below, the same at both primes, as the
+# column loop found them before the sparse rounds
+DEEP_RANKS = {(3, 4, 5): [577, 647], (2, 2, 2, 2): [545, 799]}
+
+
 @pytest.mark.parametrize(
     "p, level, shapes",
     [
@@ -445,7 +459,7 @@ def test_deep_ranks_match_reference_kernel(p, level, shapes):
     for k, d in zip((-1, 0), diffs):
         assert d.dtype == np.int64 and np.array_equal(d % 32003, _ref_differential(f, g, k, bases[k + 1], bases[k + 2], 32003))
     for q in (32003, PARANOIA_MODULUS):
-        assert [rank_mod(d, q) for d in diffs] == [_ref_rank_mod(d, q) for d in diffs]
+        assert [rank_mod(d, q) for d in diffs] == [_ref_rank_mod(d, q) for d in diffs] == DEEP_RANKS[p]
     assert oracle_hom(a, b) == hom_dim(a, b)
 
 
