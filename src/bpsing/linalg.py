@@ -5,22 +5,28 @@ exact.  The default working field is F_q with q = 32003; a second prime
 and a rational mode exist for paranoia runs.  Moduli are primes below
 2**31, so that a product of two residues fits in int64.
 
-Every integer matrix enters through one intake, ``integer_matrix``: a
-2-D integer array with every value kept, ``[]`` being the 0 x 0 matrix.
-A shape that is not 2-D, ragged rows, a non-integer dtype or a
+Integer matrices have two intakes.  ``integer_matrix`` takes a 2-D
+integer array with every value kept, ``[]`` being the 0 x 0 matrix; a
+shape that is not 2-D, ragged rows, a non-integer dtype or a
 non-integer entry raises ``ValueError``, since truncating a float or
-wrapping a wide integer would lose exactness silently.  ``residues`` is
-the one reduction of such a matrix mod q to int64; uint64 entries and
-Python ints are reduced before the cast.
+wrapping a wide integer would lose exactness silently.  A
+``SparseMatrix`` is the coordinate form, for matrices whose cells are
+mostly zero: a shape, row-major flat keys and integer values, a key
+that repeats standing for the sum of its values; it raises the same
+``ValueError`` for a non-integer value, and for a negative shape, a
+key outside the cells or more cells than ``rank_mod``'s int64 bounds
+allow.  ``residues`` is the one reduction of integer values mod q to
+int64; uint64 entries and Python ints are reduced before the cast.
 
-``rank_mod`` takes the rank over F_q.  The oracle's large matrices are
-about 1% nonzero, so it eliminates them sparsely: in rounds, each a
-batch of pivots whose block is diagonal, removed at once through the
-Schur complement, on coordinate arrays of the nonzeros.  A block at
-least 1/``DENSE`` nonzero, which the small matrices of the oracle and
-of ``gmod`` are, goes to a column loop on a dense copy instead.  Both
-keep every intermediate value below q**2 <= 2**62 in absolute value,
-so nothing overflows int64.
+``rank_mod`` takes the rank over F_q of either form by one
+elimination.  The oracle's large matrices are about 1% nonzero, so it
+eliminates them sparsely: in rounds, each a batch of pivots whose
+block is diagonal, removed at once through the Schur complement, on
+coordinate arrays of the nonzeros.  A block at least 1/``DENSE``
+nonzero, which the small matrices of the oracle and of ``gmod`` are,
+goes to a column loop on a dense copy instead.  Both keep every
+intermediate value below q**2 <= 2**62 in absolute value, so nothing
+overflows int64.
 
 Over the rationals and Z there is one elimination, fraction-free
 Gauss-Jordan (Bareiss), on numpy object arrays of Python ints: numpy
@@ -36,6 +42,7 @@ a ragged, non-square or not 2-D matrix with ``ValueError``.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,12 +106,59 @@ def integer_matrix(a) -> np.ndarray:
         return np.zeros((len(m), m.shape[-1]), dtype=np.int64)
     if m.ndim != 2:
         raise ValueError(f"need a 2-D matrix, not shape {m.shape}")
+    _check_integers(m)
+    return m
+
+
+def _check_integers(m: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry of ``m`` is an integer."""
     if m.dtype == object:
         if not all(isinstance(x, (int, np.integer)) for x in m.flat):
             raise ValueError("need integer entries")
     elif m.dtype.kind not in "iu":
         raise ValueError(f"need an integer matrix, not dtype {m.dtype}")
-    return m
+
+
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """An integer matrix of ``shape`` in coordinates: the sum of the
+    entries ``values[t]`` at row-major flat index ``keys[t]``, so a key
+    may repeat.
+
+    ``keys`` and ``values`` are kept as read-only views, not copies; an
+    empty one may have any dtype.  A shape that is not two nonnegative
+    integers, keys and values that are not 1-D of one length, a key
+    that is not an integer or lies outside the cells, and a non-integer
+    value raise ``ValueError``.  So do 2**32 cells or entries or more:
+    ``rank_mod``'s int64 bounds need fewer.
+    """
+
+    shape: tuple[int, int]
+    keys: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = tuple(self.shape)
+        if len(shape) != 2 or not all(isinstance(x, (int, np.integer)) and x >= 0 for x in shape):
+            raise ValueError(f"need a shape of two nonnegative integers, not {self.shape}")
+        shape = int(shape[0]), int(shape[1])
+        keys, values = (np.asarray(x) for x in (self.keys, self.values))
+        if keys.ndim != 1 or values.shape != keys.shape:
+            raise ValueError(f"need keys and values of one length, not shapes {keys.shape} and {values.shape}")
+        if not keys.size:
+            keys, values = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        if shape[0] * shape[1] >= 2**32 or keys.size >= 2**32:
+            raise ValueError(f"a {shape[0]} x {shape[1]} matrix of {keys.size} entries is beyond the int64 bounds of rank_mod")
+        if keys.dtype.kind not in "iu":
+            raise ValueError(f"need integer keys, not dtype {keys.dtype}")
+        if keys.size and (keys.min() < 0 or keys.max() >= shape[0] * shape[1]):
+            raise ValueError(f"key outside the cells of a {shape[0]} x {shape[1]} matrix")
+        _check_integers(values)
+        keys, values = keys.view(), values.view()
+        keys.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "values", values)
 
 
 def residues(a, q: int) -> np.ndarray:
@@ -124,15 +178,20 @@ def residues(a, q: int) -> np.ndarray:
 def rank_mod(a, q: int) -> int:
     """Rank of an integer matrix over F_q by Gaussian elimination.
 
-    ``a`` goes through ``integer_matrix`` and is left unchanged.  A
-    matrix at least 1/``DENSE`` nonzero, or of 2**32 cells or more, is
-    reduced mod q by ``residues`` and ranked by ``_column_rank``.
-    Otherwise its nonzeros are read once, as row-major flat indices,
-    only they are reduced, and exact zeros are dropped.  Each round then
-    looks at the live block, the rows and columns that still hold a
-    nonzero: once that block is 1/``DENSE`` nonzero it goes to
-    ``_column_rank``, and else one batch of pivots is chosen by
-    ``_pivot_batch`` and eliminated by ``_eliminate``.
+    ``a`` is a ``SparseMatrix`` or goes through ``integer_matrix``, and
+    is left unchanged.  The values of a ``SparseMatrix`` are reduced mod
+    q by ``residues``.  With at least one entry per ``DENSE`` cells they
+    are summed into a dense matrix, reduced again and ranked by
+    ``_column_rank``, so its cells are at most ``DENSE`` times its
+    entries; otherwise they are summed per key mod q, and exact zeros
+    are dropped.  An array at least 1/``DENSE`` nonzero, or of 2**32
+    cells or more, is reduced by ``residues`` and ranked by
+    ``_column_rank``; otherwise its nonzeros are read once, as row-major
+    flat keys, only they are reduced, and exact zeros are dropped.  From
+    the nonzeros, each round looks at the live block, the rows and
+    columns that still hold a nonzero: once that block is 1/``DENSE``
+    nonzero it goes to ``_column_rank``, and else one batch of pivots is
+    chosen by ``_pivot_batch`` and eliminated by ``_eliminate``.
 
     A batch is a set of nonzeros (i_k, j_k), no row i_k nonzero in
     another batch column j_l.  Ordering the batch rows and columns
@@ -150,21 +209,30 @@ def rank_mod(a, q: int) -> int:
 
     In int64: a product of two residues is below q**2 <= 2**62 and is
     reduced before it is summed, a sum of at most one residue per pivot
-    plus one is below 2**63, flat indices are below the cell count, and
-    the priorities are below 2 * cells * (nonzeros + 1) < 2**61 for a
+    plus one, or of the fewer than 2**32 values of a ``SparseMatrix``,
+    is below 2**63, flat indices are below the cell count, and the
+    priorities are below 2 * cells * (nonzeros + 1) < 2**61 for a
     matrix under 2**32 cells at most 1/``DENSE`` nonzero.
     """
     check_modulus(q)
-    m = integer_matrix(a)
-    nonzero = m != 0
-    if np.count_nonzero(nonzero) * DENSE >= m.size or m.size >= 2**32:
-        return _column_rank(np.ascontiguousarray(residues(m, q)), q)
-    nrows, ncols = m.shape
-    keys = np.flatnonzero(nonzero)
-    # the nonzeros as a 1 x nnz matrix, so that ``residues`` reduces them
-    vals = residues(m[np.divmod(keys, ncols)][None], q)[0]
-    keep = vals != 0
-    keys, vals = keys[keep], vals[keep]
+    if isinstance(a, SparseMatrix):
+        (nrows, ncols), keys = a.shape, a.keys.astype(np.int64, copy=False)
+        # the values as a 1 x k matrix, so that ``residues`` reduces them
+        vals = residues(a.values[None], q)[0]
+        if keys.size * DENSE >= nrows * ncols:
+            m = np.zeros(nrows * ncols, dtype=np.int64)
+            np.add.at(m, keys, vals)
+            return _column_rank(m.reshape(nrows, ncols) % q, q)
+        keys, vals = _summed(keys, vals, q)
+    else:
+        m = integer_matrix(a)
+        nonzero = m != 0
+        if np.count_nonzero(nonzero) * DENSE >= m.size or m.size >= 2**32:
+            return _column_rank(np.ascontiguousarray(residues(m, q)), q)
+        (nrows, ncols), keys = m.shape, np.flatnonzero(nonzero)
+        vals = residues(m[np.divmod(keys, ncols)][None], q)[0]
+        keep = vals != 0
+        keys, vals = keys[keep], vals[keep]
     rank = 0
     while keys.size:
         rows, cols = np.divmod(keys, ncols)
@@ -178,8 +246,20 @@ def rank_mod(a, q: int) -> int:
             return rank + _column_rank(block, q)
         pivots = _pivot_batch(rows, cols, row_count, col_count)
         rank += pivots.size
-        keys, vals = _eliminate(keys, vals, rows, cols, m.shape, pivots, q)
+        keys, vals = _eliminate(keys, vals, rows, cols, (nrows, ncols), pivots, q)
     return rank
+
+
+def _summed(keys: np.ndarray, vals: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Residues at flat keys summed per key mod q: the nonzero sums, in
+    row-major order.  A sorted run of keys is cheap for the stable sort."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    head = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    first = np.flatnonzero(head)
+    sums = np.add.reduceat(vals[order], first) % q
+    return keys[first][sums != 0], sums[sums != 0]
 
 
 def _pivot_batch(rows: np.ndarray, cols: np.ndarray, row_count: np.ndarray, col_count: np.ndarray) -> np.ndarray:
@@ -258,14 +338,10 @@ def _eliminate(
     left = np.repeat(np.arange(c_pivot.size), reps)
     starts = np.cumsum(b_count) - b_count
     right = np.arange(ends[-1]) - np.repeat(ends - reps - starts[c_pivot], reps)
+    # E comes sorted, the run that leads
     keys = np.concatenate([keys[e], rows[c][left] * ncols + b_cols[right]])
     vals = np.concatenate([vals[e], q - vals[c][left] * b_vals[right] % q])
-    # E comes sorted, a run that the stable sort exploits
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    sums = np.add.reduceat(vals[order], first) % q
-    return keys[first][sums != 0], sums[sums != 0]
+    return _summed(keys, vals, q)
 
 
 def _column_rank(m: np.ndarray, q: int) -> int:

@@ -60,11 +60,15 @@ verdict.  The Hom complex is a subquotient of its middle term, so an
 empty middle term answers 0 before the outer layouts, the
 differentials and the ranks are built (the modulus is checked first
 all the same).  The differentials are integer matrices of small signed
-entries (sums of monomial coefficients); ``rank_mod`` alone reduces
-them mod q, the nonzeros it reads of a sparse one and the whole of a
-dense one.  The outgoing differential is built and ranked before the
-incoming one is built, so one matrix is alive at a time; the cache
-keeps recipes and ranks, not matrices.
+entries (sums of monomial coefficients), 0.4-5% nonzero at depth, and
+each is built as a ``SparseMatrix``: one flat index and one value per
+monomial of every piece, never a cell per row and column.
+``rank_mod`` alone reduces them mod q and sums the entries that meet,
+and it makes a dense block only of at most ``DENSE`` cells per entry
+or per nonzero left, so the memory goes with the entries and the
+fill-in rather than with rows times columns.  The outgoing
+differential is built and ranked before the incoming one is built;
+the cache keeps recipes and ranks, not matrices.
 
 Conventions are pinned by self-checks rather than trusted: the
 suspension is the twisted rotation
@@ -101,7 +105,7 @@ from operator import add
 import numpy as np
 
 from .grading import GradeElement, WeightSystem
-from .linalg import DEFAULT_MODULUS, check_modulus, rank_mod
+from .linalg import DEFAULT_MODULUS, SparseMatrix, check_modulus, rank_mod
 from .stable import StableObject, cuboid_objects
 
 # A degree unboxed from its normal form: (coeffs, level).
@@ -122,8 +126,9 @@ class MonomialMatrix:
     row as (column, coeff, exponents) and its column count.
 
     ``cols`` lists the same entries by column as (row, coeff, exponents);
-    it is built once, here, and an entry outside the columns raises.  So
-    is the hash, since the Hom complex looks its pieces up by matrix.
+    it is built once, here, and a negative column count or an entry
+    outside the columns raises ``ValueError``.  So is the hash, since
+    the Hom complex looks its pieces up by matrix.
     """
 
     rows: tuple[tuple[Term, ...], ...]
@@ -132,6 +137,8 @@ class MonomialMatrix:
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.ncols < 0:
+            raise ValueError(f"a matrix with {self.ncols} columns")
         cols = [[] for _ in range(self.ncols)]
         for i, row in enumerate(self.rows):
             for j, coeff, exps in row:
@@ -520,11 +527,12 @@ def _recipe(f: GradedMF, g: GradedMF, k: int, cols: Layout, rows: Layout) -> Rec
     return len(p), _dim(rows), ncols, tuple(out)
 
 
-def _assemble(recipe: Recipe) -> np.ndarray:
-    """The matrix of a recipe of ``_recipe``, unreduced int64.  One
-    ``np.add.at`` writes every piece."""
+def _assemble(recipe: Recipe) -> SparseMatrix:
+    """The matrix of a recipe of ``_recipe``, unreduced, in coordinates:
+    one flat index and one value per monomial of every piece, so where
+    pieces meet, ``rank_mod`` sums them."""
     n, nrows, ncols, pieces = recipe
-    mat = np.zeros((nrows, ncols), dtype=np.int64)
+    at, values = (), ()
     if pieces:
         stay = (0,) * n
         # piece j adds values[j] at flat index starts[j] + ncols * maps[j][i]
@@ -534,8 +542,8 @@ def _assemble(recipe: Recipe) -> np.ndarray:
         spans = [_position_map(n, level, stay) for level in levels]  # 0 .. size - 1
         sizes = np.array([len(pos) for pos in maps], dtype=np.intp)
         at = np.repeat(np.array(pieces[::4], dtype=np.intp), sizes) + ncols * np.concatenate(maps) + np.concatenate(spans)
-        np.add.at(mat.reshape(-1), at, np.repeat(np.array(pieces[3::4], dtype=np.int64), sizes))
-    return mat
+        values = np.repeat(np.array(pieces[3::4], dtype=np.int64), sizes)
+    return SparseMatrix((nrows, ncols), at, values)
 
 
 @lru_cache(maxsize=2**10)

@@ -275,6 +275,14 @@ def test_oracle_check_pair_with_zero_object(capsys, pair):
     assert data["calculus"] == data["oracle"] == 0 and data["agree"]
 
 
+def test_oracle_check_pair_at_level_minus_24(capsys):
+    # two differentials of about 10^8 cells, ranked from their nonzeros
+    code, out, _ = run(capsys, "oracle-check", "-p", "3,4,5", "--pair", "U[1,1,1](0,0,0;-24)", "U[1,1,1]")
+    assert code == 0
+    data = json.loads(out)
+    assert data["calculus"] == data["oracle"] == 0 and data["agree"] is True
+
+
 def _readme_command_lines():
     # the bpsing lines of the README's sh blocks, without comments or redirects
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()

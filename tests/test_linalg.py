@@ -11,6 +11,7 @@ from bpsing.grading import WeightSystem
 from bpsing.linalg import (
     DEFAULT_MODULUS,
     PARANOIA_MODULUS,
+    SparseMatrix,
     charpoly_int,
     _exact_div,
     _gauss_jordan,
@@ -130,6 +131,33 @@ def _sparse_low_rank(rng, rows, cols, density, q):
     return a
 
 
+def _dense_of(m):
+    """The int64 array of a ``SparseMatrix`` of int64 values: its
+    entries summed per cell."""
+    out = np.zeros(m.shape, dtype=np.int64)
+    np.add.at(out.reshape(-1), m.keys, m.values)
+    return out
+
+
+def _coordinate_forms(a, q, rng):
+    """``a`` as a ``SparseMatrix`` three ways, in shuffled order: each
+    nonzero split into two entries, plus pairs that cancel mod q at a
+    few cells; with int64 values, uint64 values of at least 2**63 and
+    Python ints beyond int64, all of the same residues."""
+    keys = np.flatnonzero(np.ravel(a))
+    vals = np.ravel(a)[keys]
+    part = rng.integers(-q, q, keys.size)
+    cancel = rng.integers(0, max(a.size, 1), 3 if a.size else 0)
+    other = rng.integers(0, q, cancel.size)
+    keys = np.concatenate([keys, keys, cancel, cancel])
+    vals = np.concatenate([vals - part, part, other, q - other])
+    order = rng.permutation(keys.size)
+    keys, vals = keys[order], vals[order]
+    # q * (2**63 // q + 1) lies in [2**63, 2**63 + q)
+    wide = (vals % q).astype(np.uint64) + np.uint64(q * (2**63 // q + 1))
+    return [SparseMatrix(a.shape, keys, v) for v in (vals, wide, vals.astype(object) - 2**70 * q)]
+
+
 def _oracle_differentials():
     """The differentials of two deep Hom complexes, about 1% to 2%
     nonzero: U[1,1](0,0;-30) against U[1,1] over (3,4) and
@@ -141,7 +169,7 @@ def _oracle_differentials():
         f = mf_of(StableObject(ws, ell, ws.element((0,) * ws.n, level), 0))
         g = mf_of(U(ws, ell))
         terms = [_layout(ws, _pair_degrees(f, g, k, 0)) for k in (-1, 0, 1)]
-        out += [_assemble(_recipe(f, g, k, terms[k + 1], terms[k + 2])) for k in (-1, 0)]
+        out += [_dense_of(_assemble(_recipe(f, g, k, terms[k + 1], terms[k + 2]))) for k in (-1, 0)]
     return out
 
 
@@ -156,17 +184,21 @@ def test_rank_mod_matches_reference_kernel(q, monkeypatch):
     for rows, cols in ((400, 300), (300, 400), (150, 40), (60, 200)):
         inputs.append(_sparse_low_rank(rng, rows, cols, float(rng.uniform(0.002, 0.03)), q))
     inputs += _oracle_differentials()
+    inputs += [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (0, 7), (7, 0), (4, 6))]
     default = linalg.DENSE
     assert sum(np.count_nonzero(a) * default < a.size for a in inputs) >= 10
     for a in inputs:
         before = a.copy()
         want = _ref_rank_mod(a, q)
+        coordinates = _coordinate_forms(a, q, rng)
         # sparse rounds to the end, the rank_mod dispatch, the column loop alone
         for dense in (0, default, a.size + 1):
             monkeypatch.setattr(linalg, "DENSE", dense)
             # column-major input: the kernel reads it in row-major order
             for layout in (a, np.asfortranarray(a)):
                 assert rank_mod(layout, q) == want, (a.shape, dense)
+            for m in coordinates:
+                assert rank_mod(m, q) == want, (a.shape, dense, m.values.dtype)
         assert np.array_equal(a, before)
 
 
@@ -195,6 +227,46 @@ def test_rank_mod_reduces_wide_integers_exactly():
     big = np.zeros((40, 40), dtype=object)
     big[3, 1], big[3, 2], big[9, 1], big[9, 2] = 2**70, 1, 1, 1
     assert rank_mod(big, 3) == 1 and rank_mod(big, 5) == 2
+
+
+def test_sparse_matrix_sums_repeated_keys():
+    # (0, 1) as 1 + 1, and (1, 0) as 2 + 1 - 3: rank 1, but 0 mod 2
+    m = SparseMatrix((2, 2), np.array([1, 2, 1, 2, 2]), np.array([1, 2, 1, 1, -3]))
+    assert np.array_equal(_dense_of(m), [[0, 2], [0, 0]])
+    assert rank_mod(m, 3) == 1 and rank_mod(m, 2) == 0
+    assert rank_mod(SparseMatrix((3, 4), [], []), DEFAULT_MODULUS) == 0
+    assert not (m.keys.flags.writeable or m.values.flags.writeable)
+
+
+@pytest.mark.parametrize(
+    "shape, keys, values, message",
+    [
+        ((-1, 3), [], [], "nonnegative integers"),
+        ((3, -1), [], [], "nonnegative integers"),
+        ((3,), [], [], "nonnegative integers"),
+        ((2.0, 3), [], [], "nonnegative integers"),
+        ((2, 3), [6], [1], "outside the cells"),
+        ((2, 3), [-1], [1], "outside the cells"),
+        ((0, 3), [0], [1], "outside the cells"),
+        ((2, 3), [1.0], [1], "integer keys"),
+        ((2, 3), [1], [0.5], "integer matrix, not dtype"),
+        ((2, 3), [1], [True], "integer matrix, not dtype"),
+        ((2, 3), [1, 2], np.array([1, 0.5], dtype=object), "integer entries"),
+        ((2, 3), [1, 2], [1], "one length"),
+        ((2, 3), [[1]], [[1]], "one length"),
+        # 2**32 cells: flat keys and pivot priorities would leave int64
+        ((2**16, 2**16), [], [], "int64 bounds"),
+        ((2**32, 1), [], [], "int64 bounds"),
+    ],
+)
+def test_sparse_matrix_rejects_malformed_coordinates(shape, keys, values, message):
+    with pytest.raises(ValueError, match=message):
+        rank_mod(SparseMatrix(shape, np.asarray(keys), np.asarray(values)), DEFAULT_MODULUS)
+
+
+def test_sparse_matrix_accepts_the_largest_shape():
+    m = SparseMatrix((2**16, 2**16 - 1), np.array([0, 2**32 - 2**16 - 1]), np.array([1, 1]))
+    assert rank_mod(m, DEFAULT_MODULUS) == 2
 
 
 def test_rank_mod_rejects_shapes_that_are_not_2d():

@@ -1,9 +1,11 @@
 """The matrix-factorization oracle: constructions, conventions, audits."""
 
 import itertools
+import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,7 @@ from bpsing.mforacle import (
 )
 from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, knorrer_transport, rho_k, zero_object
 from kunneth_ref import criterion_1_pairs, kunneth_count, ref_kunneth_hom
-from test_linalg import _ref_rank_mod
+from test_linalg import _dense_of, _ref_rank_mod
 
 W2 = WeightSystem((2,))
 W22 = WeightSystem((2, 2))
@@ -105,6 +107,8 @@ def test_monomial_matrix_columns():
     for j in (3, -1):
         with pytest.raises(ValueError, match=f"entry in column {j} of a matrix with 3 columns"):
             MonomialMatrix((((j, 1, (0, 0)),),), 3)
+    with pytest.raises(ValueError, match="a matrix with -1 columns"):
+        MonomialMatrix((), -1)
 
 
 def test_invariant_guards_wrong_degree_alone():
@@ -304,8 +308,8 @@ def test_hom_complex_differentials_compose_to_zero():
     g = mf_of(rho_k(W34))
     for m in (-2, -1, 0, 1, 2):
         prev, mid, nxt = (_term(f, g, k) for k in (m - 1, m, m + 1))
-        d1 = _assemble(_recipe(f, g, m - 1, prev, mid))
-        d2 = _assemble(_recipe(f, g, m, mid, nxt))
+        d1 = _dense_of(_assemble(_recipe(f, g, m - 1, prev, mid)))
+        d2 = _dense_of(_assemble(_recipe(f, g, m, mid, nxt)))
         # unreduced, so this holds over the integers
         assert not (d2 @ d1).any()
 
@@ -399,7 +403,7 @@ def _assert_matches_reference(a, b, ks=range(-2, 3), q=32003):
         assert _layout(ws, _pair_degrees(f, g, k - 1, -1), 1) == _term(f, g, k + 1), (str(a), str(b), k)
     shapes = {}
     for k in ks:
-        got = _assemble(_recipe(f, g, k, layouts[k], layouts[k + 1]))
+        got = _dense_of(_assemble(_recipe(f, g, k, layouts[k], layouts[k + 1])))
         want = _ref_differential(f, g, k, bases[k], bases[k + 1], q)
         # the oracle leaves the reduction mod q to rank_mod
         assert got.dtype == want.dtype == np.int64 and np.array_equal(got % q, want), (str(a), str(b), k)
@@ -454,12 +458,14 @@ def test_deep_ranks_match_reference_kernel(p, level, shapes):
     layouts = [_term(f, g, k) for k in (-1, 0, 1)]
     bases = [_ref_term_basis(f, g, k) for k in (-1, 0, 1)]
     assert [_expanded(layout, ws) for layout in layouts] == bases
-    diffs = [_assemble(_recipe(f, g, k, layouts[k + 1], layouts[k + 2])) for k in (-1, 0)]
-    assert [d.shape for d in diffs] == shapes
+    sparse = [_assemble(_recipe(f, g, k, layouts[k + 1], layouts[k + 2])) for k in (-1, 0)]
+    diffs = [_dense_of(d) for d in sparse]
+    assert [d.shape for d in sparse] == [d.shape for d in diffs] == shapes
     for k, d in zip((-1, 0), diffs):
         assert d.dtype == np.int64 and np.array_equal(d % 32003, _ref_differential(f, g, k, bases[k + 1], bases[k + 2], 32003))
     for q in (32003, PARANOIA_MODULUS):
         assert [rank_mod(d, q) for d in diffs] == [_ref_rank_mod(d, q) for d in diffs] == DEEP_RANKS[p]
+        assert [rank_mod(d, q) for d in sparse] == DEEP_RANKS[p]
     assert oracle_hom(a, b) == hom_dim(a, b)
 
 
@@ -484,18 +490,20 @@ def test_wrong_degree_block_raises_without_asserts():
 from bpsing.grading import WeightSystem
 from bpsing.mforacle import _assemble, _layout, _pair_degrees, _recipe, mf_of
 from bpsing.stable import U, rho_k
+from test_linalg import _dense_of
 ws = WeightSystem((3, 4))
 f, g = mf_of(U(ws, (2, 3), ws.x(0), 1)), mf_of(rho_k(ws))
 cols, rows = (_layout(ws, _pair_degrees(f, g, k, 0)) for k in (1, 2))
-nonzero = _assemble(_recipe(f, g, 1, cols, rows)).any()
+nonzero = _dense_of(_assemble(_recipe(f, g, 1, cols, rows))).any()
 rows = {key: (coeffs, level + 1, offset, size) for key, (coeffs, level, offset, size) in rows.items()}
 try:
     _assemble(_recipe(f, g, 1, cols, rows))
 except ValueError as exc:
     print(nonzero, "ValueError:", exc)
 """
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    tests = Path(__file__).resolve().parent
+    path = f"{tests.parent / 'src'}{os.pathsep}{tests}"
+    out = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("True ValueError: an entry maps pair"), out.stdout
 
@@ -668,7 +676,7 @@ def test_rank_cache_misses_on_a_changed_piece():
     _rank(recipe, DEFAULT_MODULUS)
     for piece in changed:
         other = (n, nrows, ncols, pieces[:j] + piece + pieces[j + 4 :])
-        assert not np.array_equal(_assemble(other), _assemble(recipe))
+        assert not np.array_equal(_dense_of(_assemble(other)), _dense_of(_assemble(recipe)))
         assert _rank(other, DEFAULT_MODULUS) == rank_mod(_assemble(other), DEFAULT_MODULUS)
     info = _rank.cache_info()
     assert (info.misses, info.hits) == (3, 0)
@@ -688,6 +696,31 @@ def test_rank_cache_sweep_matches_reference():
     # 660 ranked pairs of differentials among 43 distinct ones
     info = _rank.cache_info()
     assert info.hits > info.misses > 0
+
+
+def test_oracle_reaches_level_minus_24_in_bounded_memory():
+    # U[1,1,1] twisted down to level -24 against U[1,1,1] over (3,4,5):
+    # two differentials of about 10^8 cells each, which as dense int64
+    # matrices would take at least 800 MB
+    ws = WeightSystem((3, 4, 5))
+    a, b = StableObject(ws, (1, 1, 1), ws.element((0, 0, 0), -24), 0), U(ws, (1, 1, 1))
+    f, g = mf_of(a), mf_of(b)
+    qs = (DEFAULT_MODULUS, PARANOIA_MODULUS)
+    _rank.cache_clear()
+    tracemalloc.start()
+    try:
+        dims = [stable_hom_dim_oracle(f, g, 0, q) for q in qs]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == [hom_dim(a, b)] * 2 == [0, 0]
+    assert peak < 64 * 2**20, peak
+    # the ranks the oracle subtracted, of the outgoing and the incoming differential
+    layouts = [_term(f, g, k) for k in (-1, 0, 1)]
+    recipes = [_recipe(f, g, k, layouts[k + 1], layouts[k + 2]) for k in (0, -1)]
+    assert [[rank_mod(_assemble(recipe), q) for recipe in recipes] for q in qs] == [[4999, 4801]] * 2
+    assert [_rank(recipe, q) for q in qs for recipe in recipes] == [4999, 4801] * 2
+    assert sum(recipe[1] * recipe[2] for recipe in recipes) * 8 > 800 * 2**20
 
 
 def _ref_stable_hom_dim_oracle(f, g, m, q=32003):
