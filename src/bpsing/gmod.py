@@ -30,11 +30,12 @@ class GradedModule:
     """A graded module, validated once on construction.
 
     Every action is read by ``linalg.residues``, which reduces it mod
-    32003 exactly.  Construction raises ``ValueError`` on an action that
-    is not an integer matrix, on one that is not (dim M_{x+x_i}) x
-    (dim M_x), so that an action keyed at a degree outside the support
-    must be empty, on actions that do not commute, and on a sum
-    X_i^p_i that does not act by zero.
+    32003 exactly.  Construction raises ``ValueError`` on an action
+    keyed by a variable index i outside 0..n-1, on one that is not an
+    integer matrix, on one that is not (dim M_{x+x_i}) x (dim M_x), so
+    that an action keyed at a degree outside the support must be empty,
+    on actions that do not commute, and on a sum X_i^p_i that does not
+    act by zero.
     """
 
     def __init__(
@@ -50,6 +51,9 @@ class GradedModule:
         self.dims = {x: d for x, d in dims.items() if d > 0}
         self.actions = {}
         for (i, x), mat in actions.items():
+            i = operator.index(i)
+            if not 0 <= i < weights.n:
+                raise ValueError(f"action of variable index {i} outside 0..{weights.n - 1}")
             m = residues(mat, DEFAULT_MODULUS)
             shape = (self.dim_at(x + weights.x(i)), self.dim_at(x))
             if m.shape != shape:

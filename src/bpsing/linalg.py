@@ -5,26 +5,26 @@ exact.  The default working field is F_q with q = 32003; a second prime
 and a rational mode exist for paranoia runs.  Moduli are primes below
 2**31, so that a product of two residues fits in int64.
 
-Integer matrices have two intakes.  ``integer_matrix`` takes a 2-D
-integer array with every value kept, ``[]`` being the 0 x 0 matrix; a
-shape that is not 2-D, ragged rows, a non-integer dtype or a
-non-integer entry raises ``ValueError``, since truncating a float or
-wrapping a wide integer would lose exactness silently.  A
-``SparseMatrix`` is the coordinate form, for matrices whose cells are
-mostly zero: a shape, row-major flat keys and integer values, a key
-that repeats standing for the sum of its values; it raises the same
-``ValueError`` for a non-integer value, and for a negative shape, a
-key outside the cells or more cells than ``rank_mod``'s int64 bounds
-allow.  ``residues`` is the one reduction of integer values mod q to
-int64; uint64 entries and Python ints are reduced before the cast.
+``integer_matrix`` takes a 2-D integer array with every value kept,
+``[]`` being the 0 x 0 matrix; a shape that is not 2-D, ragged rows, a
+non-integer dtype or a non-integer entry raises ``ValueError``, since
+truncating a float or wrapping a wide integer would lose exactness
+silently.  A ``SparseMatrix`` is the coordinate form: a shape,
+row-major flat keys and integer values, a key that repeats standing
+for the sum of its values; it raises the same ``ValueError`` for a
+non-integer value, and for a negative shape, a key outside the cells
+or more cells than ``rank_mod``'s int64 bounds allow.  ``residues`` is
+the one reduction of integer values mod q to int64; uint64 entries and
+Python ints are reduced before the cast.
 
-``rank_mod`` takes the rank over F_q of either form by one
-elimination.  The oracle's large matrices are about 1% nonzero, so it
-eliminates them sparsely: in rounds, each a batch of pivots whose
-block is diagonal, removed at once through the Schur complement, on
-coordinate arrays of the nonzeros.  A block at least 1/``DENSE``
-nonzero, which the small matrices of the oracle and of ``gmod`` are,
-goes to a column loop on a dense copy instead.  Both keep every
+``rank_mod`` takes the rank over F_q of a matrix in coordinates, and
+reads an array into that form first, so every matrix has one intake.
+A matrix at least 1/``DENSE`` nonzero, which the small matrices of the
+oracle and of ``gmod`` are, is summed into a dense block and
+eliminated column by column.  The oracle's large matrices are about 1%
+nonzero, so it eliminates them sparsely: in rounds, each a batch of
+pivots whose block is diagonal, removed at once through the Schur
+complement, on coordinate arrays of the nonzeros.  Both keep every
 intermediate value below q**2 <= 2**62 in absolute value, so nothing
 overflows int64.
 
@@ -42,6 +42,7 @@ a ragged, non-square or not 2-D matrix with ``ValueError``.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +50,16 @@ import numpy as np
 DEFAULT_MODULUS = 32003
 PARANOIA_MODULUS = 65537
 
-# ``rank_mod`` hands a block with at least one nonzero in DENSE cells
-# to the column loop.  Denser blocks give few independent pivots per
-# round, and on small ones the per-round overhead outweighs the loop's
-# work on cells; the small matrices of the oracle are both.  Timed one
-# by one on the matrices of one job of each benchmark workload, the
-# sparse rounds lost on all 210 of up to 4000 cells (7.5-100% nonzero)
-# and won on 226 of the 230 larger ones (0.4-5.1% nonzero); thresholds
-# from 1/12 to 1/20 gave the least total time, and ``gmod``'s matrices
-# (at least 1/12 nonzero) all stay dense.
+# ``rank_mod`` hands a matrix, or a live block of its rounds, with at
+# least one nonzero in DENSE cells to the column loop, arrays and
+# ``SparseMatrix`` inputs alike.  Denser blocks give few independent
+# pivots per round, and on small ones the per-round overhead outweighs
+# the loop's work on cells; the small matrices of the oracle are both.
+# Timed one by one on the matrices of one job of each benchmark
+# workload, the sparse rounds lost on all 210 of up to 4000 cells
+# (7.5-100% nonzero) and won on 226 of the 230 larger ones (0.4-5.1%
+# nonzero); thresholds from 1/12 to 1/20 gave the least total time, and
+# ``gmod``'s matrices (at least 1/12 nonzero) all stay dense.
 DENSE = 16
 
 
@@ -74,19 +76,24 @@ def is_prime(q: int) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=8)
-def check_modulus(q: int) -> None:
-    """Reject a modulus that is not a prime below 2**31.
+@functools.lru_cache(maxsize=8, typed=True)
+def check_modulus(q: int) -> int:
+    """``q`` as an ``int``, after rejecting a modulus that is not a
+    prime below 2**31.
 
     Residues of a larger modulus can have products beyond int64, and
-    numpy would wrap them silently.  A valid modulus is remembered, so
-    the trial division runs once per value; a rejected one raises on
-    every call.
+    numpy would wrap them silently.  A value that is not an integer
+    (``operator.index`` fails on it) raises ``TypeError``, a float
+    such as 7.0 too.  A valid modulus is remembered, keyed by value and
+    type, so the trial division runs once per value and type and 7.0
+    never meets the entry of 7; a rejected one raises on every call.
     """
+    q = operator.index(q)
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
     if q >= 2**31:
         raise ValueError(f"modulus {q} is not below 2**31")
+    return q
 
 
 def integer_matrix(a) -> np.ndarray:
@@ -178,20 +185,19 @@ def residues(a, q: int) -> np.ndarray:
 def rank_mod(a, q: int) -> int:
     """Rank of an integer matrix over F_q by Gaussian elimination.
 
-    ``a`` is a ``SparseMatrix`` or goes through ``integer_matrix``, and
-    is left unchanged.  The values of a ``SparseMatrix`` are reduced mod
-    q by ``residues``.  With at least one entry per ``DENSE`` cells they
-    are summed into a dense matrix, reduced again and ranked by
-    ``_column_rank``, so its cells are at most ``DENSE`` times its
-    entries; otherwise they are summed per key mod q, and exact zeros
-    are dropped.  An array at least 1/``DENSE`` nonzero, or of 2**32
-    cells or more, is reduced by ``residues`` and ranked by
-    ``_column_rank``; otherwise its nonzeros are read once, as row-major
-    flat keys, only they are reduced, and exact zeros are dropped.  From
-    the nonzeros, each round looks at the live block, the rows and
-    columns that still hold a nonzero: once that block is 1/``DENSE``
-    nonzero it goes to ``_column_rank``, and else one batch of pivots is
-    chosen by ``_pivot_batch`` and eliminated by ``_eliminate``.
+    ``a`` is a ``SparseMatrix``, or goes through ``integer_matrix`` and
+    becomes the ``SparseMatrix`` of its nonzeros, which raises
+    ``ValueError`` at 2**32 cells or more; ``a`` is left unchanged.  The
+    values are reduced mod q by ``residues``.  With at least one entry
+    per ``DENSE`` cells they are summed into a dense matrix, reduced
+    again and ranked by ``_column_rank``, so its cells are at most
+    ``DENSE`` times its entries; a matrix with no entries has rank 0
+    without it.  Otherwise they are summed per key mod q, and exact
+    zeros are dropped.  From the nonzeros, each round looks at the live
+    block, the rows and columns that still hold a nonzero: once that
+    block is 1/``DENSE`` nonzero it goes to ``_column_rank``, and else
+    one batch of pivots is chosen by ``_pivot_batch`` and eliminated by
+    ``_eliminate``.
 
     A batch is a set of nonzeros (i_k, j_k), no row i_k nonzero in
     another batch column j_l.  Ordering the batch rows and columns
@@ -214,25 +220,19 @@ def rank_mod(a, q: int) -> int:
     priorities are below 2 * cells * (nonzeros + 1) < 2**61 for a
     matrix under 2**32 cells at most 1/``DENSE`` nonzero.
     """
-    check_modulus(q)
-    if isinstance(a, SparseMatrix):
-        (nrows, ncols), keys = a.shape, a.keys.astype(np.int64, copy=False)
-        # the values as a 1 x k matrix, so that ``residues`` reduces them
-        vals = residues(a.values[None], q)[0]
-        if keys.size * DENSE >= nrows * ncols:
-            m = np.zeros(nrows * ncols, dtype=np.int64)
-            np.add.at(m, keys, vals)
-            return _column_rank(m.reshape(nrows, ncols) % q, q)
-        keys, vals = _summed(keys, vals, q)
-    else:
+    q = check_modulus(q)
+    if not isinstance(a, SparseMatrix):
         m = integer_matrix(a)
-        nonzero = m != 0
-        if np.count_nonzero(nonzero) * DENSE >= m.size or m.size >= 2**32:
-            return _column_rank(np.ascontiguousarray(residues(m, q)), q)
-        (nrows, ncols), keys = m.shape, np.flatnonzero(nonzero)
-        vals = residues(m[np.divmod(keys, ncols)][None], q)[0]
-        keep = vals != 0
-        keys, vals = keys[keep], vals[keep]
+        keys = np.flatnonzero(m)
+        a = SparseMatrix(m.shape, keys, m.reshape(-1)[keys])
+    (nrows, ncols), keys = a.shape, a.keys.astype(np.int64, copy=False)
+    # the values as a 1 x k matrix, so that ``residues`` reduces them
+    vals = residues(a.values[None], q)[0]
+    if keys.size and keys.size * DENSE >= nrows * ncols:
+        m = np.zeros(nrows * ncols, dtype=np.int64)
+        np.add.at(m, keys, vals)
+        return _column_rank(m.reshape(nrows, ncols) % q, q)
+    keys, vals = _summed(keys, vals, q)
     rank = 0
     while keys.size:
         rows, cols = np.divmod(keys, ncols)
@@ -346,7 +346,9 @@ def _eliminate(
 
 def _column_rank(m: np.ndarray, q: int) -> int:
     """Rank over F_q of a row-major int64 matrix of residues, eliminated
-    in place column by column.
+    in place column by column: the dense blocks of ``rank_mod``, each
+    with at least one entry per ``DENSE`` cells, so the loop visits at
+    most ``DENSE`` columns per entry.
 
     Column c takes the first live row nonzero in column c as pivot
     row.  Its support, the columns where it is nonzero, starts at c,

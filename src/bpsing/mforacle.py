@@ -98,6 +98,7 @@ symbolic calculus (both directions must be suspected):
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
@@ -481,10 +482,16 @@ def _pieces(f0: MonomialMatrix, f1: MonomialMatrix, g0: MonomialMatrix, g1: Mono
 
 
 def stable_hom_dim_oracle(f: GradedMF, g: GradedMF, m: int, q: int = DEFAULT_MODULUS) -> int:
-    """Dimension of stable Hom(F, G[m]) from the folded Hom complex."""
+    """Dimension of stable Hom(F, G[m]) from the folded Hom complex.
+
+    A shift that is not an integer (``operator.index`` fails on it)
+    raises ``TypeError``, a float such as 1.0 too, and so does a
+    modulus that is not one.
+    """
+    m = operator.index(m)
     if f.weights != g.weights:
         raise ValueError("mismatched weight systems")
-    check_modulus(q)
+    q = check_modulus(q)
     ws = f.weights
     mid = _layout(ws, _pair_degrees(f, g, m, 0))
     if not mid:
@@ -553,13 +560,15 @@ def _rank(recipe: Recipe, q: int) -> int:
     return rank_mod(_assemble(recipe), q)
 
 
-@lru_cache(maxsize=2**16)
+@lru_cache(maxsize=2**16, typed=True)
 def oracle_hom(a: StableObject, b: StableObject, m: int = 0, q: int = DEFAULT_MODULUS) -> int:
     """Oracle dimension of Hom(A, B[m]) for stable objects.
 
     A zero object becomes the empty factorization, whose Hom complex
-    has an empty middle term, so it answers 0 after the weights and
-    the modulus are checked, as every other pair does.
+    has an empty middle term, so it answers 0 after the shift, the
+    weights and the modulus are checked, as every other pair does.  The
+    cache is keyed by value and type, so a shift of 1.0 raises even
+    after the shift 1 is cached.
     """
     return stable_hom_dim_oracle(mf_of(a), mf_of(b), m, q)
 

@@ -99,6 +99,18 @@ def test_construction_rejects_misshapen_action():
         GradedModule(ws, {ws.zero(): 1}, {(0, ws.zero()): np.array([[1], [1]])})
 
 
+def test_construction_rejects_variable_index_out_of_range():
+    # X_2 from degree 0 to x_2: as key (-1, 0) the shape check passed
+    # through x(-1) = x_2, and the action was stored where nothing reads it
+    dims = {W34.zero(): 1, W34.x(1): 1}
+    one = np.array([[1]])
+    m = GradedModule(W34, dims, {(np.int64(1), W34.zero()): one})
+    assert module_hom_dim(m, m) == 1
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="variable index"):
+            GradedModule(W34, dims, {(i, W34.zero()): one})
+
+
 def test_power_act_is_iterated_action():
     e = make_E(W34, (2, 3), W34.x(0))
     for x in e.dims:

@@ -80,6 +80,22 @@ def test_valid_modulus_checked_once():
             rank_mod(a, 32004)
 
 
+def test_modulus_must_be_an_integer():
+    # 7.0 equals 7 and hashes alike, so an untyped cache would pass it
+    check_modulus.cache_clear()
+    a = np.array([[7, 14], [1, 2]])
+    for _ in range(2):
+        for bad in (2.5, 7.0):
+            with pytest.raises(TypeError):
+                check_modulus(bad)
+            with pytest.raises(TypeError):
+                rank_mod(a, bad)
+        assert check_modulus(7) == 7
+    q = check_modulus(np.int64(7))
+    assert q == 7 and type(q) is int
+    assert rank_mod(a, np.int64(7)) == rank_mod(a, 7) == 1
+
+
 
 # -- the rank kernel against the swapping one ------------------------------
 #
@@ -262,6 +278,18 @@ def test_sparse_matrix_sums_repeated_keys():
 def test_sparse_matrix_rejects_malformed_coordinates(shape, keys, values, message):
     with pytest.raises(ValueError, match=message):
         rank_mod(SparseMatrix(shape, np.asarray(keys), np.asarray(values)), DEFAULT_MODULUS)
+
+
+def test_rank_mod_of_no_entries_skips_the_column_loop(monkeypatch):
+    # 0 * DENSE >= 0 cells must not send an empty matrix to the column
+    # loop, which would scan every one of its columns
+    def column_loop(m, q):
+        raise RuntimeError(f"column loop on a {m.shape} matrix")
+
+    monkeypatch.setattr(linalg, "_column_rank", column_loop)
+    for shape in ((0, 2**31 - 1), (2**31 - 1, 0), (3, 10**6)):
+        for a in (np.zeros(shape, dtype=np.int8), SparseMatrix(shape, [], [])):
+            assert rank_mod(a, DEFAULT_MODULUS) == 0, shape
 
 
 def test_sparse_matrix_accepts_the_largest_shape():

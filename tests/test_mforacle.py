@@ -173,6 +173,20 @@ def test_oracle_rigidity_sample():
     assert oracle_hom(rho_k(W34), rho_k(W34), 1) == 0
 
 
+def test_oracle_shift_must_be_an_integer():
+    # 0.5 used to answer 0 where the middle term is empty, and to fail
+    # deep inside elsewhere; 1.0 must not hit the cached answer of 1
+    one, other = U(W34, (1, 1)), U(W34, (2, 3))
+    for a, b in ((one, other), (one, one), (other, one)):
+        oracle_hom(a, b, 1)
+        for m in (0.5, 1.0, 2.0):
+            with pytest.raises(TypeError):
+                oracle_hom(a, b, m)
+            with pytest.raises(TypeError):
+                stable_hom_dim_oracle(mf_of(a), mf_of(b), m)
+        assert oracle_hom(a, b, np.int64(2)) == oracle_hom(a, b, 2)
+
+
 def _random_objects(ws, count, seed):
     rng = random.Random(seed)
     out = []

@@ -1,8 +1,11 @@
 """Source-level properties of the package."""
 
 import ast
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import bpsing
 
@@ -61,6 +64,20 @@ def test_caches_are_bounded():
                 if any(_cache_bound(d) == "unbounded" for d in node.decorator_list):
                     unbounded.append(f"{name}:{node.name}")
     assert unbounded == []
+
+
+def test_sources_parse_at_the_minimum_python():
+    # syntax of a later Python (``except*``, ``type`` aliases) would
+    # break the declared minimum; tomllib is 3.11+, so a regex reads it
+    root = Path(__file__).resolve().parent.parent
+    found = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', (root / "pyproject.toml").read_text())
+    version = int(found[1]), int(found[2])
+    paths = [path for d in ("src", "tests", "bench") for path in sorted((root / d).rglob("*.py"))]
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=version)
 
 
 def test_cache_bound_reader():
