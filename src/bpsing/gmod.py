@@ -52,8 +52,6 @@ class GradedModule:
         self.actions = {}
         for (i, x), mat in actions.items():
             i = operator.index(i)
-            if not 0 <= i < weights.n:
-                raise ValueError(f"action of variable index {i} outside 0..{weights.n - 1}")
             m = residues(mat, DEFAULT_MODULUS)
             shape = (self.dim_at(x + weights.x(i)), self.dim_at(x))
             if m.shape != shape:

@@ -59,8 +59,12 @@ class WeightSystem:
         return xs, GradeElement(self, (0,) * self.n, 1), normalize(self, [1] * self.n, 0)
 
     def x(self, i: int) -> GradeElement:
-        """The generator x_i (0-based index)."""
-        return self._basics[0][i]
+        """The generator x_i (0-based index i in 0..n-1)."""
+        xs = self._basics[0]
+        i = operator.index(i)
+        if not 0 <= i < len(xs):
+            raise ValueError(f"variable index {i} outside 0..{len(xs) - 1}")
+        return xs[i]
 
     def c(self) -> GradeElement:
         """The canonical element c = p_i x_i."""

@@ -16,9 +16,12 @@ Canonical forms take the least key over the subsets whose parity
 matches the shift, which is deterministic and idempotent.  Reflection
 acts coordinatewise, so the least key is found coordinate by
 coordinate in O(n) steps; the parity constraint couples coordinates
-only through one forced reflection (see ``StableObject.canonical``).
+only through one forced reflection (see ``StableObject._normal_form``).
 Object equality means equality of canonical forms and is audited
-against the matrix factorization oracle.
+against the matrix factorization oracle.  The module keeps no state
+between calls: an object computes its canonical form once and holds
+it, a canonical form knows that it is one, and that memo is freed with
+its object by reference counting alone.
 
 Hom dimensions are computed by matching the pair, after twist and
 shift equivariance and reflections on either argument, against two
@@ -70,6 +73,12 @@ class StableObject:
     twist: GradeElement
     shift: int
 
+    # Memo of ``canonical()``, set with ``object.__setattr__`` and not a
+    # field, so ==, hash, repr and asdict never see it: the canonical
+    # form, or True on an object that is its own canonical form (a
+    # reference to itself would be a cycle).
+    _canonical = None
+
     def __post_init__(self) -> None:
         if self.twist.weights is not self.weights and self.twist.weights != self.weights:
             raise ValueError(f"twist over {self.twist.weights} for an object over {self.weights}")
@@ -116,7 +125,21 @@ class StableObject:
         return StableObject(ws, self.ell, self.twist - ws.s(), self.shift + ws.n).canonical()
 
     def canonical(self) -> StableObject:
-        """Deterministic normal form with shift zero.
+        """Deterministic normal form with shift zero, computed once per
+        object and kept on it (see ``_normal_form``)."""
+        memo = self._canonical
+        if memo is not None:
+            return self if memo is True else memo
+        form = self._normal_form()
+        if form is self:
+            object.__setattr__(self, "_canonical", True)
+        else:
+            object.__setattr__(form, "_canonical", True)
+            object.__setattr__(self, "_canonical", form)
+        return form
+
+    def _normal_form(self) -> StableObject:
+        """The normal form, or self when self is already normal.
 
         Among the finitely many shift-zero representatives (reflection
         subsets of parity matching the shift, folds absorbed into the
@@ -142,6 +165,8 @@ class StableObject:
         by construction, folds into the level as shift / 2 copies of c.
         """
         if self.is_zero:
+            if self.shift == 0 and self.twist.is_zero():
+                return self
             return zero_object(self.weights)
         ws = self.weights
         ell = list(self.ell)
@@ -171,10 +196,12 @@ class StableObject:
                 level += 1
             ell[undo], coeffs[undo] = p - e, v
             reflections += 1
-        elif reflections == 0 and self.shift == 0:
-            return self
         level += (self.shift - reflections) // 2
-        return StableObject(ws, tuple(ell), GradeElement(ws, tuple(coeffs), level), 0)
+        ell, coeffs = tuple(ell), tuple(coeffs)
+        # no reflection, or one undone as a fold
+        if self.shift == 0 and level == self.twist.level and ell == self.ell and coeffs == self.twist.coeffs:
+            return self
+        return StableObject(ws, ell, GradeElement(ws, coeffs, level), 0)
 
     def is_same(self, other: StableObject) -> bool:
         """Object equality, i.e. equality of canonical forms."""

@@ -111,6 +111,17 @@ def test_construction_rejects_variable_index_out_of_range():
             GradedModule(W34, dims, {(i, W34.zero()): one})
 
 
+def test_action_rejects_variable_index_out_of_range():
+    # x(-1) used to read x_2, so X_{-1} was the zero matrix of X_2's shape
+    e = make_E(W34, (2, 2))
+    assert e.act(1, W34.zero()).tolist() == [[1]]
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="variable index"):
+            e.act(i, W34.zero())
+        with pytest.raises(ValueError, match="variable index"):
+            e.power_act(i, W34.zero(), 1)
+
+
 def test_power_act_is_iterated_action():
     e = make_E(W34, (2, 3), W34.x(0))
     for x in e.dims:

@@ -33,6 +33,16 @@ def elements(draw, ws=None):
     return normalize(ws, coeffs, level)
 
 
+def test_generator_index_must_be_in_range():
+    # a tuple index read -1 as x_2 and raised IndexError at 5
+    for i in (-1, 2, 5):
+        with pytest.raises(ValueError, match="variable index"):
+            W34.x(i)
+    with pytest.raises(TypeError):
+        W34.x(1.0)
+    assert W34.x(np.int64(1)) == W34.x(1) == GradeElement(W34, (0, 1), 0)
+
+
 def test_normalize_examples():
     assert normalize(W34, (3, 0)) == GradeElement(W34, (0, 0), 1)
     assert W34.x(0) - W34.x(1) == GradeElement(W34, (1, 3), -1)

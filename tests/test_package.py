@@ -89,6 +89,42 @@ def test_cache_bound_reader():
     assert bound("property") is None and bound("dataclass(frozen=True)") is None
 
 
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque", "WeakKeyDictionary", "WeakValueDictionary"}
+
+
+def _module_state(tree) -> list[str]:
+    """Functools caches anywhere, and dicts, lists and sets assigned at
+    module or class level: state that outlives a call."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found += [f"{d.lineno}:cache" for d in node.decorator_list if _cache_bound(d) is not None]
+    scopes = [tree] + [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    for scope in scopes:
+        for node in scope.body:
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) else None
+            if isinstance(value, CONTAINERS) or (isinstance(value, ast.Call) and _referenced(value.func) in CONTAINER_CALLS):
+                found.append(f"{node.lineno}:container")
+    return found
+
+
+def test_stable_keeps_no_module_state():
+    # the only memo of the calculus is each object's own canonical form
+    assert _module_state(_trees()["stable.py"]) == []
+
+
+def test_module_state_reader():
+    src = (
+        "import functools\n"
+        "A = {}\nB: list = []\nC = set()\nD = collections.defaultdict(int)\nE = re.compile('x')\nF = (1, 2)\n"
+        "class K:\n    memo = {}\n    flag = None\n"
+        "    @functools.lru_cache(maxsize=8)\n    def f(self):\n        local = {}\n"
+        "@functools.cache\ndef g():\n    pass\n"
+    )
+    assert sorted(_module_state(ast.parse(src))) == ["11:cache", "14:cache", "2:container", "3:container", "4:container", "5:container", "9:container"]
+
+
 def _referenced(node) -> str | None:
     if isinstance(node, ast.Name):
         return node.id

@@ -1,5 +1,6 @@
 """Stable objects: rewriting, canonical forms, and the Hom calculus."""
 
+import dataclasses
 import gc
 import itertools
 import random
@@ -7,6 +8,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bpsing.grading import GradeElement, WeightSystem, normalize
 from bpsing.mforacle import oracle_hom, probe_objects
@@ -91,6 +94,65 @@ def test_canonical_matches_subset_minimum():
         c = o.canonical()
         assert c == _canonical_by_subsets(o), o
         assert c.canonical() == c
+
+
+MEMO_TYPES = [(2,), (5,), (2, 2), (3, 4), (2, 3, 4), (2, 2, 2, 2), (5, 6, 7)]
+
+
+@st.composite
+def stable_objects(draw):
+    """Any object over a few weight types, zero objects and shifts included."""
+    ws = WeightSystem(draw(st.sampled_from(MEMO_TYPES)))
+    twist = normalize(ws, [draw(st.integers(-20, 20)) for _ in ws.p], draw(st.integers(-9, 9)))
+    shift = draw(st.integers(-9, 9))
+    if draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from([zero_object(ws), StableObject(ws, None, twist, shift)]))
+    return StableObject(ws, tuple(draw(st.integers(1, w - 1)) for w in ws.p), twist, shift)
+
+
+def _copy(o):
+    return StableObject(o.weights, o.ell, o.twist, o.shift)
+
+
+def _looks(o):
+    return o, hash(o), repr(o), str(o), dataclasses.fields(o), dataclasses.asdict(o)
+
+
+@given(stable_objects())
+def test_canonical_is_computed_once_per_object(a):
+    c = a.canonical()
+    assert c == _copy(a).canonical()
+    assert a.canonical() is c
+    assert c.canonical() is c
+    # a canonical object built afresh is its own canonical form
+    fresh = _copy(c)
+    assert fresh.canonical() is fresh
+
+
+@given(stable_objects())
+def test_memo_is_invisible(a):
+    fresh = _copy(a)
+    a.canonical().canonical()
+    assert _looks(a) == _looks(fresh)
+    assert _looks(a.canonical()) == _looks(_copy(a.canonical()))
+    assert [f.name for f in dataclasses.fields(a)] == ["weights", "ell", "twist", "shift"]
+
+
+def test_memo_is_freed_by_reference_counting():
+    # a memo that referred to its own object would be a cycle, which
+    # only the cycle collector frees
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for args in (((2, 1), W34.x(0), 3), ((1, 1), W34.zero(), 0), (None, W34.c(), 1), (None, W34.zero(), 0)):
+            a = StableObject(W34, *args)
+            c = a.canonical()
+            refs = [weakref.ref(a), weakref.ref(c)]
+            del a, c
+            assert [r() for r in refs] == [None, None], args
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_canonical_parity_flip_back():
