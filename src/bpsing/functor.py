@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from dataclasses import asdict, dataclass, field
 
 from .gmod import adjunction_check, make_E, make_simple
-from .grading import GradeElement, GroupEmbedding, WeightSystem
+from .grading import GradeElement, GroupEmbedding, WeightSystem, _index
 from .stable import StableObject, cuboid_objects, hom_dim, rho_k, zero_object
 
 
@@ -39,22 +38,16 @@ class Ladder:
     emb2: GroupEmbedding = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", operator.index(self.q))
         pn = self.weights.p[-1]
         if pn < 3:
             raise ValueError("the last weight must be at least 3 to split")
-        if not 2 <= self.q <= pn - 1:
-            raise ValueError(f"invalid split value {self.q} for last weight {pn}")
+        object.__setattr__(self, "q", _index(self.q, "split value", 2, pn - 1))
         split = (self.q, pn + 1 - self.q)
         object.__setattr__(self, "emb1", GroupEmbedding(self.weights, 1, split))
         object.__setattr__(self, "emb2", GroupEmbedding(self.weights, 2, split))
 
     def emb(self, j: int) -> GroupEmbedding:
-        if j == 1:
-            return self.emb1
-        if j == 2:
-            return self.emb2
-        raise ValueError("j must be 1 or 2")
+        return (self.emb1, self.emb2)[_index(j, "j", 1, 2) - 1]
 
     @property
     def period(self) -> int:
@@ -76,6 +69,7 @@ def reduce(ladder: Ladder, j: int, k: int, obj: StableObject) -> StableObject:
     """
     ws = ladder.weights
     emb = ladder.emb(j)
+    k = _index(k, "k")
     src = emb.source
     if obj.weights != ws:
         raise ValueError("object does not live over the full system")
@@ -83,7 +77,7 @@ def reduce(ladder: Ladder, j: int, k: int, obj: StableObject) -> StableObject:
         return zero_object(src)
     pjn = emb.split_weight
     gap = ws.p[-1] - pjn
-    yn = (obj.twist.coeffs[-1] + operator.index(k)) % ws.p[-1]
+    yn = (obj.twist.coeffs[-1] + k) % ws.p[-1]
     ln = obj.ell[-1]
     if yn == 0:
         if ln <= gap:
@@ -108,12 +102,13 @@ def insert(ladder: Ladder, j: int, k: int, obj: StableObject) -> StableObject:
     """
     ws = ladder.weights
     emb = ladder.emb(j)
+    k = _index(k, "k")
     if obj.weights != emb.source:
         raise ValueError("object does not live over the reduced system")
     if obj.is_zero:
         return zero_object(ws)
     ell = obj.ell
-    if (obj.twist.coeffs[-1] + operator.index(k)) % emb.split_weight < ell[-1]:
+    if (obj.twist.coeffs[-1] + k) % emb.split_weight < ell[-1]:
         ell = ell[:-1] + (ell[-1] + ws.p[-1] - emb.split_weight,)
     twist = predict_projective_image(ladder, "insert", j, k, obj.twist)
     return StableObject(ws, ell, twist, obj.shift).canonical()
@@ -195,8 +190,7 @@ def check_recollement(ladder: Ladder, level_bound: int = 2) -> LadderReport:
     on a negative level_bound, whose empty window would check no
     composite.
     """
-    if level_bound < 0:
-        raise ValueError(f"level bound {level_bound} is negative, so no composite would be checked")
+    level_bound = _index(level_bound, "level bound", 0)
     ws = ladder.weights
     q = ladder.q
     src2 = ladder.emb2.source

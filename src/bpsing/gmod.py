@@ -18,11 +18,10 @@ rational mode of ``module_hom_dim``, not a second prime.
 from __future__ import annotations
 
 import itertools
-import operator
 
 import numpy as np
 
-from .grading import GradeElement, GroupEmbedding, WeightSystem, normalize
+from .grading import GradeElement, GroupEmbedding, WeightSystem, _index, normalize
 from .linalg import DEFAULT_MODULUS, rank_exact, rank_mod, residues
 
 
@@ -45,13 +44,11 @@ class GradedModule:
         actions: dict[tuple[int, GradeElement], np.ndarray],
     ):
         self.weights = weights
-        dims = {x: operator.index(d) for x, d in dims.items()}
-        if min(dims.values(), default=0) < 0:
-            raise ValueError("a graded piece has negative dimension")
+        dims = {x: _index(d, "dimension", 0) for x, d in dims.items()}
         self.dims = {x: d for x, d in dims.items() if d > 0}
         self.actions = {}
         for (i, x), mat in actions.items():
-            i = operator.index(i)
+            i = _index(i, "variable index", 0, weights.n - 1)
             m = residues(mat, DEFAULT_MODULUS)
             shape = (self.dim_at(x + weights.x(i)), self.dim_at(x))
             if m.shape != shape:
@@ -69,6 +66,7 @@ class GradedModule:
 
     def act(self, i: int, x: GradeElement) -> np.ndarray:
         """Matrix of X_i from M_x to M_{x + x_i} (target_dim x source_dim)."""
+        i = _index(i, "variable index", 0, self.weights.n - 1)
         mat = self.actions.get((i, x))
         if mat is None:
             return np.zeros((self.dim_at(x + self.weights.x(i)), self.dim_at(x)), dtype=np.int64)
@@ -76,6 +74,8 @@ class GradedModule:
 
     def power_act(self, i: int, x: GradeElement, e: int) -> np.ndarray:
         """Matrix of X_i^e from M_x to M_{x + e*x_i}."""
+        i = _index(i, "variable index", 0, self.weights.n - 1)
+        e = _index(e, "exponent", 0)
         out = self._walk(x, (i,) * e)
         if out is None:
             return np.zeros((self.dim_at(x + e * self.weights.x(i)), self.dim_at(x)), dtype=np.int64)
@@ -155,13 +155,12 @@ def make_E(weights: WeightSystem, ell, y: GradeElement | None = None) -> GradedM
     fiber in each degree w - y for w in the box [0, ell - s], every
     X_i acting by identity where both endpoints stay in the box.
     """
-    ell = tuple(operator.index(e) for e in ell)
+    ell = tuple(ell)
     if y is None:
         y = weights.zero()
     if len(ell) != weights.n:
         raise ValueError(f"ell {ell} has length {len(ell)}, weights {weights} have length {weights.n}")
-    if any(not 1 <= e <= w - 1 for e, w in zip(ell, weights.p)):
-        raise ValueError(f"ell {ell} outside the cuboid range for weights {weights}")
+    ell = tuple(_index(e, "ell entry", 1, w - 1) for e, w in zip(ell, weights.p))
     box = {w: normalize(weights, w) - y for w in itertools.product(*map(range, ell))}
     one = np.ones((1, 1), dtype=np.int64)
     actions = {(i, x): one for w, x in box.items() for i in range(weights.n) if w[i] + 1 < ell[i]}

@@ -25,6 +25,35 @@ from functools import cached_property
 from typing import Iterable
 
 
+def _index(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """The one reader of the package's integer arguments: ``value`` as an
+    ``int``, checked against the range lo..hi (an end that is None is
+    open, and hi is given only with lo).
+
+    A numpy integer is read as its ``int``.  A bool, although
+    ``operator.index(True)`` is 1, and anything else that is not an
+    integer raise ``TypeError``; a value outside the range raises
+    ``ValueError``.  Both messages name the argument.  The value types
+    that store integers as given, ``GradeElement``, ``StableObject`` and
+    ``qalg.IntPolynomial``, do not convert: the first two are built on
+    every sum and canonical form, so they take an exact ``int`` only
+    (``type(x) is int``) and raise the same ``TypeError`` on anything
+    else.
+    """
+    if type(value) is not int:
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} {value!r} is not an int") from None
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        if hi is not None:
+            raise ValueError(f"{name} {value} outside {lo}..{hi}")
+        raise ValueError(f"negative {name} {value}" if lo == 0 else f"{name} {value} is below {lo}")
+    return value
+
+
 class NotInImageError(ValueError):
     """Raised when theta_inv is applied to an element outside the image."""
 
@@ -36,11 +65,9 @@ class WeightSystem:
     p: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", tuple(operator.index(x) for x in self.p))
+        object.__setattr__(self, "p", tuple(_index(x, "weight", 2) for x in self.p))
         if len(self.p) < 1:
             raise ValueError("need at least one weight")
-        if any(w < 2 for w in self.p):
-            raise ValueError(f"weights must be >= 2, got {self.p}")
 
     @property
     def n(self) -> int:
@@ -61,10 +88,7 @@ class WeightSystem:
     def x(self, i: int) -> GradeElement:
         """The generator x_i (0-based index i in 0..n-1)."""
         xs = self._basics[0]
-        i = operator.index(i)
-        if not 0 <= i < len(xs):
-            raise ValueError(f"variable index {i} outside 0..{len(xs) - 1}")
-        return xs[i]
+        return xs[_index(i, "variable index", 0, len(xs) - 1)]
 
     def c(self) -> GradeElement:
         """The canonical element c = p_i x_i."""
@@ -113,10 +137,10 @@ class GradeElement:
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.weights.n:
             raise ValueError(f"coefficients {self.coeffs} have length {len(self.coeffs)}, weights {self.weights} have length {self.weights.n}")
-        if not isinstance(self.level, int):
+        if type(self.level) is not int:
             raise TypeError(f"level {self.level!r} is not an int")
         for lam, w in zip(self.coeffs, self.weights.p):
-            if not isinstance(lam, int):
+            if type(lam) is not int:
                 raise TypeError(f"coefficient {lam!r} is not an int")
             if not 0 <= lam < w:
                 raise ValueError(f"coefficient {lam} out of range for weight {w}")
@@ -161,6 +185,7 @@ class GradeElement:
         return GradeElement(self.weights, tuple(out), level)
 
     def __mul__(self, k: int) -> GradeElement:
+        k = _index(k, "k")
         return normalize(self.weights, [k * a for a in self.coeffs], k * self.level)
 
     __rmul__ = __mul__
@@ -219,9 +244,9 @@ def normalize(weights: WeightSystem, coeffs: Iterable[int], level: int = 0) -> G
     if len(coeffs) != weights.n:
         raise ValueError(f"coefficients {tuple(coeffs)} have length {len(coeffs)}, weights {weights} have length {weights.n}")
     out = []
-    lev = operator.index(level)
+    lev = _index(level, "level")
     for a, w in zip(coeffs, weights.p):
-        q, r = divmod(operator.index(a), w)
+        q, r = divmod(_index(a, "coefficient"), w)
         out.append(r)
         lev += q
     return GradeElement(weights, tuple(out), lev)
@@ -264,16 +289,11 @@ class GroupEmbedding:
     split: tuple[int, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "j", operator.index(self.j))
-        object.__setattr__(self, "split", tuple(map(operator.index, self.split)))
+        object.__setattr__(self, "j", _index(self.j, "j", 1, 2))
+        object.__setattr__(self, "split", tuple(_index(w, "split weight", 2) for w in self.split))
         p1n, p2n = self.split
-        pn = self.target.p[-1]
-        if p1n + p2n != pn + 1:
+        if p1n + p2n != self.target.p[-1] + 1:
             raise ValueError(f"split {self.split} does not satisfy p1n + p2n = p_n + 1")
-        if self.j not in (1, 2):
-            raise ValueError("j must be 1 or 2")
-        if min(p1n, p2n) < 2:
-            raise ValueError("split weights must be >= 2")
 
     @property
     def split_weight(self) -> int:

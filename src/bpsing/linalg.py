@@ -42,10 +42,11 @@ a ragged, non-square or not 2-D matrix with ``ValueError``.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+from .grading import _index
 
 DEFAULT_MODULUS = 32003
 PARANOIA_MODULUS = 65537
@@ -82,13 +83,14 @@ def check_modulus(q: int) -> int:
     prime below 2**31.
 
     Residues of a larger modulus can have products beyond int64, and
-    numpy would wrap them silently.  A value that is not an integer
-    (``operator.index`` fails on it) raises ``TypeError``, a float
-    such as 7.0 too.  A valid modulus is remembered, keyed by value and
-    type, so the trial division runs once per value and type and 7.0
-    never meets the entry of 7; a rejected one raises on every call.
+    numpy would wrap them silently.  ``q`` is read by
+    ``grading._index``, so a bool or a value that is not an integer, a
+    float such as 7.0 too, raises ``TypeError``.  A valid modulus is
+    remembered, keyed by value and type, so the trial division runs
+    once per value and type and 7.0 never meets the entry of 7; a
+    rejected one raises on every call.
     """
-    q = operator.index(q)
+    q = _index(q, "modulus")
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
     if q >= 2**31:

@@ -98,14 +98,13 @@ symbolic calculus (both directions must be suspected):
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add
 
 import numpy as np
 
-from .grading import GradeElement, WeightSystem
+from .grading import GradeElement, WeightSystem, _index
 from .linalg import DEFAULT_MODULUS, SparseMatrix, check_modulus, rank_mod
 from .stable import StableObject, cuboid_objects
 
@@ -163,8 +162,9 @@ class GradedMF:
     variables: frozenset[int] = None  # summands of the potential being factored
 
     def __post_init__(self) -> None:
-        if self.variables is None:
-            object.__setattr__(self, "variables", frozenset(range(self.weights.n)))
+        n = self.weights.n
+        variables = range(n) if self.variables is None else self.variables
+        object.__setattr__(self, "variables", frozenset(_index(i, "variable index", 0, n - 1) for i in variables))
         _check_factorization(self)
 
     def twist(self, y: GradeElement) -> GradedMF:
@@ -172,6 +172,7 @@ class GradedMF:
         return GradedMF(self.weights, tuple(g - y for g in self.even), tuple(g - y for g in self.odd), self.d0, self.d1, self.variables)
 
     def shift(self, m: int = 1) -> GradedMF:
+        m = _index(m, "shift")
         # [2] = (c): twist by (m // 2) c, then rotate once if m is odd
         out = self.twist((m // 2) * self.weights.c()) if m // 2 else self
         if m % 2:
@@ -243,9 +244,9 @@ def _check_composites(p: tuple[int, ...], d0: MonomialMatrix, d1: MonomialMatrix
 
 def rank1_mf(ws: WeightSystem, i: int, a: int) -> GradedMF:
     """The factorization X_i^p_i = X_i^a * X_i^(p_i - a)."""
+    i = _index(i, "variable index", 0, ws.n - 1)
     p = ws.p[i]
-    if not 1 <= a <= p - 1:
-        raise ValueError(f"exponent {a} out of range for weight {p}")
+    a = _index(a, "exponent", 1, p - 1)
     lo = [0] * ws.n
     lo[i] = a
     hi = [0] * ws.n
@@ -484,11 +485,11 @@ def _pieces(f0: MonomialMatrix, f1: MonomialMatrix, g0: MonomialMatrix, g1: Mono
 def stable_hom_dim_oracle(f: GradedMF, g: GradedMF, m: int, q: int = DEFAULT_MODULUS) -> int:
     """Dimension of stable Hom(F, G[m]) from the folded Hom complex.
 
-    A shift that is not an integer (``operator.index`` fails on it)
-    raises ``TypeError``, a float such as 1.0 too, and so does a
-    modulus that is not one.
+    The shift and the modulus are read by ``grading._index``, so a bool
+    or a value that is not an integer, a float such as 1.0 too, raises
+    ``TypeError``.
     """
-    m = operator.index(m)
+    m = _index(m, "shift")
     if f.weights != g.weights:
         raise ValueError("mismatched weight systems")
     q = check_modulus(q)

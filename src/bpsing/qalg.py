@@ -27,12 +27,11 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grading import WeightSystem
+from .grading import WeightSystem, _index
 from .linalg import charpoly_int, integer_matrix, inverse_unimodular
 
 
@@ -43,6 +42,8 @@ class IntPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if any(type(c) is not int for c in self.coeffs):
+            raise TypeError(f"coefficients {self.coeffs!r} are not all ints")
         if not self.coeffs or self.coeffs[0] == 0:
             raise ValueError("leading coefficient must be nonzero")
 
@@ -144,8 +145,7 @@ def matrix_csv(labels, matrix) -> str:
 
 def nakayama(n: int, m: int) -> AlgebraPresentation:
     """The equioriented A_n path algebra modulo paths of length m."""
-    if n < 1 or m < 1:
-        raise ValueError("need n, m >= 1")
+    n, m = _index(n, "n", 1), _index(m, "m", 1)
     vertices = tuple(str(i + 1) for i in range(n))
     arrows = tuple((f"a{i + 1}", str(i + 1), str(i + 2)) for i in range(n - 1))
     relations = tuple(f"{i + 1} => {i + 1 + m}" for i in range(n - m))
@@ -167,11 +167,10 @@ def lambda_q(ws: WeightSystem, qvec) -> AlgebraPresentation:
     order of their vertices, so the Cartan is the Kronecker product of
     their Cartans.
     """
-    qvec = tuple(operator.index(x) for x in qvec)
+    qvec = tuple(qvec)
     if len(qvec) != ws.n:
         raise ValueError(f"truncation exponents {qvec} have length {len(qvec)}, weights {ws} have length {ws.n}")
-    if any(not 1 <= qq <= w - 1 for qq, w in zip(qvec, ws.p)):
-        raise ValueError(f"truncation exponents {qvec} out of range for {ws}")
+    qvec = tuple(_index(qq, "truncation exponent", 1, w - 1) for qq, w in zip(qvec, ws.p))
     box = ws.box()
     label = {x: "(" + ",".join(str(v) for v in x) + ")" for x in box}
     vertices = tuple(label[x] for x in box)
@@ -206,8 +205,7 @@ def replicated(a: AlgebraPresentation, m: int) -> AlgebraPresentation:
     Cartan of the base, subdiagonal blocks its transpose, reflecting
     dim e_i (D Lambda) e_j = dim e_j Lambda e_i.
     """
-    if m < 0:
-        raise ValueError("need m >= 0")
+    m = _index(m, "m", 0)
     if m == 0:
         return a
     k = a.size
@@ -239,8 +237,7 @@ def gamma_quiver(ws: WeightSystem, t: int) -> AlgebraPresentation:
     tilting-family convention.
     """
     n = ws.n
-    if not 0 <= t < n:
-        raise ValueError("coordinate index out of range")
+    t = _index(t, "coordinate t", 0, n - 1)
     pt = ws.p[t]
     others = [i for i in range(n) if i != t]
     slab = [tuple(w + 1 for w in x) for x in ws.box() if x[t] == pt - 2]
@@ -282,8 +279,7 @@ def dynkin_path_algebra(letter: str, rank: int) -> AlgebraPresentation:
     has no oriented cycle, so A is nilpotent and I - A is unimodular.
     """
     letter = letter.upper()
-    if rank < 1:
-        raise ValueError(f"Dynkin rank {rank} is below 1")
+    rank = _index(rank, "Dynkin rank", 1)
     if letter == "A":
         return nakayama(rank, rank)
     if letter == "D":

@@ -59,11 +59,10 @@ Pairs outside every matching configuration honestly return ``None``
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 
-from .grading import GradeElement, WeightSystem, normalize
+from .grading import GradeElement, WeightSystem, _index, normalize
 
 
 @dataclass(frozen=True)
@@ -82,13 +81,13 @@ class StableObject:
     def __post_init__(self) -> None:
         if self.twist.weights is not self.weights and self.twist.weights != self.weights:
             raise ValueError(f"twist over {self.twist.weights} for an object over {self.weights}")
-        if not isinstance(self.shift, int):
+        if type(self.shift) is not int:
             raise TypeError(f"shift {self.shift!r} is not an int")
         if self.ell is not None:
             if len(self.ell) != self.weights.n:
                 raise ValueError(f"ell {self.ell} has length {len(self.ell)}, weights {self.weights} have length {self.weights.n}")
             for e, w in zip(self.ell, self.weights.p):
-                if not isinstance(e, int):
+                if type(e) is not int:
                     raise TypeError(f"ell entry {e!r} is not an int")
                 if not 1 <= e <= w - 1:
                     raise ValueError(f"ell {self.ell} outside [s, s + delta] for weights {self.weights}")
@@ -99,6 +98,7 @@ class StableObject:
 
     def reflect(self, i: int) -> StableObject:
         """Rewrite at coordinate i (0-based); denotes the same object."""
+        i = _index(i, "coordinate", 0, self.weights.n - 1)
         if self.is_zero:
             raise ValueError("cannot reflect the zero object")
         p = self.weights.p[i]
@@ -107,7 +107,7 @@ class StableObject:
         return StableObject(self.weights, ell, self.twist + (p - e) * self.weights.x(i), self.shift - 1)
 
     def suspend(self, m: int) -> StableObject:
-        m = operator.index(m)
+        m = _index(m, "shift")
         if self.is_zero:
             return self
         return StableObject(self.weights, self.ell, self.twist, self.shift + m).canonical()
@@ -223,7 +223,7 @@ class StableObject:
 def U(weights: WeightSystem, ell, twist: GradeElement | None = None, shift: int = 0) -> StableObject:
     if twist is None:
         twist = weights.zero()
-    return StableObject(weights, tuple(operator.index(e) for e in ell), twist, operator.index(shift))
+    return StableObject(weights, tuple(_index(e, "ell entry") for e in ell), twist, _index(shift, "shift"))
 
 
 def rho_k(weights: WeightSystem, twist: GradeElement | None = None, shift: int = 0) -> StableObject:

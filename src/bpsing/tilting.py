@@ -17,13 +17,12 @@ and realizes the exceptional-sequence order.
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .functor import Ladder, insert, reduce
-from .grading import WeightSystem, normalize
+from .grading import WeightSystem, _index, normalize
 from .qalg import AlgebraPresentation, gamma_quiver, lambda_q
 from .stable import StableObject, U, hom_dim
 
@@ -69,9 +68,9 @@ def family(
     gives U^ell(x)[-sum x] with ell_i = w_i + 1, x_i = 0 for i in I and
     ell_i = 1, x_i = w_i off I.  A replicated family walks the copies
     and then the slab of ``gamma_quiver``, both descending; the slab is
-    ell = w + 1 over the box elements w with w_t = p_t - 2.  A
-    coordinate that is not an integer (``operator.index`` fails on it)
-    raises ``TypeError``.
+    ell = w + 1 over the box elements w with w_t = p_t - 2.  Every
+    coordinate is read by ``grading._index``, so one that is a bool or
+    not an integer raises ``TypeError``.
     """
     ws = weights
     n = ws.n
@@ -84,7 +83,7 @@ def family(
     if kind == "replicated":
         if t is None:
             raise ValueError("replicated families need a coordinate t")
-        t = operator.index(t)
+        t = _index(t, "coordinate t")
         if not 0 <= t < n:
             raise ValueError(f"coordinate t = {t} out of range")
         s = ws.s()
@@ -98,7 +97,7 @@ def family(
             subset = ()
         elif subset is None:
             raise ValueError("extended families need a coordinate subset")
-        subset = tuple(sorted(map(operator.index, subset)))
+        subset = tuple(sorted(_index(i, "coordinate") for i in subset))
         for i in subset:
             if not 0 <= i < n:
                 raise ValueError(f"subset {subset} out of range")
@@ -180,12 +179,14 @@ class TiltingReport:
 
 
 def _shift_window(ws: WeightSystem, window: tuple[int, int] | None) -> tuple[int, int]:
-    """The shift window (lo, hi), by default +-(2n + 4); raises ValueError
-    unless lo <= 0 <= hi, so that an empty or one-sided window, which
-    would leave a check unasked, is never taken."""
+    """The shift window (lo, hi) of integers, by default +-(2n + 4);
+    raises ValueError unless lo <= 0 <= hi, so that an empty or
+    one-sided window, which would leave a check unasked, is never
+    taken."""
     if window is None:
         w = 2 * ws.n + 4
         window = (-w, w)
+    window = _index(window[0], "window start"), _index(window[1], "window end")
     if not window[0] <= 0 <= window[1]:
         raise ValueError(f"shift window {window} does not contain 0")
     return window

@@ -178,6 +178,21 @@ def test_integer_like_ladder_arguments():
         GroupEmbedding(W34, 1, (3.0, 2.0))
     with pytest.raises(TypeError):
         GroupEmbedding(W34, 1.0, (3, 2))
+    # emb(1.0) and emb(True) used to return emb1, and level bound True ran as 1
+    for bad in (1.0, True):
+        with pytest.raises(TypeError):
+            lad.emb(bad)
+        with pytest.raises(TypeError):
+            Ladder(W34, bad)
+        with pytest.raises(TypeError):
+            reduce(lad, 1, bad, zero_object(W34))
+        with pytest.raises(TypeError):
+            insert(lad, 1, bad, zero_object(lad.emb1.source))
+    with pytest.raises(TypeError, match="level bound True is not an int"):
+        check_recollement(lad, True)
+    with pytest.raises(ValueError, match="j 3 outside 1..2"):
+        lad.emb(3)
+    assert lad.emb(np.int64(2)) is lad.emb2
 
 
 # -- reference: the divmod forms that reduce, insert and the projective

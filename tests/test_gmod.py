@@ -122,6 +122,26 @@ def test_action_rejects_variable_index_out_of_range():
             e.power_act(i, W34.zero(), 1)
 
 
+def test_power_act_reads_index_and_exponent():
+    # an empty walk read neither: X_{-1}^0, X_8^0 and X_1^(-1) were all
+    # the identity [[1]]
+    e = make_E(W34, (2, 2))
+    assert e.power_act(0, W34.zero(), 0).tolist() == [[1]]
+    for i in (-1, 7):
+        with pytest.raises(ValueError, match=f"variable index {i} outside 0..1"):
+            e.power_act(i, W34.zero(), 0)
+    with pytest.raises(ValueError, match="negative exponent -1"):
+        e.power_act(0, W34.zero(), -1)
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError):
+            e.power_act(bad, W34.zero(), 1)
+        with pytest.raises(TypeError):
+            e.power_act(0, W34.zero(), bad)
+        with pytest.raises(TypeError):
+            e.act(bad, W34.zero())
+    assert e.power_act(np.int64(0), W34.zero(), np.int64(1)).tolist() == e.power_act(0, W34.zero(), 1).tolist() == [[1]]
+
+
 def test_power_act_is_iterated_action():
     e = make_E(W34, (2, 3), W34.x(0))
     for x in e.dims:

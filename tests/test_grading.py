@@ -13,6 +13,7 @@ from bpsing.grading import (
     GroupEmbedding,
     NotInImageError,
     WeightSystem,
+    _index,
     dichotomy,
     normalize,
 )
@@ -71,6 +72,36 @@ def test_wrong_lengths_rejected():
         normalize(W34, [1, 2, 3])
     with pytest.raises(ValueError, match=r"length 1, weights \(3,4\) have length 2"):
         normalize(W34, [1])
+
+
+def test_index_reader():
+    # the one reader of integer arguments: numpy integers are ints, a bool
+    # and a float are not, and both messages name the argument
+    assert _index(np.int64(3), "n") == 3 and type(_index(np.uint8(3), "n")) is int
+    for bad in (True, np.True_, 1.0, "1", None):
+        with pytest.raises(TypeError, match=f"count {bad!r} is not an int"):
+            _index(bad, "count")
+    with pytest.raises(ValueError, match="variable index -1 outside 0..1"):
+        _index(-1, "variable index", 0, 1)
+    with pytest.raises(ValueError, match="negative count -1"):
+        _index(-1, "count", 0)
+    with pytest.raises(ValueError, match="weight 1 is below 2"):
+        _index(1, "weight", 2)
+    assert _index(-7, "shift") == -7 and _index(7, "shift", 0) == 7
+
+
+def test_bools_are_not_integers():
+    # operator.index(True) is 1, so these used to read True as 1
+    with pytest.raises(TypeError):
+        WeightSystem((3, True))
+    with pytest.raises(TypeError):
+        W34.x(True)
+    with pytest.raises(TypeError):
+        True * W34.x(0)
+    with pytest.raises(TypeError, match="level True is not an int"):
+        GradeElement(W34, (1, 2), True)
+    with pytest.raises(TypeError, match="j True is not an int"):
+        GroupEmbedding(W34, True, (3, 2))
 
 
 def test_non_integers_rejected():

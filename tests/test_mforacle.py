@@ -187,6 +187,41 @@ def test_oracle_shift_must_be_an_integer():
         assert oracle_hom(a, b, np.int64(2)) == oracle_hom(a, b, 2)
 
 
+def test_rank1_mf_reads_its_variable_index():
+    # i = -1 built a factorization of X_2^4 with variables {-1}, so the
+    # disjointness test of tensor_mf passed it beside variable 1
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=f"variable index {i} outside 0..1"):
+            rank1_mf(W34, i, 1)
+    for bad in (True, 1.0):
+        with pytest.raises(TypeError):
+            rank1_mf(W34, bad, 1)
+        with pytest.raises(TypeError):
+            rank1_mf(W34, 0, bad)
+    with pytest.raises(ValueError, match="exponent 3 outside 1..2"):
+        rank1_mf(W34, 0, 3)
+    assert rank1_mf(W34, np.int64(1), np.int64(2)) == rank1_mf(W34, 1, 2)
+    with pytest.raises(ValueError, match="disjoint"):
+        tensor_mf(rank1_mf(W34, 1, 1), rank1_mf(W34, 1, 2))
+    # built directly, a factorization of X_2^4 took the variables {-1}
+    f = rank1_mf(W34, 1, 1)
+    for variables in ({-1}, {2}):
+        with pytest.raises(ValueError, match="variable index"):
+            GradedMF(W34, f.even, f.odd, f.d0, f.d1, frozenset(variables))
+    with pytest.raises(TypeError):
+        GradedMF(W34, f.even, f.odd, f.d0, f.d1, frozenset({1.0}))
+    assert GradedMF(W34, f.even, f.odd, f.d0, f.d1, frozenset({np.int64(1)})) == f
+
+
+def test_factorization_shift_must_be_an_integer():
+    # shift(1.5) used to rotate once, as shift(1) does
+    f = rank1_mf(W34, 0, 1)
+    for m in (1.5, 1.0, True):
+        with pytest.raises(TypeError, match="shift"):
+            f.shift(m)
+    assert f.shift(np.int64(3)) == f.shift(3)
+
+
 def _random_objects(ws, count, seed):
     rng = random.Random(seed)
     out = []

@@ -125,6 +125,35 @@ def test_module_state_reader():
     assert sorted(_module_state(ast.parse(src))) == ["11:cache", "14:cache", "2:container", "3:container", "4:container", "5:container", "9:container"]
 
 
+def _operator_index_uses(tree) -> list[tuple[str | None, int]]:
+    """(enclosing module-level definition, line) of every reference to
+    operator.index, imports of the name included."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            attribute = isinstance(node, ast.Attribute) and node.attr == "index" and _referenced(node.value) == "operator"
+            imported = isinstance(node, ast.ImportFrom) and node.module == "operator" and any(a.name == "index" for a in node.names)
+            if attribute or imported:
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+def test_integers_are_read_in_one_place():
+    # every integer argument is read by grading._index, the one boundary
+    # where a bool or a non-integer raises TypeError
+    uses = [(name, scope) for name, tree in _trees().items() for scope, _ in _operator_index_uses(tree)]
+    assert uses == [("grading.py", "_index")]
+
+
+def test_operator_index_finder():
+    src = (
+        "import operator\nfrom operator import index\n"
+        "def f(x):\n    return operator.index(x)\n"
+        "class K:\n    def g(self, xs):\n        return map(operator.index, xs)\n"
+    )
+    assert _operator_index_uses(ast.parse(src)) == [(None, 2), ("f", 4), ("K", 7)]
+
+
 def _referenced(node) -> str | None:
     if isinstance(node, ast.Name):
         return node.id

@@ -269,6 +269,31 @@ def test_int_polynomial_str_and_json():
     assert p.to_json() == {"coeffs": [1, 0, -2, 1]}
     with pytest.raises(ValueError):
         IntPolynomial((0, 1))
+    # (True, 0, -2) printed as x^2 - 2 with the JSON coefficient true
+    for coeffs in ((True, 0, -2), (1, 0.0), (1, np.int64(2))):
+        with pytest.raises(TypeError, match="not all ints"):
+            IntPolynomial(coeffs)
+
+
+def test_algebra_counts_are_integers():
+    # True used to be read as 1: replicated(A2(2), True) was named
+    # A2(2)^(True) and gamma_quiver(W34, True) built Gamma^2
+    for build in (
+        lambda: replicated(nakayama(2, 2), True),
+        lambda: gamma_quiver(W34, True),
+        lambda: nakayama(True, 1),
+        lambda: nakayama(2, 2.0),
+        lambda: dynkin_path_algebra("A", True),
+        lambda: lambda_q(W34, (True, 2)),
+    ):
+        with pytest.raises(TypeError, match="is not an int"):
+            build()
+    with pytest.raises(ValueError, match="negative m -1"):
+        replicated(nakayama(2, 2), -1)
+    with pytest.raises(ValueError, match="coordinate t 2 outside 0..1"):
+        gamma_quiver(W34, 2)
+    assert replicated(nakayama(2, 2), np.int64(1)).name == "A2(2)^(1)"
+    assert gamma_quiver(W34, np.int64(1)).name == gamma_quiver(W34, 1).name == "Gamma^2(3,4)"
 
 
 def test_dot_export():

@@ -200,6 +200,29 @@ def test_stable_object_validation():
     assert StableObject(W34, (1, 1), WeightSystem((3, 4)).element((1, 1)), 0) == U(W34, (1, 1), W34.s())
 
 
+def test_reflect_reads_its_coordinate():
+    # reflect(2) raised IndexError and reflect(1.0) a tuple-index TypeError
+    obj = U(W34, (1, 2))
+    assert obj.reflect(np.int64(1)) == obj.reflect(1) == StableObject(W34, (1, 2), W34.x(1) * 2, -1)
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=f"coordinate {i} outside 0..1"):
+            obj.reflect(i)
+    for i in (1.0, True):
+        with pytest.raises(TypeError, match="coordinate"):
+            obj.reflect(i)
+
+
+def test_bool_shifts_rejected():
+    # True was stored as the shift and printed as U[1,2][True]
+    with pytest.raises(TypeError, match="shift True is not an int"):
+        StableObject(W34, (1, 2), W34.zero(), True)
+    with pytest.raises(TypeError, match="ell entry True is not an int"):
+        StableObject(W34, (True, 2), W34.zero(), 0)
+    for build in (lambda: U(W34, (1, 2), shift=True), lambda: rho_k(W34, shift=False), lambda: U(W34, (1, 2)).suspend(True)):
+        with pytest.raises(TypeError, match="shift"):
+            build()
+
+
 def test_integer_like_shifts():
     # numpy shifts give the same objects as int shifts; fractions raise
     assert U(W34, (1, 1), shift=np.int64(2)) == U(W34, (1, 1), shift=2)

@@ -60,6 +60,11 @@ def test_family_rejects_non_integer_coordinates():
         family(W34, "extended", subset=(0.5,))
     with pytest.raises(TypeError):
         family(W34, "replicated", t=1.0)
+    # True used to be read as coordinate 1
+    with pytest.raises(TypeError):
+        family(W34, "extended", subset=(True,))
+    with pytest.raises(TypeError):
+        family(W34, "replicated", t=True)
     # integer types other than int are coordinates all the same
     assert family(W345, "extended", subset=(np.int64(2), np.int64(0))) == family(W345, "extended", subset=(0, 2))
     assert family(W345, "replicated", t=np.int64(1)) == family(W345, "replicated", t=1)
@@ -179,6 +184,20 @@ def test_glue_rejects_window_without_zero():
     fams = [family(lad.emb(j).source, "cuboid") for j in (1, 2)]
     with pytest.raises(ValueError, match="does not contain 0"):
         glue(lad, *fams, 2, 0, window=(3, -3))
+
+
+def test_windows_and_glue_steps_are_integers():
+    # window (False, True) ran as (0, 1) and was reported as [false, true]
+    fam = family(WeightSystem((2, 2)), "cuboid")
+    for window in ((False, True), (-1.0, 1), (-1, 1.5)):
+        with pytest.raises(TypeError, match="window"):
+            verify_tilting(fam, window=window)
+    assert verify_tilting(fam, window=(np.int64(-1), np.int64(1))).to_json() == verify_tilting(fam, window=(-1, 1)).to_json()
+    lad = Ladder(W34, 3)
+    fams = [family(lad.emb(j).source, "cuboid") for j in (1, 2)]
+    for k1, k2 in ((True, 0), (2, 0.0)):
+        with pytest.raises(TypeError, match="k"):
+            glue(lad, *fams, k1, k2, window=(-1, 1))
 
 
 def test_recollement_rejects_negative_level_bound():
