@@ -15,7 +15,7 @@ import math
 import sys
 
 from .functor import Ladder, check_recollement
-from .grading import WeightSystem
+from .grading import WeightSystem, _index
 from .linalg import DEFAULT_MODULUS, check_modulus
 from .mforacle import oracle_hom, probe_objects
 from .qalg import COXETER_SUITES, coxeter_polynomial, dynkin_path_algebra, gamma_quiver, lambda_q, matrix_csv, nakayama
@@ -58,16 +58,24 @@ def _non_negative(value: int, option: str) -> int:
     return value
 
 
+def _coordinate(ws: WeightSystem, text: str, name: str) -> int:
+    """The 0-based index of a 1-based coordinate as typed, which is
+    checked, and named in the error, against its 1-based range."""
+    return _index(int(text), name, 1, ws.n) - 1
+
+
 def _family_from_kind(ws: WeightSystem, kind: str):
     with _reading(f"family kind {kind!r}"):
         if kind in ("cuboid", "koszul"):
             return family(ws, kind)
         if kind.startswith("extended:"):
             arg = kind.split(":", 1)[1]
-            subset = tuple(int(t) - 1 for t in arg.split(",")) if arg else ()
+            subset = tuple(_coordinate(ws, t, "coordinate") for t in arg.split(",")) if arg else ()
+            if len(set(subset)) < len(subset):
+                raise ValueError(f"subset {arg} repeats a coordinate")
             return family(ws, "extended", subset=subset)
         if kind.startswith("replicated:"):
-            return family(ws, "replicated", t=int(kind.split(":", 1)[1]) - 1)
+            return family(ws, "replicated", t=_coordinate(ws, kind.split(":", 1)[1], "coordinate t"))
     raise UsageError(f"unknown family kind {kind!r}")
 
 
@@ -253,7 +261,7 @@ def cmd_quiver(args) -> int:
             alg = lambda_q(ws, qvec)
         elif descriptor.startswith("gamma:"):
             ws = _weights(args.weights, args.force)
-            alg = gamma_quiver(ws, int(descriptor.split(":", 1)[1]) - 1)
+            alg = gamma_quiver(ws, _coordinate(ws, descriptor.split(":", 1)[1], "coordinate t"))
         elif descriptor.startswith("nakayama:"):
             n, m = (int(t) for t in descriptor.split(":", 1)[1].split(","))
             alg = nakayama(n, m)

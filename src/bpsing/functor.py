@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
-from .gmod import adjunction_check, make_E, make_simple
-from .grading import GradeElement, GroupEmbedding, WeightSystem, _index
+from .gmod import GradedModule, adjunction_check, make_E, make_simple
+from .grading import GradeElement, GroupEmbedding, WeightSystem, _index, normalize
 from .stable import StableObject, cuboid_objects, hom_dim, rho_k, zero_object
 
 
@@ -123,23 +124,27 @@ def predict_projective_image(ladder: Ladder, direction: str, j: int, k: int, y: 
     Insertion: the image is theta_j(y + k x_{j,n}) - k x_n.  The same
     map moves the twist of a U-family object under ``reduce`` and
     ``insert``.
+
+    Only the last coordinate moves, so the image is one ``normalize``
+    of integers: adding k x_n to y_n carries floor((y_n + k) / p_n)
+    into the level, and the replacement by c carries one more.
     """
     emb = ladder.emb(j)
+    k = _index(k, "k")
     ws = ladder.weights
     src = emb.source
     if direction == "reduce":
         if y.weights != ws:
             raise ValueError("degree must live in the full system")
-        xn = ws.x(ws.n - 1)
-        z = y + k * xn
-        a = z.coeffs[-1]
+        carry, a = divmod(y.coeffs[-1] + k, ws.p[-1])
         if a >= emb.split_weight:
-            z = z - a * xn + ws.c()
-        return emb.theta_inv(z) - k * src.x(src.n - 1)
+            carry, a = carry + 1, 0
+        return normalize(src, y.coeffs[:-1] + (a - k,), y.level + carry)
     if direction == "insert":
         if y.weights != src:
             raise ValueError("degree must live in the reduced system")
-        return emb.theta(y + k * src.x(src.n - 1)) - k * ws.x(ws.n - 1)
+        carry, a = divmod(y.coeffs[-1] + k, emb.split_weight)
+        return normalize(ws, y.coeffs[:-1] + (a - k,), y.level + carry)
     raise ValueError("direction must be 'reduce' or 'insert'")
 
 
@@ -234,15 +239,20 @@ def check_recollement(ladder: Ladder, level_bound: int = 2) -> LadderReport:
                 if not reduce(ladder, j, k + pn, obj).is_same(reduce(ladder, j, k, obj).twist_by(conj)):
                     periodicity_failures.append(f"phi_({j},{k + pn}) vs twisted phi_({j},{k}) on {obj}")
 
+    # the pairs run through product(full, reduced), so with R reduced
+    # modules they read the first min(R, pairs) of those and the first
+    # ceil(pairs / R) full ones: each is built once, and only if read
+    # (both j share the reduced system of a symmetric split)
+    reduced = {}
+    for emb in (ladder.emb1, ladder.emb2):
+        if emb.source not in reduced:
+            reduced[emb.source] = _adjunction_modules(emb.source, _ADJUNCTION_PAIRS)
+    full = _adjunction_modules(ws, max(math.ceil(_ADJUNCTION_PAIRS / len(mods)) for mods in reduced.values()))
     adj = []
     for j in (1, 2):
         emb = ladder.emb(j)
-        srcj = emb.source
-        mods_full = [make_E(ws, ell) for ell in _some_ells(ws)] + [make_simple(ws)]
-        mods_red = [make_E(srcj, ell) for ell in _some_ells(srcj)] + [make_simple(srcj)]
-        mod_pairs = itertools.islice(itertools.product(mods_full, mods_red), _ADJUNCTION_PAIRS)
-        for count, (m, nmod) in enumerate(mod_pairs):
-            adj.append({"j": j, "pair_index": count, "ok": adjunction_check(emb, m, nmod)})
+        oks = adjunction_check(emb, full, reduced[emb.source], _ADJUNCTION_PAIRS)
+        adj += [{"j": j, "pair_index": count, "ok": ok} for count, ok in enumerate(oks)]
 
     return LadderReport(
         weights=ws,
@@ -266,3 +276,13 @@ def _some_ells(ws: WeightSystem):
         if mid not in out:
             out.append(mid)
     return out
+
+
+def _adjunction_modules(ws: WeightSystem, count: int) -> list[GradedModule]:
+    """The first ``count`` modules of the adjunction check over ws: the
+    E^ell for ell in ``_some_ells``, then the simple k."""
+    ells = _some_ells(ws)[:count]
+    mods = [make_E(ws, ell) for ell in ells]
+    if len(ells) < count:
+        mods.append(make_simple(ws))
+    return mods

@@ -13,6 +13,14 @@ Every module lives over the one working field F_32003
 (``DEFAULT_MODULUS``): actions are stored reduced mod 32003 and Hom
 ranks are taken there.  Paranoia at the module level is the exact
 rational mode of ``module_hom_dim``, not a second prime.
+
+``module_hom_dim`` assembles its commutation system in coordinates,
+with no dense block: the nonzeros of each action, from ``np.nonzero``,
+give the entries of its Kronecker blocks A (x) I and -(I (x) B^T)
+directly, and the ``linalg.SparseMatrix`` they make enters
+``rank_mod`` through its one intake.  Each module keeps the target
+degree x + x_i of every action it stores, so neither the system nor
+the walks of ``power_act`` and the relation checks add degrees again.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import itertools
 import numpy as np
 
 from .grading import GradeElement, GroupEmbedding, WeightSystem, _index, normalize
-from .linalg import DEFAULT_MODULUS, rank_exact, rank_mod, residues
+from .linalg import DEFAULT_MODULUS, SparseMatrix, rank_exact, rank_mod, residues
 
 
 class GradedModule:
@@ -47,14 +55,18 @@ class GradedModule:
         dims = {x: _index(d, "dimension", 0) for x, d in dims.items()}
         self.dims = {x: d for x, d in dims.items() if d > 0}
         self.actions = {}
+        # the target degree x + x_i of each stored action, for the walks
+        self._targets: dict[tuple[int, GradeElement], GradeElement] = {}
         for (i, x), mat in actions.items():
             i = _index(i, "variable index", 0, weights.n - 1)
             m = residues(mat, DEFAULT_MODULUS)
-            shape = (self.dim_at(x + weights.x(i)), self.dim_at(x))
+            target = x + weights.x(i)
+            shape = (self.dim_at(target), self.dim_at(x))
             if m.shape != shape:
                 raise ValueError(f"action X_{i+1} at {x} has shape {m.shape}, expected {shape}")
             if m.any():
                 self.actions[(i, x)] = m
+                self._targets[(i, x)] = target
         self._check_relations()
 
     @property
@@ -90,7 +102,7 @@ class GradedModule:
             if mat is None:
                 return None
             out = mat if out is None else (mat @ out) % DEFAULT_MODULUS
-            x = x + self.weights.x(i)
+            x = self._targets[(i, x)]
         return np.eye(self.dim_at(x), dtype=np.int64) if out is None else out
 
     def _check_relations(self) -> None:
@@ -138,7 +150,8 @@ class GradedModule:
 
 def _vanishes(terms) -> bool:
     """Whether a signed sum of composites is zero in the field; None is zero."""
-    return not np.any(sum(sign * mat for sign, mat in terms if mat is not None) % DEFAULT_MODULUS)
+    present = [sign * mat for sign, mat in terms if mat is not None]
+    return not present or not np.any(sum(present) % DEFAULT_MODULUS)
 
 
 def make_simple(weights: WeightSystem, y: GradeElement | None = None) -> GradedModule:
@@ -170,48 +183,64 @@ def make_E(weights: WeightSystem, ell, y: GradeElement | None = None) -> GradedM
 def module_hom_dim(m: GradedModule, n: GradedModule, exact: bool = False) -> int:
     """Dimension of degree-0 module homomorphisms M -> N.
 
-    Unknowns are the componentwise maps f_x, constrained to commute
-    with every X_i action; the answer is the nullity of the assembled
-    linear system over the working field.  With ``exact`` the rank is
-    recomputed over the rationals, for paranoia runs.
+    Unknowns are the componentwise maps f_x, each a row-major
+    (dim N_x) x (dim M_x) block, constrained to commute with every X_i
+    action: N_i f_x = f_(x+x_i) M_i from M_x to N_(x+x_i).  The system
+    has one row block for each action of M or of N between such
+    degrees, and is assembled once, in coordinates: each nonzero of an
+    action of N at x stands for the diagonal of a block A (x) I on f_x,
+    and each nonzero of an action of M for the diagonal of a block
+    -(I (x) B^T) on f_(x+x_i).  The answer is the nullity of that
+    ``SparseMatrix`` over the working field; with ``exact`` the same
+    coordinates, densified, are ranked over the rationals, for paranoia
+    runs.
     """
     if m.weights != n.weights:
         raise ValueError("mismatched modules")
-    ws, q = m.weights, DEFAULT_MODULUS
-    common = [x for x in m.dims if x in n.dims]
+    q = DEFAULT_MODULUS
     offsets: dict[GradeElement, int] = {}
     total = 0
-    for x in common:
-        offsets[x] = total
-        total += m.dims[x] * n.dims[x]
+    for x, dm in m.dims.items():
+        if x in n.dims:
+            offsets[x] = total
+            total += n.dims[x] * dm
     if total == 0:
         return 0
-    rows = []
-    for x in m.dims:
-        dm = m.dims[x]
-        for i in range(ws.n):
-            xi = x + ws.x(i)
-            dn_t = n.dim_at(xi)
-            if dn_t == 0:
-                continue
-            blocks = []
-            if x in offsets:
-                blocks.append((offsets[x], np.kron(n.act(i, x), np.eye(dm, dtype=np.int64))))
-            if xi in offsets and m.dim_at(xi) > 0:
-                blocks.append((offsets[xi], -np.kron(np.eye(dn_t, dtype=np.int64), m.act(i, x).T)))
-            if not blocks:
-                continue
-            block_rows = dn_t * dm
-            row = np.zeros((block_rows, total), dtype=np.int64)
-            for off, blk in blocks:
-                row[:, off : off + blk.shape[1]] += blk
-            rows.append(row % q)
+    rows, cols, vals = [], [], []
+    height = 0
+    # each step x -> x + x_i where M or N acts, with its target
+    steps = {**n._targets, **m._targets}
+    for key, target in steps.items():
+        x = key[1]
+        dm, dn = m.dim_at(x), n.dim_at(target)
+        if not dm or not dn:
+            continue
+        a = n.actions.get(key)
+        if a is not None:
+            # (A (x) I_dm)[(r, c), (s, c)] = A[r, s] on f_x
+            r, s = np.nonzero(a)
+            c = np.arange(dm)
+            rows.append((height + r[:, None] * dm + c).ravel())
+            cols.append((offsets[x] + s[:, None] * dm + c).ravel())
+            vals.append(np.repeat(a[r, s], dm))
+        b = m.actions.get(key)
+        if b is not None:
+            # -(I_dn (x) B^T)[(r, c), (r, t)] = -B[t, c] on f_(x+x_i)
+            t, c = np.nonzero(b)
+            r = np.arange(dn)[:, None]
+            rows.append((height + r * dm + c).ravel())
+            cols.append((offsets[target] + r * b.shape[0] + t).ravel())
+            vals.append(np.tile(q - b[t, c], dn))
+        height += dn * dm
     if not rows:
         return total
-    system = np.vstack(rows)
+    keys = np.concatenate(rows) * total + np.concatenate(cols)
+    system = SparseMatrix((height, total), keys, np.concatenate(vals))
     if exact:
-        signed = np.where(system > q // 2, system - q, system)
-        return total - rank_exact(signed)
+        dense = np.zeros(height * total, dtype=np.int64)
+        np.add.at(dense, keys, system.values)
+        dense = dense.reshape(height, total) % q
+        return total - rank_exact(np.where(dense > q // 2, dense - q, dense))
     return total - rank_mod(system, q)
 
 
@@ -228,24 +257,23 @@ def phi0_module(emb: GroupEmbedding, m: GradedModule) -> GradedModule:
     src = emb.source
     n = ws.n
     gap = ws.p[-1] - emb.split_weight
-    xn = ws.x(n - 1)
+    step = gap * ws.x(n - 1)
     dims: dict[GradeElement, int] = {}
     fiber: dict[GradeElement, GradeElement] = {}
     for z, d in m.dims.items():
-        zp = z - gap * xn
+        zp = z - step
         if zp.coeffs[-1] < emb.split_weight:
             x = emb.theta_inv(zp)
             dims[x] = d
             fiber[x] = z
     actions: dict[tuple[int, GradeElement], np.ndarray] = {}
     for x, z in fiber.items():
-        for i in range(n - 1):
-            actions[(i, x)] = m.act(i, z)
-        lam = x.coeffs[-1]
-        if lam < emb.split_weight - 1:
-            actions[(n - 1, x)] = m.act(n - 1, z)
-        else:
-            actions[(n - 1, x)] = m.power_act(n - 1, z, gap + 1)
+        last = 1 if x.coeffs[-1] < emb.split_weight - 1 else gap + 1
+        for i in range(n):
+            # an absent action or composite is zero, which the module leaves out anyway
+            mat = m._walk(z, (i,) * (last if i == n - 1 else 1))
+            if mat is not None:
+                actions[(i, x)] = mat
     return GradedModule(src, dims, actions)
 
 
@@ -262,30 +290,40 @@ def psi0_module(emb: GroupEmbedding, nm: GradedModule) -> GradedModule:
         raise ValueError("module does not live over the reduced system")
     n = ws.n
     gap = ws.p[-1] - emb.split_weight
-    xn = ws.x(n - 1)
+    steps = [t * ws.x(n - 1) for t in range(gap + 1)]
     dims: dict[GradeElement, int] = {}
     fiber: dict[GradeElement, GradeElement] = {}
     for w, d in nm.dims.items():
         wn = w.coeffs[-1]
         if wn == 0:
-            xs = [emb.theta(w) + t * xn for t in range(gap + 1)]
+            xs = [emb.theta(w) + step for step in steps]
         else:
-            xs = [emb.theta(w) + gap * xn]
+            xs = [emb.theta(w) + steps[gap]]
         for x in xs:
             dims[x] = d
             fiber[x] = w
     actions: dict[tuple[int, GradeElement], np.ndarray] = {}
     for x, w in fiber.items():
-        for i in range(n - 1):
-            actions[(i, x)] = nm.act(i, w)
-        lam = x.coeffs[-1]
-        if lam < gap:
-            actions[(n - 1, x)] = np.eye(dims[x], dtype=np.int64)
-        else:
-            actions[(n - 1, x)] = nm.act(n - 1, w)
+        band = x.coeffs[-1] < gap
+        for i in range(n):
+            # an absent action is zero, which the module leaves out anyway
+            mat = np.eye(dims[x], dtype=np.int64) if i == n - 1 and band else nm.actions.get((i, w))
+            if mat is not None:
+                actions[(i, x)] = mat
     return GradedModule(ws, dims, actions)
 
 
-def adjunction_check(emb: GroupEmbedding, m: GradedModule, nm: GradedModule) -> bool:
-    """Dimension form of the (phi_0, psi_0) adjunction."""
-    return module_hom_dim(phi0_module(emb, m), nm) == module_hom_dim(m, psi0_module(emb, nm))
+def adjunction_check(emb: GroupEmbedding, full: list[GradedModule], reduced: list[GradedModule], pairs: int | None = None) -> list[bool]:
+    """Dimension form of the (phi_0, psi_0) adjunction, dim Hom(phi_0 M,
+    N) = dim Hom(M, psi_0 N), on the first ``pairs`` (M, N) of the
+    product of the full and the reduced modules, all of them by default.
+
+    Each phi_0 M and psi_0 N is built once, and only when a pair reads
+    it; a single pair is the call on two one-module lists.
+    """
+    if pairs is not None:
+        pairs = _index(pairs, "pair count", 0)
+    read = list(itertools.islice(itertools.product(range(len(full)), range(len(reduced))), pairs))
+    phi = {a: phi0_module(emb, full[a]) for a in dict.fromkeys(a for a, _ in read)}
+    psi = {b: psi0_module(emb, reduced[b]) for b in dict.fromkeys(b for _, b in read)}
+    return [module_hom_dim(phi[a], reduced[b]) == module_hom_dim(full[a], psi[b]) for a, b in read]

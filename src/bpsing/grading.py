@@ -145,6 +145,10 @@ class GradeElement:
             if not 0 <= lam < w:
                 raise ValueError(f"coefficient {lam} out of range for weight {w}")
 
+    def __hash__(self) -> int:
+        # equal elements share their weights, so the weights need not be hashed again
+        return hash((self.coeffs, self.level))
+
     def _check_same(self, other: GradeElement) -> None:
         if self.weights is not other.weights and self.weights != other.weights:
             raise ValueError("mismatched weight systems")

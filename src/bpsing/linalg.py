@@ -20,11 +20,12 @@ Python ints are reduced before the cast.
 ``rank_mod`` takes the rank over F_q of a matrix in coordinates, and
 reads an array into that form first, so every matrix has one intake.
 A matrix at least 1/``DENSE`` nonzero, which the small matrices of the
-oracle and of ``gmod`` are, is summed into a dense block and
-eliminated column by column.  The oracle's large matrices are about 1%
-nonzero, so it eliminates them sparsely: in rounds, each a batch of
-pivots whose block is diagonal, removed at once through the Schur
-complement, on coordinate arrays of the nonzeros.  Both keep every
+oracle and of ``gmod`` on types up to (2,3,4,5) are, is summed into a
+dense block and eliminated column by column.  The oracle's large
+matrices are about 1% nonzero, so it eliminates them sparsely: in
+rounds, each a batch of pivots whose block is diagonal, removed at
+once through the Schur complement, on coordinate arrays of the
+nonzeros.  Both keep every
 intermediate value below q**2 <= 2**62 in absolute value, so nothing
 overflows int64.
 
@@ -59,8 +60,11 @@ PARANOIA_MODULUS = 65537
 # Timed one by one on the matrices of one job of each benchmark
 # workload, the sparse rounds lost on all 210 of up to 4000 cells
 # (7.5-100% nonzero) and won on 226 of the 230 larger ones (0.4-5.1%
-# nonzero); thresholds from 1/12 to 1/20 gave the least total time, and
-# ``gmod``'s matrices (at least 1/12 nonzero) all stay dense.
+# nonzero); thresholds from 1/12 to 1/20 gave the least total time.
+# The module Hom systems of ``gmod`` in the ladder checks are at least
+# 1/12 nonzero up to (2,3,4,5) and all stay dense; over (5,6,7) they
+# fall to 1/60, and 32 of the 100 that its five splits rank take the
+# sparse rounds.
 DENSE = 16
 
 
@@ -136,9 +140,9 @@ class SparseMatrix:
 
     ``keys`` and ``values`` are kept as read-only views, not copies; an
     empty one may have any dtype.  A shape that is not two nonnegative
-    integers, keys and values that are not 1-D of one length, a key
-    that is not an integer or lies outside the cells, and a non-integer
-    value raise ``ValueError``.  So do 2**32 cells or entries or more:
+    integers (a bool is not one), keys and values that are not 1-D of
+    one length, a key that is not an integer or lies outside the cells,
+    and a non-integer value raise ``ValueError``.  So do 2**32 cells or entries or more:
     ``rank_mod``'s int64 bounds need fewer.
     """
 
@@ -148,7 +152,7 @@ class SparseMatrix:
 
     def __post_init__(self) -> None:
         shape = tuple(self.shape)
-        if len(shape) != 2 or not all(isinstance(x, (int, np.integer)) and x >= 0 for x in shape):
+        if len(shape) != 2 or not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0 for x in shape):
             raise ValueError(f"need a shape of two nonnegative integers, not {self.shape}")
         shape = int(shape[0]), int(shape[1])
         keys, values = (np.asarray(x) for x in (self.keys, self.values))

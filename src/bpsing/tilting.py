@@ -180,16 +180,17 @@ class TiltingReport:
 
 def _shift_window(ws: WeightSystem, window: tuple[int, int] | None) -> tuple[int, int]:
     """The shift window (lo, hi) of integers, by default +-(2n + 4);
-    raises ValueError unless lo <= 0 <= hi, so that an empty or
-    one-sided window, which would leave a check unasked, is never
-    taken."""
+    raises ValueError on a window that is not a pair, and unless
+    lo <= 0 <= hi, so that an empty or one-sided window, which would
+    leave a check unasked, is never taken."""
     if window is None:
         w = 2 * ws.n + 4
         window = (-w, w)
-    window = _index(window[0], "window start"), _index(window[1], "window end")
-    if not window[0] <= 0 <= window[1]:
-        raise ValueError(f"shift window {window} does not contain 0")
-    return window
+    lo, hi = window
+    lo, hi = _index(lo, "window start"), _index(hi, "window end")
+    if not lo <= 0 <= hi:
+        raise ValueError(f"shift window {(lo, hi)} does not contain 0")
+    return lo, hi
 
 
 def verify_tilting(fam: TiltingFamily, window: tuple[int, int] | None = None) -> TiltingReport:

@@ -137,20 +137,14 @@ def test_criterion_3_ladder_verification():
                     image = insert(lad, 2, 0, pre)
                 if not image.is_same(obj):
                     failures.append(("decomposition", p, q, str(obj)))
-            count = 0
             for j in (1, 2):
                 emb = lad.emb(j)
                 mods_m = [make_E(ws, ell, y) for ell in _some_ells(ws) for y in (ws.zero(), ws.x(ws.n - 1))]
                 mods_n = [make_E(emb.source, ell) for ell in _some_ells(emb.source)]
                 mods_n.append(make_simple(emb.source))
-                for m in mods_m:
-                    for nm in mods_n:
-                        if count >= 25:
-                            break
-                        count += 1
-                        adjunction_total += 1
-                        if not adjunction_check(emb, m, nm):
-                            failures.append(("adjunction", p, q, j, count))
+                oks = adjunction_check(emb, mods_m, mods_n, 25)
+                adjunction_total += len(oks)
+                failures += [("adjunction", p, q, j, count) for count, ok in enumerate(oks, 1) if not ok]
     ok = not failures and adjunction_total >= 50
     _report("3", ok, f"ladder checks on (3,4) and (3,4,5), all splits; {adjunction_total} adjunction pairs; failures: {failures[:4]}")
     assert adjunction_total >= 50

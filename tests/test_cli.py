@@ -237,9 +237,13 @@ def test_unusable_arguments_exit_two(capsys, argv):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["endo", "-p", "3,4", "--kind", "replicated:9"], "family kind 'replicated:9': coordinate t = 8 out of range"),
-        (["endo", "-p", "3,4", "--kind", "extended:9"], "family kind 'extended:9': subset (8,) out of range"),
+        # coordinates are typed 1-based, and named so in the error
+        (["endo", "-p", "3,4", "--kind", "replicated:9"], "family kind 'replicated:9': coordinate t 9 outside 1..2"),
+        (["endo", "-p", "3,4", "--kind", "extended:9"], "family kind 'extended:9': coordinate 9 outside 1..2"),
         (["quiver", "--algebra", "dynkin:A0"], "algebra 'dynkin:A0': Dynkin rank 0 is below 1"),
+        (["quiver", "-p", "3,4", "--algebra", "gamma:3"], "algebra 'gamma:3': coordinate t 3 outside 1..2"),
+        (["quiver", "-p", "3,4", "--algebra", "gamma:0"], "algebra 'gamma:0': coordinate t 0 outside 1..2"),
+        (["tilt", "-p", "3,4", "--kind", "extended:2,2"], "family kind 'extended:2,2': subset 2,2 repeats a coordinate"),
     ],
 )
 def test_out_of_range_arguments_say_so(capsys, argv, message):

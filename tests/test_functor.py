@@ -1,12 +1,15 @@
 """Reduction and insertion functors, projective images, ladder checks."""
 
+import collections
+import hashlib
 import itertools
 import random
 
 import numpy as np
 import pytest
 
-from bpsing.functor import _FF_PAIRS, Ladder, check_recollement, insert, predict_projective_image, reduce
+from bpsing import functor, gmod
+from bpsing.functor import _ADJUNCTION_PAIRS, _FF_PAIRS, Ladder, _some_ells, check_recollement, insert, predict_projective_image, reduce
 from bpsing.grading import GroupEmbedding, WeightSystem, normalize
 from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, rho_k, zero_object
 
@@ -327,3 +330,57 @@ def test_functors_match_reference_on_random_inputs():
                         y = _random_degree(rng, w)
                         args = (lad, direction, j, k, y)
                         assert _outcome(predict_projective_image, *args) == _outcome(_ref_predict_projective_image, *args), (p, q, j, k, direction, str(y))
+
+
+# sha256 of LadderReport.to_json() for every split, from the ladder that
+# built each module for every pair that read it and assembled module Hom
+# systems as dense Kronecker blocks
+REPORT_DIGESTS = {
+    ((3, 4), 2): "030000db36082929",
+    ((3, 4), 3): "292013540fcd191e",
+    ((2, 3, 4), 2): "9287e9184e81f662",
+    ((2, 3, 4), 3): "698ba13d32967bfd",
+    ((3, 4, 5), 2): "051370c0c8d1af0c",
+    ((3, 4, 5), 3): "7a592c6e20188723",
+    ((3, 4, 5), 4): "3637ec22af84a752",
+}
+
+
+@pytest.mark.parametrize("p, q", sorted(REPORT_DIGESTS))
+def test_recollement_report_is_unchanged(p, q):
+    payload = check_recollement(Ladder(WeightSystem(p), q)).to_json()
+    assert hashlib.sha256(payload.encode()).hexdigest()[:16] == REPORT_DIGESTS[(p, q)]
+
+
+@pytest.mark.parametrize("p", [(3, 3), (3, 4), (2, 3, 4), (3, 4, 5), (2, 5)])
+def test_recollement_builds_each_module_once(monkeypatch, p):
+    ws = WeightSystem(p)
+    for q in range(2, p[-1]):
+        lad = Ladder(ws, q)
+        # what the adjunction pairs read: (E^ell or k over a system, and
+        # the j whose phi_0 or psi_0 image is taken)
+        modules, phi, psi = set(), set(), set()
+        for j in (1, 2):
+            src = lad.emb(j).source
+            full = [(ws, ell) for ell in _some_ells(ws)] + [(ws, None)]
+            red = [(src, ell) for ell in _some_ells(src)] + [(src, None)]
+            for a, b in itertools.islice(itertools.product(full, red), _ADJUNCTION_PAIRS):
+                modules |= {a, b}
+                phi.add((j, a))
+                psi.add((j, b))
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        with monkeypatch.context() as patch:
+            for name in ("make_E", "make_simple"):
+                patch.setattr(functor, name, counted("module", getattr(gmod, name)))
+            for name in ("phi0_module", "psi0_module"):
+                patch.setattr(gmod, name, counted(name, getattr(gmod, name)))
+            assert check_recollement(lad, 0).passed
+        assert calls == {"module": len(modules), "phi0_module": len(phi), "psi0_module": len(psi)}, (p, q)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpsing.gmod import (
     GradedModule,
@@ -13,7 +15,7 @@ from bpsing.gmod import (
     psi0_module,
 )
 from bpsing.grading import GroupEmbedding, WeightSystem
-from bpsing.linalg import DEFAULT_MODULUS
+from bpsing.linalg import DEFAULT_MODULUS, rank_mod
 
 W34 = WeightSystem((3, 4))
 EMB1 = GroupEmbedding(W34, 1, (3, 2))
@@ -233,10 +235,19 @@ def test_exactness_proxy_on_short_exact_sequence():
 
 @pytest.mark.parametrize("emb", [EMB1, EMB2])
 def test_adjunction_examples(emb):
-    assert adjunction_check(emb, make_E(W34, (2, 3)), make_simple(emb.source))
-    assert adjunction_check(emb, make_E(W34, (1, 2)), make_E(emb.source, (1, 1)))
+    assert adjunction_check(emb, [make_E(W34, (2, 3))], [make_simple(emb.source)]) == [True]
+    assert adjunction_check(emb, [make_E(W34, (1, 2))], [make_E(emb.source, (1, 1))]) == [True]
     zero = GradedModule(W34, {}, {})
-    assert adjunction_check(emb, zero, make_simple(emb.source))
+    assert adjunction_check(emb, [zero], [make_simple(emb.source)]) == [True]
+
+
+def test_adjunction_check_reads_pairs_in_product_order():
+    full = [make_E(W34, (2, 3)), make_E(W34, (1, 2)), make_simple(W34)]
+    reduced = [make_simple(EMB1.source), make_E(EMB1.source, (1, 1))]
+    singles = [adjunction_check(EMB1, [m], [nm]) for m in full for nm in reduced]
+    assert adjunction_check(EMB1, full, reduced) == [ok for (ok,) in singles] == [True] * 6
+    assert adjunction_check(EMB1, full, reduced, 3) == [True] * 3
+    assert adjunction_check(EMB1, full, reduced, 0) == []
 
 
 def test_module_json_round_trippable_fields():
@@ -334,3 +345,104 @@ def test_actions_are_read_exactly():
     assert wide.act(0, ws.zero()).tolist() == [[(2**64 - 1) % DEFAULT_MODULUS]] == [[21708]]
     big = GradedModule(ws, dims, {(0, ws.zero()): [[2**70]]})
     assert big.act(0, ws.zero()).tolist() == [[2**70 % DEFAULT_MODULUS]]
+
+
+def _dense_hom_dim(m, n):
+    """Dimension of Hom(M, N) from the dense system: one np.kron block per
+    degree x of M and variable i, stacked; the assembly module_hom_dim
+    had before it built its system in coordinates."""
+    ws, q = m.weights, DEFAULT_MODULUS
+    common = [x for x in m.dims if x in n.dims]
+    offsets, total = {}, 0
+    for x in common:
+        offsets[x] = total
+        total += m.dims[x] * n.dims[x]
+    if total == 0:
+        return 0
+    rows = []
+    for x in m.dims:
+        dm = m.dims[x]
+        for i in range(ws.n):
+            xi = x + ws.x(i)
+            dn_t = n.dim_at(xi)
+            if dn_t == 0:
+                continue
+            blocks = []
+            if x in offsets:
+                blocks.append((offsets[x], np.kron(n.act(i, x), np.eye(dm, dtype=np.int64))))
+            if xi in offsets and m.dim_at(xi) > 0:
+                blocks.append((offsets[xi], -np.kron(np.eye(dn_t, dtype=np.int64), m.act(i, x).T)))
+            if not blocks:
+                continue
+            row = np.zeros((dn_t * dm, total), dtype=np.int64)
+            for off, blk in blocks:
+                row[:, off : off + blk.shape[1]] += blk
+            rows.append(row % q)
+    return total - rank_mod(np.vstack(rows), q) if rows else total
+
+
+@st.composite
+def _summand(draw, emb, full):
+    """E^ell(y) or k(y) over the full system of emb (or its source), or
+    the psi_0 (phi_0) image of one over the other system."""
+    over_full = full if draw(st.booleans()) else not full
+    system = emb.target if over_full else emb.source
+    y = system.element([draw(st.integers(0, w - 1)) for w in system.p], draw(st.integers(-1, 1)))
+    if draw(st.integers(0, 3)) == 0:
+        base = make_simple(system, y)
+    else:
+        base = make_E(system, [draw(st.integers(1, min(3, w - 1))) for w in system.p], y)
+    if over_full == full:
+        return base
+    return psi0_module(emb, base) if full else phi0_module(emb, base)
+
+
+def _change_basis(m, seed):
+    """M with the basis of each fiber changed by an integer matrix
+    D (I + U), D diagonal of signs and U strictly upper triangular: an
+    isomorphic module over Z, whose actions have entries other than 0
+    and 1 where the fibers have dimension 2 or more."""
+    rng = np.random.default_rng(seed)
+    base, inverse = {}, {}
+    for x, d in m.dims.items():
+        u = np.triu(rng.integers(-2, 3, (d, d)), 1)
+        signs = rng.choice([-1, 1], d)
+        base[x] = signs[:, None] * (np.eye(d, dtype=np.int64) + u)
+        # (I + U)^-1 is the finite sum of the (-U)^k
+        inverse[x] = sum(np.linalg.matrix_power(-u, k) for k in range(d)) * signs
+    signed = {key: np.where(a > DEFAULT_MODULUS // 2, a - DEFAULT_MODULUS, a) for key, a in m.actions.items()}
+    actions = {(i, x): base[x + m.weights.x(i)] @ a @ inverse[x] for (i, x), a in signed.items()}
+    return GradedModule(m.weights, m.dims, actions)
+
+
+@st.composite
+def _module_pair(draw):
+    """Two direct sums of summands drawn from one pool over one system,
+    each with its first summand taken twice, so that fibers of dimension
+    2 or more occur and the two share summands.  The pool holds a
+    summand S, S(x_i), whose support overlaps that of S in part, so
+    that actions between fibers of different dimensions occur, and one
+    more summand.  Either module may have its fiber bases changed."""
+    ws = WeightSystem(draw(st.sampled_from([(3, 4), (2, 3, 4), (3, 4, 5)])))
+    q = draw(st.integers(2, ws.p[-1] - 1))
+    emb = GroupEmbedding(ws, draw(st.sampled_from((1, 2))), (q, ws.p[-1] + 1 - q))
+    full = draw(st.booleans())
+    first = draw(_summand(emb, full))
+    pool = [first, first.twist(first.weights.x(draw(st.integers(0, ws.n - 1)))), draw(_summand(emb, full))]
+    pair = []
+    for _ in range(2):
+        picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+        out = picks[0].direct_sum(picks[0])
+        for part in picks[1:]:
+            out = out.direct_sum(part)
+        if draw(st.booleans()):
+            out = _change_basis(out, draw(st.integers(0, 2**16)))
+        pair.append(out)
+    return tuple(pair)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_module_pair())
+def test_module_hom_dim_matches_dense_reference(pair):
+    m, n = pair
+    assert module_hom_dim(m, n) == module_hom_dim(m, n, exact=True) == _dense_hom_dim(m, n)

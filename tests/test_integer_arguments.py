@@ -30,6 +30,7 @@ from bpsing import (
     StableObject,
     U,
     WeightSystem,
+    adjunction_check,
     check_recollement,
     dynkin_path_algebra,
     family,
@@ -139,7 +140,7 @@ ARGS = {
         Arg(lambda v: W34.element((0, v))),
         Arg(lambda v: W34.element((0, 0), v)),
     ),
-    "adjunction_check": (),
+    "adjunction_check": (Arg(lambda v: adjunction_check(LAD33.emb1, [make_E(LAD33.weights, (2, 2))], [make_E(RED.weights, (1, 1))], v), 0),),
     "check_recollement": (Arg(lambda v: check_recollement(LAD23, v), 0, base=0),),
     "coxeter_polynomial": (),
     "cuboid_objects": (),

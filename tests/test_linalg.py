@@ -273,6 +273,8 @@ def test_sparse_matrix_sums_repeated_keys():
         # 2**32 cells: flat keys and pivot priorities would leave int64
         ((2**16, 2**16), [], [], "int64 bounds"),
         ((2**32, 1), [], [], "int64 bounds"),
+        # True used to be read as 1
+        ((True, 3), [0], [1], "nonnegative integers"),
     ],
 )
 def test_sparse_matrix_rejects_malformed_coordinates(shape, keys, values, message):

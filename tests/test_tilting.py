@@ -178,6 +178,13 @@ def test_verify_rejects_window_without_zero(window):
         verify_tilting(family(W34, "cuboid"), window=window)
 
 
+@pytest.mark.parametrize("window", [(-1, 1, 7), (0,), ()])
+def test_verify_rejects_window_that_is_not_a_pair(window):
+    # (-1, 1, 7) used to run as (-1, 1), the 7 dropped without a word
+    with pytest.raises(ValueError, match="unpack"):
+        verify_tilting(family(WeightSystem((2, 2)), "cuboid"), window)
+
+
 def test_glue_rejects_window_without_zero():
     # at (3, -3) no obstruction Hom would be asked and the glue would pass
     lad = Ladder(W34, 3)
