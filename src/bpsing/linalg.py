@@ -33,16 +33,27 @@ Over the rationals and Z there is one elimination, fraction-free
 Gauss-Jordan (Bareiss), on numpy object arrays of Python ints: numpy
 runs the loops in C while every entry stays an unbounded integer, so
 nothing can overflow.  It gives ``rank_exact`` its rank and
-``inverse_unimodular`` the inverse of a unimodular matrix; the
-characteristic polynomial is the Faddeev-LeVerrier recursion.  Both
-divide only where the quotient must be exact, and raise
-``ArithmeticError`` if a remainder is left.  The square kernels reject
+``inverse_unimodular`` the inverse of a unimodular matrix; it divides
+only where the quotient must be exact, and raises ``ArithmeticError``
+if a remainder is left.
+
+``charpoly_int`` is multimodular.  A coefficient c_k of an n x n
+matrix is at most the Hadamard bound prod_i (1 + |row_i|_2) in
+absolute value.  The Faddeev-LeVerrier recursion runs mod primes p in
+(2**24, 2**25), all at once on one stack of int64 matrices, with as
+many primes as make their product exceed twice the bound; each c_k is
+the symmetric residue of its CRT lift.  The primes are built on first
+use, one after another, and kept in a bounded cache (``_prime``).
+Since p > 2**24 > n, every k <= n is invertible mod p, and an entry
+of a product of residues is below n (p - 1)**2 < 2**63; a matrix of
+2**13 rows or more raises ``ValueError``.  The square kernels reject
 a ragged, non-square or not 2-D matrix with ``ValueError``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -446,15 +457,15 @@ def rank_exact(a) -> int:
     return _gauss_jordan(_python_ints(integer_matrix(a)))[1]
 
 
-def _square_int(a) -> np.ndarray:
-    """A square integer matrix as a numpy object array of Python ints."""
+def _square(a) -> np.ndarray:
+    """A square matrix through ``integer_matrix``."""
     try:
         ragged = any(len(row) != len(a) for row in a)
     except TypeError:  # rows without a length: not 2-D, which the intake rejects
         ragged = False
     if ragged:
         raise ValueError("matrix is not square")
-    return _python_ints(integer_matrix(a))
+    return integer_matrix(a)
 
 
 def inverse_unimodular(a) -> list[list[int]]:
@@ -465,7 +476,7 @@ def inverse_unimodular(a) -> list[list[int]]:
     sign of the row swaps, the left block ends as d I and the right
     block as d A^(-1).
     """
-    m = _square_int(a)
+    m = _python_ints(_square(a))
     n = len(m)
     aug, rank, det = _gauss_jordan(np.concatenate([m, np.eye(n, dtype=object)], axis=1), n)
     if rank < n:
@@ -476,24 +487,61 @@ def inverse_unimodular(a) -> list[list[int]]:
     return (aug[:, n:] * det).tolist()
 
 
+@functools.lru_cache(maxsize=256)
+def _prime(i: int) -> int:
+    """The i-th prime below 2**25, counting down from the largest, built
+    on first use from the one before it.
+
+    The primes of ``charpoly_int`` lie in (2**24, 2**25); past the last
+    of them this raises ``ValueError``.
+    """
+    p = (2**25 if i == 0 else _prime(i - 1)) - 1
+    while not is_prime(p):
+        p -= 1
+    if p <= 2**24:
+        raise ValueError("no prime of the characteristic polynomial's range is left")
+    return p
+
+
 def charpoly_int(a) -> tuple[int, ...]:
     """Characteristic polynomial of an integer matrix, exact.
 
-    Faddeev-LeVerrier recursion M_(k+1) = A M_k + c_k I on object
-    arrays; every division is exact.  Returns the monic coefficient
-    tuple, leading coefficient first.
+    Returns the monic coefficient tuple of det(xI - A), leading
+    coefficient first, as Python ints.  The Faddeev-LeVerrier recursion
+    M_1 = I, M <- A M, c_k = -tr(M) / k, M <- M + c_k I runs mod each
+    prime of ``_prime`` at once, on one stack of int64 matrices, until
+    the primes' product P exceeds twice the Hadamard bound of the
+    coefficients; each c_k is then the symmetric residue of its CRT
+    lift mod P.  ``ValueError`` for n >= 2**13, where the int64 bounds
+    fail, and as ``integer_matrix`` or a ragged, non-square matrix gives.
     """
-    a = _square_int(a)
+    a = _square(a)
     n = len(a)
-    coeffs = [1]
-    m = np.eye(n, dtype=object)  # M_1 = I
-    diag = np.diag_indices(n)
-    for k in range(1, n + 1):
-        m = a @ m
-        tr = int(m.trace())
-        if tr % k:
-            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
-        c = -tr // k
-        coeffs.append(c)
-        m[diag] += c
-    return tuple(coeffs)
+    if n >= 2**13:
+        raise ValueError(f"a {n} x {n} matrix is beyond the int64 bounds of charpoly_int")
+    a = _python_ints(a)
+    # c_k is -+ a sum of principal k x k minors, each at most the product
+    # of its rows' norms (Hadamard), so |c_k| <= prod_i (1 + |row_i|),
+    # and 2 + isqrt(s) >= 1 + sqrt(s)
+    bound = math.prod(2 + math.isqrt(s) for s in (a * a).sum(axis=1))
+    primes, product = [], 1
+    while product <= 2 * bound:
+        primes.append(_prime(len(primes)))
+        product *= primes[-1]
+    p = np.array(primes, dtype=np.int64)
+    # every prime exceeds 2**24 > n, so each k <= n is invertible, and
+    # a product of residues sums to below n (p - 1)**2 < 2**63
+    inverse = np.array([[pow(k, -1, q) for k in range(1, n + 1)] for q in primes], dtype=np.int64)
+    stack = (a % p[:, None, None].astype(object)).astype(np.int64)
+    m = np.broadcast_to(np.eye(n, dtype=np.int64), stack.shape)
+    residue = np.zeros((len(primes), n), dtype=np.int64)
+    for k in range(n):
+        m = np.matmul(stack, m) % p[:, None, None]
+        diag = m.reshape(len(primes), -1)[:, :: n + 1]  # a view
+        residue[:, k] = -diag.sum(axis=1) % p * inverse[:, k] % p
+        diag += residue[:, k, None]
+        diag %= p[:, None]
+    # CRT: c = sum_i r_i w_i mod P, w_i = (P / p_i) ((P / p_i)^(-1) mod p_i)
+    weights = np.array([product // q * pow(product // q % q, -1, q) for q in primes], dtype=object)
+    lifted = (weights @ residue.astype(object) % product).tolist()
+    return (1, *(c - product if c > product // 2 else c for c in lifted))

@@ -14,9 +14,11 @@ blocks on the subdiagonal.  The arrows of ``lambda_q`` and
 C[t][s] >= 1.
 
 Coxeter polynomials are characteristic polynomials of -C^(-T) C in
-exact integer arithmetic.  They are invariant under simultaneous
-vertex permutation and under the transpose convention, which is
-checked on every call rather than assumed.  ``COXETER_SUITES`` holds
+exact integer arithmetic, by the multimodular ``charpoly_int``.  They
+are invariant under simultaneous vertex permutation and under the
+transpose convention: C is inverted once, and -C^(-1) C^T, a second
+integer matrix with the same polynomial, is computed on every call as
+a self-check of the kernel.  ``COXETER_SUITES`` holds
 the one definition of each derived-equivalence suite: Happel-Seidel,
 the cuboid algebra Lambda(p - 1) against every Gamma^t, and the
 Dynkin and replicated pairs.
@@ -340,13 +342,12 @@ COXETER_SUITES = {
 
 
 def coxeter_polynomial(a: AlgebraPresentation) -> IntPolynomial:
-    """Characteristic polynomial of -C^(-T) C, exact."""
+    """Characteristic polynomial of -C^(-T) C, exact, checked against
+    that of -C^(-1) C^T (see the module docstring)."""
     k = a.size
     c = np.array(a.cartan.tolist(), dtype=object).reshape(k, k)
-    phi = -(np.array(inverse_unimodular(c.T), dtype=object).reshape(k, k) @ c)
-    coeffs = charpoly_int(phi)
-    # transpose convention gives the same polynomial; keep that pinned
-    phi2 = -(np.array(inverse_unimodular(c), dtype=object).reshape(k, k) @ c.T)
-    if charpoly_int(phi2) != coeffs:
+    inv = np.array(inverse_unimodular(c), dtype=object).reshape(k, k)
+    coeffs = charpoly_int(-(inv.T @ c))
+    if charpoly_int(-(inv @ c.T)) != coeffs:
         raise RuntimeError("Coxeter polynomial must not depend on the transpose convention")
     return IntPolynomial(coeffs)

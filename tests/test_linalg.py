@@ -1,10 +1,13 @@
 """Exact linear algebra: modular ranks, the modulus guard and the integer kernels."""
 
+import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bpsing import linalg
 from bpsing.grading import WeightSystem
@@ -313,9 +316,12 @@ def test_rank_mod_accepts_array_likes():
 
 # -- the integer kernels against the direct loops ---------------------------
 #
-# The references below are the Fraction-based Gauss-Jordan inverse and the
-# pure-Python Faddeev-LeVerrier loop that the object-array kernels replace;
-# both must give the same answers and raise on the same inputs.
+# The references below are a Fraction-based Gauss-Jordan inverse and the
+# Faddeev-LeVerrier loop in Python ints, exact at every step with no bound
+# and no prime.  The fraction-free ``inverse_unimodular`` and the
+# multimodular ``charpoly_int`` (the same recursion mod primes, lifted by
+# CRT within a Hadamard bound) must give the same answers and raise on the
+# same inputs.
 
 
 def _ref_inverse_unimodular(a):
@@ -390,6 +396,58 @@ def test_kernels_match_references_on_random_integer_matrices():
             assert all(type(x) is int for x in got)
             # mostly not unimodular: both must raise, with the same message
             assert _outcome(inverse_unimodular, a) == _outcome(_ref_inverse_unimodular, a), a
+
+
+_SQUARE = st.integers(0, 14).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_SQUARE)
+def test_charpoly_matches_reference(a):
+    assert charpoly_int(a) == _ref_charpoly_int(a)
+
+
+def test_charpoly_matches_reference_at_larger_sizes():
+    rng = np.random.default_rng(37)
+    for n in range(13, 31):
+        # small entries and entries up to 2**n, which take up to 43 primes
+        hi = 5 if n % 2 else 2**n
+        a = rng.integers(-hi, hi + 1, (n, n)).tolist()
+        assert charpoly_int(a) == _ref_charpoly_int(a), n
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_charpoly_of_diagonal_needs_three_primes(sign):
+    # (x - b)^n has coefficients comb(n, k) (-b)^k, of both signs when
+    # b > 0; each b below needs three primes by the bound, and every b but
+    # the first has a coefficient beyond p_0 p_1 / 2, which two cannot hold
+    two = linalg._prime(0) * linalg._prime(1)
+    for b in (two // 2, two // 2 + 1, two - 1, two, two + 1, 3 * two):
+        b *= sign
+        for n in (1, 2, 3):
+            a = [[b if i == j else 0 for j in range(n)] for i in range(n)]
+            assert charpoly_int(a) == tuple(math.comb(n, k) * (-b) ** k for k in range(n + 1)), (b, n)
+
+
+def test_charpoly_rejects_matrices_beyond_the_int64_bounds():
+    # a read-only view of zeros: rejected before any entry is read
+    a = np.broadcast_to(np.int8(0), (2**13, 2**13))
+    with pytest.raises(ValueError, match="int64 bounds"):
+        charpoly_int(a)
+
+
+def test_primes_lie_in_one_range(monkeypatch):
+    primes = [linalg._prime(i) for i in range(40)]
+    assert primes == sorted(primes, reverse=True) and primes[0] == 2**25 - 39
+    assert all(linalg.is_prime(p) and 2**24 < p < 2**25 for p in primes)
+    assert not any(linalg.is_prime(x) for x in range(primes[-1] + 1, 2**25) if x not in primes)
+    # past the last prime above 2**24 there is none
+    build = linalg._prime.__wrapped__
+    monkeypatch.setattr(linalg, "_prime", lambda i: 2**24 + 3)
+    with pytest.raises(ValueError, match="range is left"):
+        build(1)
 
 
 def test_kernels_accept_numpy_input():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bpsing.grading import WeightSystem, normalize
+from bpsing.linalg import inverse_unimodular
 from bpsing.qalg import (
     COXETER_SUITES,
     AlgebraPresentation,
@@ -202,6 +203,33 @@ def test_coxeter_transpose_check_fires(monkeypatch):
     monkeypatch.setattr(qalg, "charpoly_int", lambda phi: next(answers))
     with pytest.raises(RuntimeError, match="transpose convention"):
         coxeter_polynomial(nakayama(2, 2))
+
+
+def test_coxeter_inverts_the_cartan_once(monkeypatch):
+    from bpsing import qalg
+
+    inverted = []
+    inverse = qalg.inverse_unimodular
+    monkeypatch.setattr(qalg, "inverse_unimodular", lambda c: inverted.append(c) or inverse(c))
+    coxeter_polynomial(lambda_q(W345, (2, 3, 4)))
+    assert len(inverted) == 1
+
+
+def test_coxeter_polynomials_of_456_agree():
+    # beyond every suite: the 60-vertex cuboid algebra of (4,5,6) against
+    # Gamma^1..Gamma^3, checked without trusting charpoly_int
+    ws = WeightSystem((4, 5, 6))
+    algebras = [lambda_q(ws, (3, 4, 5))] + [gamma_quiver(ws, t) for t in range(ws.n)]
+    assert [a.size for a in algebras] == [60] * 4
+    polynomials = {coxeter_polynomial(a).coeffs for a in algebras}
+    assert len(polynomials) == 1
+    (coeffs,) = polynomials
+    assert coeffs == coeffs[::-1] and coeffs[-1] == 1
+    for a in algebras:
+        c = np.array(a.cartan.tolist(), dtype=object)
+        inverse_t = np.array(inverse_unimodular(c.T), dtype=object)
+        assert (inverse_t @ c.T == np.eye(60, dtype=int)).all()
+        assert coeffs[1] == (inverse_t @ c).trace()  # c_1 = -tr(-C^(-T) C)
 
 
 def test_coxeter_deterministic():
