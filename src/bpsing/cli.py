@@ -19,7 +19,7 @@ from .grading import WeightSystem, _index
 from .linalg import DEFAULT_MODULUS, check_modulus
 from .mforacle import oracle_hom, probe_objects
 from .qalg import COXETER_SUITES, coxeter_polynomial, dynkin_path_algebra, gamma_quiver, lambda_q, matrix_csv, nakayama
-from .stable import StableObject, cuboid_objects, hom_dim, parse_object
+from .stable import StableObject, cuboid_objects, hom_dim, hom_series, parse_object
 from .tilting import UnknownHomError, family, glue, hom_matrix, predicted_cartan, same_family, verify_tilting
 
 MAX_CUBOID = 512
@@ -223,10 +223,13 @@ def cmd_oracle_check(args) -> int:
     checked = disagreements = unknown = 0
     bad = []
     for probe in probe_objects(ws):
+        # one calculus search per (probe, b) answers every shift:
+        # Hom(probe[m], b) = Hom(probe, b[-m])
+        series = [hom_series(probe, b) for b in cub]
         for m in shifts:
             a = StableObject(ws, probe.ell, probe.twist, m)
-            for b in cub:
-                h = hom_dim(a, b)
+            for b, hs in zip(cub, series):
+                h = None if hs is None else hs.get(-m, 0)
                 checked += 1
                 if h is None:
                     unknown += 1

@@ -137,6 +137,10 @@ def integer_matrix(a) -> np.ndarray:
 def _check_integers(m: np.ndarray) -> None:
     """Raise ``ValueError`` unless every entry of ``m`` is an integer."""
     if m.dtype == object:
+        # plain ints, the common case, are told apart at C speed; any
+        # other type (bool, numpy integers among them) takes the full test
+        if set(map(type, m.flat)) <= {int}:
+            return
         if not all(isinstance(x, (int, np.integer)) for x in m.flat):
             raise ValueError("need integer entries")
     elif m.dtype.kind not in "iu":

@@ -53,6 +53,15 @@ test decide everything the replicated families reach:
     the autoequivalence S^-1, which changes no residue or shift
     comparison, so it adds nothing.
 
+The search never depends on the shift of b.  A suspension changes a
+canonical form by one reflection or one fold, so every coordinate
+keeps the same rewritings (ell, raw twist modulo p): the same
+configurations are feasible at every shift, and on a feasible one only
+the total shift d' of b moves, by m.  So one search decides Hom(a,
+b[m]) for all m at once (``hom_series``), and the Hom of a pair is
+nonzero at one shift at most, where it is one dimensional; ``hom_dim``
+reads the shift 0 of the same search.
+
 Pairs outside every matching configuration honestly return ``None``
 (unknown) instead of extrapolating.
 """
@@ -287,8 +296,9 @@ def _rewritings(a: StableObject, b: StableObject):
         yield p, ((a0, b0), (a0, b1), (a1, b0), (a1, b1))
 
 
-def _pair_answer(a: StableObject, b: StableObject) -> int | None:
-    """Decide the pair against the extended cuboid families, exactly.
+def _pair_answer(a: StableObject, b: StableObject) -> tuple[int, bool] | None:
+    """Decide the pair against the extended cuboid families, exactly, at
+    every shift of b at once.
 
     A configuration rewrites both arguments, coordinate by coordinate,
     into family members U^l(x)[-sigma(x) + d] and U^z(y)[-sigma(y) + d']
@@ -304,6 +314,10 @@ def _pair_answer(a: StableObject, b: StableObject) -> int | None:
     is zero for d distinct from d', and otherwise one exactly when
     ell >= z and 0 <= x - y <= s; any feasible configuration computes
     the same true dimension, so the first is taken.
+
+    Suspending b by m adds m to d' and changes nothing else the search
+    reads, so the answer is (d - d', one): Hom(a, b[m]) is 1 at
+    m = d - d' when one holds, and 0 at every other shift.
     """
     d = a.shift + 2 * a.twist.level
     dp = b.shift + 2 * b.twist.level
@@ -325,9 +339,7 @@ def _pair_answer(a: StableObject, b: StableObject) -> int | None:
         d += -ea + 2 * wa + xa
         dp += -eb + 2 * wb + yb
         one = one and la >= lb and 0 <= xa - yb <= 1
-    if d != dp:
-        return 0
-    return int(one)
+    return d - dp, one
 
 
 def _replicated_zero(a: StableObject, b: StableObject) -> bool:
@@ -356,8 +368,10 @@ def _replicated_zero(a: StableObject, b: StableObject) -> bool:
     return False
 
 
-def hom_dim(a: StableObject, b: StableObject) -> int | None:
-    """Hom dimension between stable objects; None when out of reach.
+def _support(a: StableObject, b: StableObject) -> tuple[int, bool] | None:
+    """Where Hom(a, b[m]) lives, over every shift m: (m0, one), with
+    dimension 1 at m = m0 when one holds and 0 at every other shift, or
+    None when out of reach.
 
     The search applies twist and shift equivariance and explores the
     full reflection orbits of both arguments.  It matches (a, b) and
@@ -365,16 +379,50 @@ def hom_dim(a: StableObject, b: StableObject) -> int | None:
     functor, and answers zero when the pair sits in two copies of one
     replicated family whose difference is neither 0 nor 1; these three
     steps reach every configuration of both families (see the module
-    docstring).  Every answer it does give is exact.
+    docstring).  None of the three depends on the shift of b: Hom(a,
+    b[m]) is dual to Hom(b[m], S a), which the second search puts at
+    m = -(d_b - d_Sa), and the zero test reads no shift.
     """
     if a.weights != b.weights:
         raise ValueError("mismatched weight systems")
     a, b = a.canonical(), b.canonical()
     if a.is_zero or b.is_zero:
-        return 0
-    ans = _pair_answer(a, b)
-    if ans is None:
-        ans = _pair_answer(b, a.serre())
-    if ans is None and _replicated_zero(a, b):
-        ans = 0
-    return ans
+        return 0, False
+    found = _pair_answer(a, b)
+    if found is not None:
+        return found
+    found = _pair_answer(b, a.serre())
+    if found is not None:
+        m, one = found
+        return -m, one
+    if _replicated_zero(a, b):
+        return 0, False
+    return None
+
+
+def hom_series(a: StableObject, b: StableObject) -> dict[int, int] | None:
+    """Hom(a, b[m]) over every shift m at once, from one search: {m0: 1}
+    when it is one dimensional at the single shift m0, {} when it is
+    zero at every shift, and None when out of reach.
+
+    ``hom_series(a, b).get(m, 0) == hom_dim(a, b.suspend(m))`` for every
+    m, and the search decides all shifts of a pair or none of them.
+    """
+    support = _support(a, b)
+    if support is None:
+        return None
+    m0, one = support
+    return {m0: 1} if one else {}
+
+
+def hom_dim(a: StableObject, b: StableObject) -> int | None:
+    """Hom dimension between stable objects; None when out of reach.
+
+    The shift m = 0 of ``hom_series``, from the same search (see
+    ``_support``).  Every answer it does give is exact.
+    """
+    support = _support(a, b)
+    if support is None:
+        return None
+    m0, one = support
+    return int(one and m0 == 0)

@@ -24,7 +24,7 @@ import numpy as np
 from .functor import Ladder, insert, reduce
 from .grading import WeightSystem, _index, normalize
 from .qalg import AlgebraPresentation, gamma_quiver, lambda_q
-from .stable import StableObject, U, hom_dim
+from .stable import StableObject, U, hom_dim, hom_series
 
 
 class UnknownHomError(RuntimeError):
@@ -198,25 +198,28 @@ def verify_tilting(fam: TiltingFamily, window: tuple[int, int] | None = None) ->
     exceptional ordering by topological sort of the nonzero Homs.
 
     The window defaults to +-(2n + 4); one that does not contain 0,
-    where End is checked, raises ValueError.
+    where End is checked, raises ValueError.  Each ordered pair asks
+    one ``hom_series``, which answers every shift of the window at once
+    (nonzero at one shift at most), so the window does not multiply the
+    calculus work; a pair out of reach is unknown at every shift.
     """
     window = _shift_window(fam.weights, window)
+    shifts = range(window[0], window[1] + 1)
     rig, endo, unknown = [], [], []
     size = fam.size
     hom0 = np.zeros((size, size), dtype=np.int64)
     for a, oa in enumerate(fam.objects):
         for b, ob in enumerate(fam.objects):
-            for m in range(window[0], window[1] + 1):
-                h = hom_dim(oa, ob.suspend(m))
-                if h is None:
-                    unknown.append(f"Hom({fam.labels[a]}, {fam.labels[b]}[{m}])")
-                    continue
-                if m == 0:
-                    hom0[a, b] = h
-                    if a == b and h != 1:
-                        endo.append(f"End({fam.labels[a]}) has dimension {h}")
-                elif h != 0:
-                    rig.append(f"Hom({fam.labels[a]}, {fam.labels[b]}[{m}]) = {h}")
+            series = hom_series(oa, ob)
+            if series is None:
+                unknown += [f"Hom({fam.labels[a]}, {fam.labels[b]}[{m}])" for m in shifts]
+                continue
+            h = hom0[a, b] = series.get(0, 0)
+            if a == b and h != 1:
+                endo.append(f"End({fam.labels[a]}) has dimension {h}")
+            for m, dim in sorted(series.items()):
+                if m != 0 and m in shifts:
+                    rig.append(f"Hom({fam.labels[a]}, {fam.labels[b]}[{m}]) = {dim}")
     order = _topological_order(fam, hom0)
     return TiltingReport(fam, window, rig, endo, unknown, order)
 
@@ -268,7 +271,9 @@ def glue(
     The candidate is the concatenation of the two insertion images;
     the obstruction Homs are checked in both adjoint directions, by
     reducing one image into the other reduced category, at every
-    nonzero shift of the window.  The window defaults to +-(2n + 4);
+    nonzero shift of the window.  Each pair of a direction asks one
+    ``hom_series``, which answers every shift at once, so the window
+    does not multiply the calculus work.  The window defaults to +-(2n + 4);
     one that does not contain 0 raises ValueError, as in
     ``verify_tilting``: an empty one would ask no obstruction Hom.
     """
@@ -281,26 +286,26 @@ def glue(
 
     obstruction_b, obstruction_bp, unknown = [], [], []
     shifts = [m for m in range(window[0], window[1] + 1) if m != 0]
+
+    def obstruct(x: StableObject, y: StableObject, head: str, out: list[str]) -> None:
+        # Hom(x, y[m]) at every nonzero shift m, from one series; head
+        # is the label "Hom(x, y" that each entry completes with "[m])"
+        series = hom_series(x, y)
+        if series is None:
+            unknown.extend(f"{head}[{m}])" for m in shifts)
+        else:
+            out.extend(f"{head}[{m}]) = {h}" for m, h in sorted(series.items()) if m in shifts)
+
     # direction (b): Hom(i^* j_* T2, T1[m]) with i^* = phi_{1,k1}
     for objb, labb in zip(img2, fam2.labels):
         red = reduce(ladder, 1, k1, objb)
         for obja, laba in zip(fam1.objects, fam1.labels):
-            for m in shifts:
-                h = hom_dim(red, obja.suspend(m))
-                if h is None:
-                    unknown.append(f"Hom(phi1({labb}), {laba}[{m}])")
-                elif h != 0:
-                    obstruction_b.append(f"Hom(phi1({labb}), {laba}[{m}]) = {h}")
+            obstruct(red, obja, f"Hom(phi1({labb}), {laba}", obstruction_b)
     # direction (b'): Hom(T2, j^sharp i_* T1[m]) with j^sharp = phi_{2,k2+1}
     for obja, laba in zip(img1, fam1.labels):
         red = reduce(ladder, 2, k2 + 1, obja)
         for objb, labb in zip(fam2.objects, fam2.labels):
-            for m in shifts:
-                h = hom_dim(objb, red.suspend(m))
-                if h is None:
-                    unknown.append(f"Hom({labb}, phi2({laba})[{m}])")
-                elif h != 0:
-                    obstruction_bp.append(f"Hom({labb}, phi2({laba})[{m}]) = {h}")
+            obstruct(objb, red, f"Hom({labb}, phi2({laba})", obstruction_bp)
     return glued, GlueReport(obstruction_b, obstruction_bp, unknown)
 
 

@@ -158,6 +158,7 @@ ARGS = {
         Arg(lambda v: glue(LAD23, FAM22, FAM22, 0, 0, (-1, v)), 0),
     ),
     "hom_dim": (),
+    "hom_series": (),
     "hom_matrix": (),
     "hom_profile": (_modulus(lambda v: hom_profile(MF22, v)),),
     "insert": (Arg(lambda v: insert(LAD33, v, 0, RED), 1, 2), Arg(lambda v: insert(LAD33, 1, v, RED))),

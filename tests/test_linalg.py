@@ -583,6 +583,18 @@ def test_integer_matrix_is_the_one_intake():
         integer_matrix(np.array([[1, Fraction(1, 2)]], dtype=object))
 
 
+def test_object_matrices_take_exactly_integer_entries():
+    # plain ints take the fast path; bools and numpy integers are
+    # integers too, as isinstance says, and anything else raises
+    fine = [[1, 2**70], [True, -3], [np.int64(4), np.uint8(5)]]
+    for rows in fine:
+        assert integer_matrix(np.array([rows], dtype=object)).dtype == object
+    for bad in (0.0, 1.5, Fraction(2), "3", None, 2j, np.float64(1)):
+        for rows in ([[1, bad]], [[bad]], [[np.int64(1), bad]]):
+            with pytest.raises(ValueError, match="integer entries"):
+                integer_matrix(np.array(rows, dtype=object))
+
+
 def test_residues_reduce_before_the_cast():
     q = DEFAULT_MODULUS
     wide = np.array([[2**64 - 1, 2**63]], dtype=np.uint64)

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import random
 import weakref
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bpsing import stable
 from bpsing.grading import GradeElement, WeightSystem, normalize
 from bpsing.mforacle import oracle_hom, probe_objects
 from bpsing.stable import (
@@ -19,6 +21,7 @@ from bpsing.stable import (
     U,
     cuboid_objects,
     hom_dim,
+    hom_series,
     knorrer_transport,
     parse_object,
     rho_k,
@@ -502,3 +505,92 @@ def test_pair_outside_every_branch_is_unknown():
     a, b = parse_object(ws, "U[2,1](2,2;-2)"), parse_object(ws, "U[2,2]")
     assert hom_dim(a, b) is None
     assert _ref_hom_dim(a, b) is None
+
+
+# -- hom_series: every shift of a pair from one search -----------------------
+
+
+def _series_mismatches(pairs, shifts) -> tuple[list, int]:
+    """Compare hom_series(a, b).get(m, 0) with hom_dim(a, b.suspend(m)),
+    None included, at every m of shifts(a, b, series); return the
+    mismatches and the number of pairs out of reach."""
+    bad, unknown = [], 0
+    for a, b in pairs:
+        series = hom_series(a, b)
+        unknown += series is None
+        for m in shifts(a, b, series):
+            want = hom_dim(a, b.suspend(m))
+            got = None if series is None else series.get(m, 0)
+            if got != want:
+                bad.append((str(a), str(b), m, got, want))
+    return bad, unknown
+
+
+def _every_shift(ws):
+    """Every m in +-3 lcm(p)."""
+    reach = 3 * math.lcm(*ws.p)
+    return lambda a, b, series: range(-reach, reach + 1)
+
+
+def _sampled_shifts(ws):
+    """Every m in +-(2n + 4), every thirtieth m beyond it out to
+    +-3 lcm(p), and the shift where the series is nonzero."""
+    reach, near = 3 * math.lcm(*ws.p), 2 * ws.n + 4
+    outer = [m for m in range(-reach, reach + 1, 30) if abs(m) > near] + [-reach, reach]
+    return lambda a, b, series: itertools.chain(range(-near, near + 1), outer, series or ())
+
+
+def test_hom_series_is_hom_dim_at_every_shift_on_random_pairs():
+    from test_acceptance import _types_with_cuboid_at_most
+
+    rng = random.Random(20261020)
+    unknown = 0
+    for p, count in [(p, 2) for p in _types_with_cuboid_at_most(24)] + [((5, 6, 7), 16)]:
+        ws = WeightSystem(p)
+        pairs = [(_random_object(rng, ws), _random_object(rng, ws)) for _ in range(count)]
+        bad, unk = _series_mismatches(pairs, _every_shift(ws))
+        assert not bad, (p, bad[:3])
+        unknown += unk
+    assert unknown > 0
+
+
+@pytest.mark.parametrize("p, unknown", [((4, 5), 10), ((3, 4, 5), 68)])
+def test_hom_series_is_hom_dim_at_every_shift_on_probes(p, unknown):
+    # probe x cuboid, the pairs of oracle-check: at shifts -2..2 these are
+    # its 50 unknowns over (4,5) and 340 over (3,4,5); the 4608 (3,4,5)
+    # pairs sample the outer shifts, which would take half a minute at
+    # every shift
+    ws = WeightSystem(p)
+    shifts = _every_shift(ws) if p == (4, 5) else _sampled_shifts(ws)
+    bad, unk = _series_mismatches(((a, b) for a in probe_objects(ws) for b in cuboid_objects(ws)), shifts)
+    assert not bad, bad[:3]
+    assert unk == unknown
+
+
+def test_hom_series_comparison_catches_a_flipped_serre_offset(monkeypatch):
+    def flipped(a, b):
+        # _support with the offset of the (b, S a) branch left unnegated
+        a, b = a.canonical(), b.canonical()
+        found = _pair_answer(a, b)
+        if found is None:
+            found = _pair_answer(b, a.serre())
+        if found is None and stable._replicated_zero(a, b):
+            found = 0, False
+        return found
+
+    ws = WeightSystem((3, 4))
+    pairs = [(a, b) for a in probe_objects(ws) for b in cuboid_objects(ws)]
+    assert not _series_mismatches(pairs, _every_shift(ws))[0]
+    monkeypatch.setattr(stable, "_support", flipped)
+    assert _series_mismatches(pairs, _every_shift(ws))[0]
+
+
+def test_hom_series_edge_cases():
+    a, b = rho_k(W34), U(W34, (2, 3))
+    assert hom_series(a, a) == {0: 1}
+    assert hom_series(a, a.suspend(3)) == {-3: 1}
+    assert hom_series(a, zero_object(W34)) == hom_series(zero_object(W34), b) == {}
+    assert hom_series(a, a.serre()) == hom_series(b, a) == {0: 1}
+    assert hom_series(*map(lambda t: parse_object(WeightSystem((4, 5)), t), ("U[2,1](2,2;-2)", "U[2,2]"))) is None
+    with pytest.raises(ValueError):
+        hom_series(rho_k(W34), rho_k(W22))

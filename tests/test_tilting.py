@@ -8,9 +8,13 @@ import pytest
 from bpsing.functor import Ladder, check_recollement
 from bpsing.grading import WeightSystem
 from bpsing.qalg import gamma_quiver, lambda_q, matrix_csv, nakayama
-from bpsing.stable import StableObject, U, rho_k
+from bpsing.functor import insert, reduce
+from bpsing.mforacle import probe_objects
+from bpsing.stable import StableObject, U, hom_dim, rho_k
 from bpsing.tilting import (
     TiltingFamily,
+    TiltingReport,
+    _topological_order,
     family,
     glue,
     hom_matrix,
@@ -272,3 +276,108 @@ def test_glue_with_empty_second_family():
     glued, report = glue(lad, f1, empty, 2, 0)
     assert glued.size == f1.size
     assert report.tilting
+
+
+# -- the per-shift loops that one hom_series per pair replaced, kept as the
+# -- reference for the reports
+
+
+def _ref_verify_json(fam, window=None):
+    """verify_tilting's report, from a hom_dim search at every shift."""
+    if window is None:
+        window = (-(2 * fam.weights.n + 4), 2 * fam.weights.n + 4)
+    rig, endo, unknown = [], [], []
+    hom0 = np.zeros((fam.size, fam.size), dtype=np.int64)
+    for a, oa in enumerate(fam.objects):
+        for b, ob in enumerate(fam.objects):
+            for m in range(window[0], window[1] + 1):
+                h = hom_dim(oa, ob.suspend(m))
+                if h is None:
+                    unknown.append(f"Hom({fam.labels[a]}, {fam.labels[b]}[{m}])")
+                    continue
+                if m == 0:
+                    hom0[a, b] = h
+                    if a == b and h != 1:
+                        endo.append(f"End({fam.labels[a]}) has dimension {h}")
+                elif h != 0:
+                    rig.append(f"Hom({fam.labels[a]}, {fam.labels[b]}[{m}]) = {h}")
+    return TiltingReport(fam, window, rig, endo, unknown, _topological_order(fam, hom0)).to_json()
+
+
+def _ref_glue_lists(ladder, fam1, fam2, k1, k2, window):
+    """glue's obstruction and unknown lists, from a hom_dim search at
+    every nonzero shift."""
+    ob, obp, unknown = [], [], []
+    shifts = [m for m in range(window[0], window[1] + 1) if m != 0]
+    for objb, labb in zip(fam2.objects, fam2.labels):
+        red = reduce(ladder, 1, k1, insert(ladder, 2, k2, objb))
+        for obja, laba in zip(fam1.objects, fam1.labels):
+            for m in shifts:
+                h = hom_dim(red, obja.suspend(m))
+                if h is None:
+                    unknown.append(f"Hom(phi1({labb}), {laba}[{m}])")
+                elif h != 0:
+                    ob.append(f"Hom(phi1({labb}), {laba}[{m}]) = {h}")
+    for obja, laba in zip(fam1.objects, fam1.labels):
+        red = reduce(ladder, 2, k2 + 1, insert(ladder, 1, k1, obja))
+        for objb, labb in zip(fam2.objects, fam2.labels):
+            for m in shifts:
+                h = hom_dim(objb, red.suspend(m))
+                if h is None:
+                    unknown.append(f"Hom({labb}, phi2({laba})[{m}])")
+                elif h != 0:
+                    obp.append(f"Hom({labb}, phi2({laba})[{m}]) = {h}")
+    return ob, obp, unknown
+
+
+def _criterion_2_family(ws, i):
+    """One family per type, the kinds taken in turn."""
+    kind = ("cuboid", "koszul", "extended", "replicated")[i % 4]
+    if kind == "extended":
+        return family(ws, kind, subset=(i % ws.n,))
+    if kind == "replicated":
+        return family(ws, kind, t=i % ws.n)
+    return family(ws, kind)
+
+
+def test_verify_reports_match_the_per_shift_reference():
+    from test_acceptance import _types_with_cuboid_at_most
+
+    # a short window keeps the per-shift reference affordable on all 172
+    # types; the probe family below and the command-line tests take wide ones
+    for i, p in enumerate(_types_with_cuboid_at_most(24)):
+        fam = _criterion_2_family(WeightSystem(p), i)
+        assert verify_tilting(fam, (-1, 2)).to_json() == _ref_verify_json(fam, (-1, 2)), (p, fam.kind)
+
+
+def test_failing_report_matches_the_per_shift_reference():
+    # probe objects of (4,5) make a family with unknown pairs and
+    # rigidity failures, on a window wider than the reach of its Homs
+    ws = WeightSystem((4, 5))
+    objs = probe_objects(ws)[::5]
+    fam = TiltingFamily(ws, "probes", tuple(map(str, objs)), tuple(o.canonical() for o in objs))
+    for window in ((-3, 4), None):
+        report = verify_tilting(fam, window)
+        assert report.unknown_entries and report.rigidity_failures
+        assert report.to_json() == _ref_verify_json(fam, window)
+
+
+def test_glue_reports_match_the_per_shift_reference():
+    from test_acceptance import _types_with_cuboid_at_most
+
+    checked, lines = 0, [0, 0, 0]
+    for i, p in enumerate(_types_with_cuboid_at_most(24)):
+        ws = WeightSystem(p)
+        if ws.p[-1] < 3:
+            continue
+        ladder = Ladder(ws, 2 + i % (ws.p[-1] - 2))
+        fam1 = _criterion_2_family(ladder.emb1.source, i)
+        fam2 = _criterion_2_family(ladder.emb2.source, i + 1)
+        k1, k2, window = i % 3, i % 2 - 1, (-(i % 5) - 1, i % 7)
+        _, report = glue(ladder, fam1, fam2, k1, k2, window)
+        ref = _ref_glue_lists(ladder, fam1, fam2, k1, k2, window)
+        assert (report.obstruction_b, report.obstruction_b_prime, report.unknown) == ref, (p, k1, k2)
+        checked += 1
+        lines = [n + len(r) for n, r in zip(lines, ref)]
+    # arbitrary steps k1, k2 leave obstructions in both directions and unknowns
+    assert checked > 100 and min(lines) > 0
