@@ -70,6 +70,17 @@ fill-in rather than with rows times columns.  The outgoing
 differential is built and ranked before the incoming one is built;
 the cache keeps recipes and ranks, not matrices.
 
+The Kunneth count is a second oracle for U-objects, built on the
+first.  U^ell(x)[k] is the tensor product of rank-one factorizations,
+so by Thom-Sebastiani and Kunneth its Hom complex is a tensor product
+of one-variable Hom complexes, and its cohomology a sum of products of
+one-variable dimensions.  ``kunneth_series`` multiplies, per
+coordinate, the dense one-variable table of the residue class of the
+twist difference, as a Laurent polynomial in the shift; the tables are
+cached by (p_i, a_i, b_i, q).  It reads nothing of the symbolic
+calculus, so it can audit it on weight types where the dense
+multi-variable complexes are too large.
+
 Conventions are pinned by self-checks rather than trusted: the
 suspension is the twisted rotation
 
@@ -572,6 +583,70 @@ def oracle_hom(a: StableObject, b: StableObject, m: int = 0, q: int = DEFAULT_MO
     after the shift 1 is cached.
     """
     return stable_hom_dim_oracle(mf_of(a), mf_of(b), m, q)
+
+
+# -- the Kunneth count from one-variable tables ------------------------------
+
+
+@lru_cache(maxsize=2**10)
+def _one_variable_factors(p: int, a: int, b: int, q: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per residue r in [0, p), the factor G_r(t) = sum of T(tau, m)
+    t^(2 floor(tau / p) + m) over tau = r mod p, as (exponent, dim)
+    pairs, where T(tau, m) = dim Hom(U^a, U^b(tau x)[m]) over the one
+    weight p, from the dense oracle at modulus q.
+
+    [2] = (c) makes m in {0, 1} enough.  tau runs over [-3p, 3p], and a
+    nonzero entry on either end raises ``RuntimeError``, since the
+    support could then reach past the window.
+    """
+    ws = WeightSystem((p,))
+    source = StableObject(ws, (a,), ws.zero(), 0)
+    reach = 3 * p
+    factors = [{} for _ in range(p)]
+    for tau in range(-reach, reach + 1):
+        target = StableObject(ws, (b,), ws.element((tau,)), 0)
+        for m in (0, 1):
+            dim = oracle_hom(source, target, m, q)
+            if not dim:
+                continue
+            if abs(tau) == reach:
+                raise RuntimeError(f"Hom(U^{a}, U^{b}({tau} x)[{m}]) over ({p}) is {dim} on the edge of the window")
+            g = factors[tau % p]
+            e = 2 * (tau // p) + m
+            g[e] = g.get(e, 0) + dim
+    return tuple(tuple(sorted(g.items())) for g in factors)
+
+
+def kunneth_series(a: StableObject, b: StableObject, q: int = DEFAULT_MODULUS) -> dict[int, int]:
+    """The nonzero dim Hom(A, B[m]) by m, from one-variable tables.
+
+    For A = U^a(x)[k] and B = U^b(y)[k'], with z = y - x, dim Hom(A,
+    B[m]) is the coefficient of t^(2 ell(z) + k' - k + m) in the product
+    of the factors ``_one_variable_factors(p_i, a_i, b_i, q)[z_i]``
+    (see the module docstring).  The modulus is passed on to the dense
+    one-variable calls, so a second-prime run checks those tables too.
+    """
+    if a.weights != b.weights:
+        raise ValueError("mismatched weight systems")
+    q = check_modulus(q)
+    if a.is_zero or b.is_zero:
+        return {}
+    z = b.twist - a.twist
+    product = {0: 1}
+    for p, ea, eb, r in zip(a.weights.p, a.ell, b.ell, z.coeffs):
+        step = {}
+        for f, c in _one_variable_factors(p, ea, eb, q)[r]:
+            for e, d in product.items():
+                step[e + f] = step.get(e + f, 0) + c * d
+        product = step
+    offset = 2 * z.level + b.shift - a.shift
+    return {e - offset: d for e, d in sorted(product.items())}
+
+
+def kunneth_hom(a: StableObject, b: StableObject, m: int = 0, q: int = DEFAULT_MODULUS) -> int:
+    """dim Hom(A, B[m]) from ``kunneth_series``."""
+    m = _index(m, "shift")
+    return kunneth_series(a, b, q).get(m, 0)
 
 
 def probe_objects(ws: WeightSystem) -> list[StableObject]:

@@ -23,47 +23,53 @@ between calls: an object computes its canonical form once and holds
 it, a canonical form knows that it is one, and that memo is freed with
 its object by reference counting alone.
 
-Hom dimensions are computed by matching the pair, after twist and
-shift equivariance and reflections on either argument, against two
-families with closed Hom formulas: the extended cuboid families (one
-dimensional exactly when ell >= z and 0 <= x - y <= s, zero between
-distinct total shifts) and the replicated families built from Serre
-twists S^i = (-i s)[i n] of a slab.  Since the rewriting freedom acts
-coordinatewise, the matching search decomposes per coordinate and is
-complete.  Two cuboid searches, on (a, b) and on (b, S a), and one zero
-test decide everything the replicated families reach:
+Hom dimensions have a closed form.  U^ell(x)[k] is a tensor product of
+rank-one factorizations, one per variable, so by Thom-Sebastiani and
+Kunneth (Dyckerhoff 2011, Preygel 2011) its Hom complex against
+U^b(y)[k'] is the tensor product of one-variable Hom complexes, and
+dim Hom(A, B[m]) is a sum of products of one-variable dimensions.  The
+grading group is the pushout of the one-variable groups Z x_i over
+their common c, so z = y - x splits as sum(r_i x_i) + ell(z) c with
+r_i its coefficients, and c = [2] moves ell(z) into the shift.
 
-  * placing a in copy i and b in copy j of the family of slab
-    coordinate t asks, per coordinate c, for raw twist coefficients
-    that differ by k = j - i modulo p_c, with ell = p_t - 1 on both
-    sides at c = t; the answer depends on t and k alone;
-  * k = 0 puts both twists in one residue class, which is a cuboid
-    match, so the search on (a, b) already finds it;
-  * k = 1 is the Serre dual of a cuboid match: Hom(a, b) is dual to
-    Hom(b, S a), and S a sits in copy i + 1 = j together with b, so
-    the search on (b, S a) finds it;
-  * members of copies with any other difference pair to zero, so for
-    those only feasibility matters;
-  * with copies 0 .. p_t - 2, matches of (a, b) reach the differences
-    2 - p_t .. p_t - 2 and matches of (b, S a) the differences
-    3 - p_t .. p_t - 1, so the zero test runs over 2 - p_t .. p_t - 1;
-    the upper end p_t - 1 is reached only through S and decides pairs
-    of its own;
-  * a search on (S^-1 b, a) would be the search on (b, S a) moved by
-    the autoequivalence S^-1, which changes no residue or shift
-    comparison, so it adds nothing.
+Over one variable, U^a is the cyclic module k[x]/(x^a) of the
+self-injective algebra k[x]/(x^p), with the twist convention that the
+dense one-variable oracle tables pin.  A degree-zero map k[x]/(x^a) ->
+k[x]/(x^b)(d) sends 1 to a multiple of x^d: it is a map when
+x^(a + d) = 0 in k[x]/(x^b), that is d >= b - a, and nonzero when
+d < b.  It factors through a projective exactly when it lifts to the
+projective cover k[x]/(x^p), which x^d does when a + d >= p.  So the
+stable Hom is one dimensional exactly when
 
-The search never depends on the shift of b.  A suspension changes a
-canonical form by one reflection or one fold, so every coordinate
-keeps the same rewritings (ell, raw twist modulo p): the same
-configurations are feasible at every shift, and on a feasible one only
-the total shift d' of b moves, by m.  So one search decides Hom(a,
-b[m]) for all m at once (``hom_series``), and the Hom of a pair is
-nonzero at one shift at most, where it is one dimensional; ``hom_dim``
-reads the shift 0 of the same search.
+    lo <= d < lo + min(a, b, p - a, p - b),    lo = max(0, b - a),
 
-Pairs outside every matching configuration honestly return ``None``
-(unknown) instead of extrapolating.
+(the upper end is min(b, p - a)) and zero otherwise; this is ``_g``.
+Every such d lies in [0, p), and [2] = (c) = (p x), so the residue
+r = d mod p of the twist picks the shift:
+
+  * at even shifts only m = 0 can be nonzero, with d = r;
+  * at odd shifts, after the reflection U^b[-1] = U^(p-b)((p - b) x)[-2]
+    = U^(p-b)(-b x), only m = -1 with d = r - b (for r >= b) or m = 1
+    with d = r + p - b (for r < b); the second is never in range, since
+    lo + min(...) <= p - b there, so Hom(U^a, U^b(r x)[-1]) is 1
+    exactly when ``_g(p, a, p - b, (r + p - b) mod p)``;
+  * the even case needs r < b and the odd one r >= b, so each
+    one-variable factor is 0, 1, or 1 at the single shift e_i = -1.
+
+The product is one monomial or zero:
+
+  * Hom(A, B[m]) is 1 exactly at m0 = sum(e_i) - 2 ell(z) - (k' - k),
+    with e_i = 0 when the even case holds at coordinate i and -1 when
+    the odd one does, and 0 at every shift when neither holds at some
+    coordinate;
+  * every pair is decided, and its Hom lives at one shift at most.
+
+``_support`` reads ell, the raw twist coefficients and the shifts of
+both arguments, so it needs no canonical form and no Serre functor,
+and every representative of an object gives the same answer.  The
+rule is checked against the dense one-variable oracle tables for every
+p <= 9, against the dense multi-variable oracle, and against the
+retired reflection search of the test suite on every pair it decides.
 """
 
 from __future__ import annotations
@@ -284,145 +290,54 @@ def knorrer_transport(obj: StableObject) -> StableObject:
 
 # -- Hom dimension calculus -------------------------------------------------
 
-def _rewritings(a: StableObject, b: StableObject):
-    """Per coordinate, p and the four pairs of rewritings of a and b.
+def _g(p: int, a: int, b: int, r: int) -> bool:
+    """Whether the stable Hom from k[x]/(x^a) to k[x]/(x^b)(r) over
+    k[x]/(x^p) is nonzero (one dimensional), for 0 <= r < p."""
+    lo = b - a if b > a else 0
+    return lo <= r < lo + min(a, b, p - a, p - b)
 
-    A rewriting (e, ell, raw) keeps the coordinate (e = 0) or reflects
-    it (e = 1), with the resulting ell and raw twist coefficient.
+
+def _support(a: StableObject, b: StableObject) -> tuple[int, bool]:
+    """Where Hom(a, b[m]) lives, over every shift m: (m0, True) when it
+    is one dimensional at m = m0 and 0 at every other shift, (0, False)
+    when it is zero at every shift (see the module docstring).
+
+    z = b.twist - a.twist is taken coefficient by coefficient: each
+    borrow lowers ell(z) by one, which moves m0 by two.
     """
-    for p, ai, bi, ui, vi in zip(a.weights.p, a.ell, b.ell, a.twist.coeffs, b.twist.coeffs):
-        a0, a1 = (0, ai, ui), (1, p - ai, ui + p - ai)
-        b0, b1 = (0, bi, vi), (1, p - bi, vi + p - bi)
-        yield p, ((a0, b0), (a0, b1), (a1, b0), (a1, b1))
-
-
-def _pair_answer(a: StableObject, b: StableObject) -> tuple[int, bool] | None:
-    """Decide the pair against the extended cuboid families, exactly, at
-    every shift of b at once.
-
-    A configuration rewrites both arguments, coordinate by coordinate,
-    into family members U^l(x)[-sigma(x) + d] and U^z(y)[-sigma(y) + d']
-    for one common coordinate subset.  The rewriting freedom per
-    coordinate is a reflection on either side (flipping ell and adding
-    its complement to the twist) plus a common twist transfer delta
-    between the two sides, so feasibility decomposes coordinatewise and
-    the enumeration below is complete.  A transfer fits when it leaves
-    both coefficients at 0, which fixes delta modulo p, or, when both
-    sides have ell = 1, when neither coefficient is left at p - 1: for
-    p > 2 the least such delta lies in {0, 1, 2}, and for p = 2 this is
-    the first condition again.  On a feasible configuration the answer
-    is zero for d distinct from d', and otherwise one exactly when
-    ell >= z and 0 <= x - y <= s; any feasible configuration computes
-    the same true dimension, so the first is taken.
-
-    Suspending b by m adds m to d' and changes nothing else the search
-    reads, so the answer is (d - d', one): Hom(a, b[m]) is 1 at
-    m = d - d' when one holds, and 0 at every other shift.
-    """
-    d = a.shift + 2 * a.twist.level
-    dp = b.shift + 2 * b.twist.level
-    one = True
-    for p, options in _rewritings(a, b):
-        for (ea, la, rawa), (eb, lb, rawb) in options:
-            if la == lb == 1 and p > 2:
-                delta = 0  # at most two residues to step over
-                while delta in ((rawa + 1) % p, (rawb + 1) % p):
-                    delta += 1
-                break
-            if (rawa - rawb) % p == 0:
-                delta = rawa % p
-                break
-        else:
-            return None
-        wa, xa = divmod(rawa - delta, p)
-        wb, yb = divmod(rawb - delta, p)
-        d += -ea + 2 * wa + xa
-        dp += -eb + 2 * wb + yb
-        one = one and la >= lb and 0 <= xa - yb <= 1
-    return d - dp, one
-
-
-def _replicated_zero(a: StableObject, b: StableObject) -> bool:
-    """Whether the pair sits in two copies of one replicated family that
-    pair to zero.
-
-    The replicated family of slab coordinate t consists of the slab
-    objects U^l (l_t = p_t - 1) under the Serre twists S^i = (-i s)[i n].
-    Members of copies i and j pair to zero unless j - i is 0 or 1, so
-    only feasibility matters: a rewriting per coordinate c, with ell
-    p_t - 1 on both sides at c = t, whose raw twist coefficients differ
-    by k = j - i modulo p_c.  See the module docstring for why the copy
-    differences 2 - p_t <= k <= p_t - 1 other than 0 and 1 are the ones
-    left to test.
-    """
-    ws = a.weights
-    free, slab = [], []
-    for p, options in _rewritings(a, b):
-        free.append({(ra - rb) % p for (_, _, ra), (_, _, rb) in options})
-        slab.append({(ra - rb) % p for (_, la, ra), (_, lb, rb) in options if la == lb == p - 1})
-    for t, pt in enumerate(ws.p):
-        allowed = free[:t] + [slab[t]] + free[t + 1 :]
-        for k in range(2 - pt, pt):
-            if k not in (0, 1) and all(k % p in diffs for p, diffs in zip(ws.p, allowed)):
-                return True
-    return False
-
-
-def _support(a: StableObject, b: StableObject) -> tuple[int, bool] | None:
-    """Where Hom(a, b[m]) lives, over every shift m: (m0, one), with
-    dimension 1 at m = m0 when one holds and 0 at every other shift, or
-    None when out of reach.
-
-    The search applies twist and shift equivariance and explores the
-    full reflection orbits of both arguments.  It matches (a, b) and
-    (b, S a) against the extended cuboid families, where S is the Serre
-    functor, and answers zero when the pair sits in two copies of one
-    replicated family whose difference is neither 0 nor 1; these three
-    steps reach every configuration of both families (see the module
-    docstring).  None of the three depends on the shift of b: Hom(a,
-    b[m]) is dual to Hom(b[m], S a), which the second search puts at
-    m = -(d_b - d_Sa), and the zero test reads no shift.
-    """
-    if a.weights != b.weights:
+    if a.weights is not b.weights and a.weights != b.weights:
         raise ValueError("mismatched weight systems")
-    a, b = a.canonical(), b.canonical()
     if a.is_zero or b.is_zero:
         return 0, False
-    found = _pair_answer(a, b)
-    if found is not None:
-        return found
-    found = _pair_answer(b, a.serre())
-    if found is not None:
-        m, one = found
-        return -m, one
-    if _replicated_zero(a, b):
-        return 0, False
-    return None
+    m0 = a.shift - b.shift - 2 * (b.twist.level - a.twist.level)
+    for p, ai, bi, u, v in zip(a.weights.p, a.ell, b.ell, a.twist.coeffs, b.twist.coeffs):
+        r = v - u
+        if r < 0:
+            r += p
+            m0 += 2
+        if not _g(p, ai, bi, r):
+            if not _g(p, ai, p - bi, (r + p - bi) % p):
+                return 0, False
+            m0 -= 1
+    return m0, True
 
 
 def hom_series(a: StableObject, b: StableObject) -> dict[int, int] | None:
-    """Hom(a, b[m]) over every shift m at once, from one search: {m0: 1}
-    when it is one dimensional at the single shift m0, {} when it is
-    zero at every shift, and None when out of reach.
+    """Hom(a, b[m]) over every shift m at once: {m0: 1} when it is one
+    dimensional at the single shift m0, and {} when it is zero at every
+    shift.
 
     ``hom_series(a, b).get(m, 0) == hom_dim(a, b.suspend(m))`` for every
-    m, and the search decides all shifts of a pair or none of them.
+    m.  The rule decides every pair, so the answer is never None.
     """
-    support = _support(a, b)
-    if support is None:
-        return None
-    m0, one = support
+    m0, one = _support(a, b)
     return {m0: 1} if one else {}
 
 
 def hom_dim(a: StableObject, b: StableObject) -> int | None:
-    """Hom dimension between stable objects; None when out of reach.
-
-    The shift m = 0 of ``hom_series``, from the same search (see
-    ``_support``).  Every answer it does give is exact.
+    """Hom dimension between stable objects: the shift m = 0 of
+    ``hom_series``, from the same rule (see ``_support``).  It decides
+    every pair, so the answer is never None.
     """
-    support = _support(a, b)
-    if support is None:
-        return None
-    m0, one = support
+    m0, one = _support(a, b)
     return int(one and m0 == 0)

@@ -13,11 +13,11 @@ import numpy as np
 from bpsing.functor import Ladder, _some_ells, insert, reduce
 from bpsing.gmod import adjunction_check, make_E, make_simple
 from bpsing.grading import Dichotomy, WeightSystem, dichotomy, normalize
-from bpsing.mforacle import hom_profile, mf_of, rank1_mf, stable_hom_dim_oracle, tensor_mf
+from bpsing.mforacle import hom_profile, kunneth_hom, mf_of, rank1_mf, stable_hom_dim_oracle, tensor_mf
 from bpsing.qalg import COXETER_SUITES, coxeter_polynomial, gamma_quiver, lambda_q
 from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, knorrer_transport, rho_k
 from bpsing.tilting import family, glue, hom_matrix, predicted_cartan, same_family
-from kunneth_ref import criterion_1_pairs, ref_kunneth_hom
+from kunneth_ref import criterion_1_pairs
 
 ORACLE_TYPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 4)]
 
@@ -33,8 +33,8 @@ def test_criterion_1_oracle_agreement():
         for a, b in criterion_1_pairs(WeightSystem(p)):
             total += 1
             dense = stable_hom_dim_oracle(mf_of(a), mf_of(b), 0)
-            # ROADMAP item 1's gate: the Kunneth count on every pair
-            kunneth_disagreements += ref_kunneth_hom(a, b) != dense
+            # the package's Kunneth count on every pair
+            kunneth_disagreements += kunneth_hom(a, b) != dense
             h = hom_dim(a, b)
             if h is None:
                 unknown += 1

@@ -30,9 +30,12 @@ from bpsing.mforacle import (
     _pair_degrees,
     _pieces,
     _position_map,
+    _one_variable_factors,
     _rank,
     _recipe,
     hom_profile,
+    kunneth_hom,
+    kunneth_series,
     mf_of,
     oracle_hom,
     probe_objects,
@@ -40,8 +43,9 @@ from bpsing.mforacle import (
     stable_hom_dim_oracle,
     tensor_mf,
 )
-from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, knorrer_transport, rho_k, zero_object
-from kunneth_ref import criterion_1_pairs, kunneth_count, ref_kunneth_hom
+from bpsing import mforacle
+from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, hom_series, knorrer_transport, rho_k, zero_object
+from kunneth_ref import criterion_1_pairs, kunneth_count, one_variable_table, ref_kunneth_hom
 from test_linalg import _dense_of, _ref_rank_mod
 
 W2 = WeightSystem((2,))
@@ -325,7 +329,7 @@ def test_field_independence_full_34_suite():
         dense = stable_hom_dim_oracle(fa, fb, 0)
         assert dense == stable_hom_dim_oracle(fa, fb, 0, PARANOIA_MODULUS), (str(a), str(b))
         for q in (DEFAULT_MODULUS, PARANOIA_MODULUS):
-            assert ref_kunneth_hom(a, b, 0, q) == dense, (str(a), str(b), q)
+            assert ref_kunneth_hom(a, b, 0, q) == kunneth_hom(a, b, 0, q) == dense, (str(a), str(b), q)
         checked += 1
     assert checked >= 6000
 
@@ -846,7 +850,7 @@ def test_kunneth_count_matches_oracle_on_probe_pairs():
     for p in ((2, 2), (3, 4), (3, 5), (2, 3, 4)):
         for a, b in _probe_pairs(WeightSystem(p)):
             for m in (0, 1):
-                assert ref_kunneth_hom(a, b, m) == oracle_hom(a, b, m), (str(a), str(b), m)
+                assert ref_kunneth_hom(a, b, m) == kunneth_hom(a, b, m) == oracle_hom(a, b, m), (str(a), str(b), m)
                 compared += 1
     assert compared == 6920
 
@@ -874,7 +878,7 @@ def test_kunneth_count_matches_oracle_on_small_criterion_1_types_at_second_prime
     for p in ((2, 2), (2, 3), (3, 3), (2, 2, 2)):
         for a, b in criterion_1_pairs(WeightSystem(p)):
             dense = stable_hom_dim_oracle(mf_of(a), mf_of(b), 0, PARANOIA_MODULUS)
-            assert ref_kunneth_hom(a, b, 0, PARANOIA_MODULUS) == dense, (str(a), str(b))
+            assert ref_kunneth_hom(a, b, 0, PARANOIA_MODULUS) == kunneth_hom(a, b, 0, PARANOIA_MODULUS) == dense, (str(a), str(b))
             compared += 1
     assert compared == 8352
 
@@ -886,11 +890,92 @@ def test_kunneth_count_catches_a_wrong_c_convention():
 
 
 def test_calculus_matches_kunneth_count_on_345():
-    # the first audit of the calculus beyond (3,4): every decided pair
+    # the first audit of the calculus beyond (3,4): every pair, the 340 the
+    # retired search left unknown included
     decided = 0
     for a, b in _probe_pairs(WeightSystem((3, 4, 5))):
         h = hom_dim(a, b)
         if h is not None:
             assert h == ref_kunneth_hom(a, b), (str(a), str(b))
             decided += 1
-    assert decided == 22700
+    assert decided == 23040
+
+
+@pytest.mark.parametrize("p", [(4, 5), (3, 4, 5)])
+def test_calculus_matches_dense_oracle_on_probe_pairs(p):
+    # every probe x cuboid pair at shifts -2..2: the 50 and 340 pairs that
+    # the retired search left unknown, and every other
+    for a, b in _probe_pairs(WeightSystem(p)):
+        assert hom_dim(a, b) == oracle_hom(a, b), (str(a), str(b))
+
+
+@pytest.mark.parametrize("p", [(4, 5), (3, 4, 5), (2, 2, 2, 2), (2, 3, 4, 5)])
+def test_hom_series_is_the_kunneth_series_on_probes(p):
+    # every shift of every probe x cuboid pair at once
+    ws = WeightSystem(p)
+    for a in probe_objects(ws):
+        for b in cuboid_objects(ws):
+            assert hom_series(a, b) == kunneth_series(a, b), (str(a), str(b))
+
+
+# -- the package's Kunneth count against its definition ----------------------
+
+
+def test_kunneth_factors_are_the_dense_tables():
+    # every factor is the residue class of the test's dense table, at both
+    # primes, for every p <= 9
+    for p in range(2, 10):
+        for a, b, q in itertools.product(range(1, p), range(1, p), (DEFAULT_MODULUS, PARANOIA_MODULUS)):
+            factors = _one_variable_factors(p, a, b, q)
+            assert len(factors) == p
+            for r, factor in enumerate(factors):
+                dense = {}
+                for tau, m, dim in one_variable_table(p, a, b, q):
+                    if tau % p == r:
+                        dense[2 * (tau // p) + m] = dense.get(2 * (tau // p) + m, 0) + dim
+                assert factor == tuple(sorted(dense.items())), (p, a, b, r, q)
+
+
+def test_kunneth_series_is_the_kunneth_count():
+    # the series at every shift of a window wider than its support, against
+    # kunneth_count, the defining rule, on random pairs of deep levels
+    rng = random.Random(20261026)
+    nonzero = 0
+    for p in ((3, 4), (2, 3, 4), (3, 4, 5), (5, 6, 7), (2, 9), (3, 3, 5, 7)):
+        ws = WeightSystem(p)
+
+        def obj():
+            tw = ws.element([rng.randrange(w) for w in ws.p], rng.randrange(-6, 7))
+            return StableObject(ws, tuple(rng.randrange(1, w) for w in ws.p), tw, rng.randrange(-6, 7))
+
+        for _ in range(25):
+            a, b = obj(), obj()
+            series = kunneth_series(a, b)
+            nonzero += bool(series)
+            # |2 ell(z)| <= 2 (12 + n), |k' - k| <= 12 and sum(e_i) >= -n
+            assert all(-60 < m < 60 for m in series)
+            assert {m: d for m in range(-60, 61) if (d := ref_kunneth_hom(a, b, m))} == series, (str(a), str(b))
+    assert nonzero > 10
+
+
+def test_kunneth_series_arguments():
+    a, b = rho_k(W34), U(W34, (2, 3))
+    assert kunneth_series(a, zero_object(W34)) == kunneth_series(zero_object(W34), b) == {}
+    assert kunneth_hom(a, a) == kunneth_hom(a, a.suspend(3), -3) == 1
+    with pytest.raises(ValueError, match="mismatched weight systems"):
+        kunneth_series(a, rho_k(W22))
+    with pytest.raises(ValueError, match="not prime"):
+        kunneth_series(a, b, 32004)
+    for m in (True, 1.0):
+        with pytest.raises(TypeError, match="shift"):
+            kunneth_hom(a, b, m)
+
+
+def test_kunneth_table_raises_on_the_edge_of_its_window(monkeypatch):
+    # an entry at tau = 3p means the support could reach past the scan
+    build = _one_variable_factors.__wrapped__
+    assert build(3, 1, 2, DEFAULT_MODULUS) == _one_variable_factors(3, 1, 2, DEFAULT_MODULUS)
+    for edge in (-9, 9):
+        monkeypatch.setattr(mforacle, "oracle_hom", lambda a, b, m, q, edge=edge: int(b.twist == b.weights.element((edge,))))
+        with pytest.raises(RuntimeError, match="edge of the window"):
+            build(3, 1, 2, DEFAULT_MODULUS)

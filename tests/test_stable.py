@@ -1,5 +1,6 @@
 """Stable objects: rewriting, canonical forms, and the Hom calculus."""
 
+import collections
 import dataclasses
 import gc
 import itertools
@@ -12,12 +13,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bpsing import stable
+from bpsing import grading, stable
 from bpsing.grading import GradeElement, WeightSystem, normalize
-from bpsing.mforacle import oracle_hom, probe_objects
+from bpsing.linalg import DEFAULT_MODULUS, PARANOIA_MODULUS
+from bpsing.mforacle import kunneth_series, oracle_hom, probe_objects
 from bpsing.stable import (
     StableObject,
-    _pair_answer,
     U,
     cuboid_objects,
     hom_dim,
@@ -28,6 +29,7 @@ from bpsing.stable import (
     zero_object,
 )
 from bpsing.tilting import family
+from kunneth_ref import one_variable_table, ref_kunneth_hom
 
 W34 = WeightSystem((3, 4))
 W22 = WeightSystem((2, 2))
@@ -318,7 +320,41 @@ def test_ell_bounds_validated():
         U(W34, (1, 4))
 
 
-# -- the earlier three-pass search, kept as the reference for hom_dim --------
+# -- the retired reflection search, kept as a witness for the rule ----------
+#
+# Before the closed-form rule, hom_dim matched the pair, after twist and
+# shift equivariance and reflections on either argument, against two
+# families with closed Hom formulas: the extended cuboid families (one
+# dimensional exactly when ell >= z and 0 <= x - y <= s, zero between
+# distinct total shifts) and the replicated families built from Serre
+# twists S^i = (-i s)[i n] of a slab.  The rewriting freedom acts
+# coordinatewise, so the matching search decomposes per coordinate.  Two
+# cuboid searches, on (a, b) and on (b, S a), and one zero test decide
+# everything the replicated families reach:
+#
+#   * placing a in copy i and b in copy j of the family of slab
+#     coordinate t asks, per coordinate c, for raw twist coefficients
+#     that differ by k = j - i modulo p_c, with ell = p_t - 1 on both
+#     sides at c = t; the answer depends on t and k alone;
+#   * k = 0 puts both twists in one residue class, which is a cuboid
+#     match, so the search on (a, b) already finds it;
+#   * k = 1 is the Serre dual of a cuboid match: Hom(a, b) is dual to
+#     Hom(b, S a), and S a sits in copy i + 1 = j together with b, so
+#     the search on (b, S a) finds it;
+#   * members of copies with any other difference pair to zero, so for
+#     those only feasibility matters;
+#   * with copies 0 .. p_t - 2, matches of (a, b) reach the differences
+#     2 - p_t .. p_t - 2 and matches of (b, S a) the differences
+#     3 - p_t .. p_t - 1, so the zero test runs over 2 - p_t .. p_t - 1.
+#
+# A suspension changes a canonical form by one reflection or one fold,
+# so the same configurations are feasible at every shift of b: the
+# search decides all shifts of a pair or none of them.  It leaves pairs
+# outside every configuration unknown (None): 50 of the 2,880 probe x
+# cuboid questions of (4,5) at shifts -2..2 and 340 of the 23,040 of
+# (3,4,5).  The scan below is that search, with every transfer delta in
+# [0, p) tried; where it decides it witnesses the rule, and where it
+# does not the Kunneth count of tests/kunneth_ref.py does.
 
 
 def _ref_pair_answer(a, b):
@@ -441,13 +477,23 @@ def _ref_hom_dim(a, b):
     return None
 
 
+def _reference(a, b):
+    """dim Hom(a, b) from the retired search, or from the Kunneth count
+    where the search leaves it unknown; and whether it did."""
+    ref = _ref_hom_dim(a, b)
+    if ref is None:
+        return ref_kunneth_hom(a, b), True
+    return ref, False
+
+
 def _assert_matches_reference(pairs) -> int:
-    """Compare every pair, None included; return the number of unknowns."""
+    """Compare every pair with ``_reference``; return the number of
+    pairs the search leaves to the Kunneth count."""
     unknown = 0
     for a, b in pairs:
-        got = hom_dim(a, b)
-        assert got == _ref_hom_dim(a, b), (str(a), str(b))
-        unknown += got is None
+        ref, left = _reference(a, b)
+        assert hom_dim(a, b) == ref, (str(a), str(b))
+        unknown += left
     return unknown
 
 
@@ -487,7 +533,7 @@ def test_hom_matches_reference_on_random_pairs():
     for p in RANDOM_TYPES:
         ws = WeightSystem(p)
         unknown += _assert_matches_reference((_random_object(rng, ws), _random_object(rng, ws)) for _ in range(PAIRS_PER_TYPE))
-    assert unknown > 0  # the sample reaches pairs that no branch decides
+    assert unknown > 0  # the sample reaches pairs that no branch of the search decides
 
 
 def test_zero_test_reaches_difference_p_t_minus_one():
@@ -495,34 +541,49 @@ def test_zero_test_reaches_difference_p_t_minus_one():
     # slab t = 2 (p_t = 5) at copy difference k = 4 = p_t - 1 decides it
     ws = WeightSystem((3, 4, 5))
     a, b = parse_object(ws, "U[1,2,1](2,0,2;-2)"), parse_object(ws, "U[1,2,2]")
-    assert _pair_answer(a, b) is None and _pair_answer(b, a.serre()) is None
+    ca, cb = a.canonical(), b.canonical()
+    assert _ref_pair_answer(ca, cb) is None and _ref_pair_answer(cb, ca.serre()) is None
     assert hom_dim(a, b) == _ref_hom_dim(a, b) == 0
     assert oracle_hom(a.canonical(), b.canonical(), 0) == 0
 
 
 def test_pair_outside_every_branch_is_unknown():
+    # unknown to the retired search; the rule decides these pairs, and the
+    # Kunneth count and the dense oracle agree at every shift they reach
     ws = WeightSystem((4, 5))
-    a, b = parse_object(ws, "U[2,1](2,2;-2)"), parse_object(ws, "U[2,2]")
-    assert hom_dim(a, b) is None
-    assert _ref_hom_dim(a, b) is None
+    for texts, series in ((("U[2,1](2,2;-2)", "U[2,2]"), {}), (("U[2,3](0,1;0)[-1]", "U[2,3]"), {0: 1})):
+        a, b = (parse_object(ws, t) for t in texts)
+        assert _ref_hom_dim(a, b) is None
+        assert hom_series(a, b) == kunneth_series(a, b) == series
+        assert [hom_dim(a, b.suspend(m)) for m in range(-3, 4)] == [oracle_hom(a, b, m) for m in range(-3, 4)]
 
 
 # -- hom_series: every shift of a pair from one search -----------------------
 
 
 def _series_mismatches(pairs, shifts) -> tuple[list, int]:
-    """Compare hom_series(a, b).get(m, 0) with hom_dim(a, b.suspend(m)),
-    None included, at every m of shifts(a, b, series); return the
-    mismatches and the number of pairs out of reach."""
+    """Compare hom_series(a, b).get(m, 0) with hom_dim(a, b.suspend(m))
+    at every m of shifts(a, b, series), and with the retired search or,
+    where it leaves the pair unknown, the Kunneth count; return the
+    mismatches and the number of pairs left to the Kunneth count.
+
+    The search decides all shifts of a pair or none, so it is asked at
+    m = 0 and at the series' own shift; the Kunneth count at every m.
+    """
     bad, unknown = [], 0
     for a, b in pairs:
         series = hom_series(a, b)
-        unknown += series is None
+        left = _ref_hom_dim(a, b) is None
+        unknown += left
+        witnessed = shifts(a, b, series) if left else itertools.chain((0,), series)
         for m in shifts(a, b, series):
             want = hom_dim(a, b.suspend(m))
-            got = None if series is None else series.get(m, 0)
-            if got != want:
-                bad.append((str(a), str(b), m, got, want))
+            if series.get(m, 0) != want:
+                bad.append((str(a), str(b), m, series.get(m, 0), want))
+        for m in witnessed:
+            want = ref_kunneth_hom(a, b, m) if left else _ref_hom_dim(a, b.suspend(m))
+            if series.get(m, 0) != want:
+                bad.append((str(a), str(b), m, series.get(m, 0), want, "reference"))
     return bad, unknown
 
 
@@ -556,33 +617,15 @@ def test_hom_series_is_hom_dim_at_every_shift_on_random_pairs():
 
 @pytest.mark.parametrize("p, unknown", [((4, 5), 10), ((3, 4, 5), 68)])
 def test_hom_series_is_hom_dim_at_every_shift_on_probes(p, unknown):
-    # probe x cuboid, the pairs of oracle-check: at shifts -2..2 these are
-    # its 50 unknowns over (4,5) and 340 over (3,4,5); the 4608 (3,4,5)
-    # pairs sample the outer shifts, which would take half a minute at
-    # every shift
+    # probe x cuboid, the pairs of oracle-check: the retired search leaves
+    # 10 and 68 of them unknown, which at shifts -2..2 were its 50 unknowns
+    # over (4,5) and 340 over (3,4,5); the 4608 (3,4,5) pairs sample the
+    # outer shifts, which would take half a minute at every shift
     ws = WeightSystem(p)
     shifts = _every_shift(ws) if p == (4, 5) else _sampled_shifts(ws)
     bad, unk = _series_mismatches(((a, b) for a in probe_objects(ws) for b in cuboid_objects(ws)), shifts)
     assert not bad, bad[:3]
     assert unk == unknown
-
-
-def test_hom_series_comparison_catches_a_flipped_serre_offset(monkeypatch):
-    def flipped(a, b):
-        # _support with the offset of the (b, S a) branch left unnegated
-        a, b = a.canonical(), b.canonical()
-        found = _pair_answer(a, b)
-        if found is None:
-            found = _pair_answer(b, a.serre())
-        if found is None and stable._replicated_zero(a, b):
-            found = 0, False
-        return found
-
-    ws = WeightSystem((3, 4))
-    pairs = [(a, b) for a in probe_objects(ws) for b in cuboid_objects(ws)]
-    assert not _series_mismatches(pairs, _every_shift(ws))[0]
-    monkeypatch.setattr(stable, "_support", flipped)
-    assert _series_mismatches(pairs, _every_shift(ws))[0]
 
 
 def test_hom_series_edge_cases():
@@ -591,6 +634,108 @@ def test_hom_series_edge_cases():
     assert hom_series(a, a.suspend(3)) == {-3: 1}
     assert hom_series(a, zero_object(W34)) == hom_series(zero_object(W34), b) == {}
     assert hom_series(a, a.serre()) == hom_series(b, a) == {0: 1}
-    assert hom_series(*map(lambda t: parse_object(WeightSystem((4, 5)), t), ("U[2,1](2,2;-2)", "U[2,2]"))) is None
+    # unknown to the retired search; zero at every shift, as the Kunneth count says
+    pair = [parse_object(WeightSystem((4, 5)), t) for t in ("U[2,1](2,2;-2)", "U[2,2]")]
+    assert hom_series(*pair) == kunneth_series(*pair) == {}
     with pytest.raises(ValueError):
         hom_series(rho_k(W34), rho_k(W22))
+
+
+# -- the closed-form rule: its one-variable factors, mutants and fast path ---
+
+
+def test_one_variable_rule_matches_dense_tables():
+    # every residue class of every one-variable table with p <= 9, at both
+    # primes: nonzero exactly when the rule says, and at the rule's shift
+    classes = 0
+    for p in range(2, 10):
+        ws = WeightSystem((p,))
+        for a, b, q in itertools.product(range(1, p), range(1, p), (DEFAULT_MODULUS, PARANOIA_MODULUS)):
+            table = one_variable_table(p, a, b, q)
+            for r in range(p):
+                dense = {}
+                for tau, m, dim in table:
+                    if tau % p == r:
+                        e = 2 * (tau // p) + m
+                        dense[e] = dense.get(e, 0) + dim
+                even, odd = stable._g(p, a, b, r), stable._g(p, a, p - b, (r + p - b) % p)
+                # the interval's upper end is min(b, p - a), as the stable Hom count says
+                assert not (even and odd) and even == (max(0, b - a) <= r < min(b, p - a))
+                rule = {0: 1} if even else {-1: 1} if odd else {}
+                assert dense == rule == hom_series(U(ws, (a,)), U(ws, (b,), ws.element((r,)))), (p, a, b, r, q)
+                classes += q == DEFAULT_MODULUS
+    assert classes == 1500
+
+
+def _rule_series(a, b, lo=lambda x, y: max(0, y - x), odd=-1):
+    """hom_series by the rule, restated on z = b.twist - a.twist, with
+    the lower end of the one-variable interval and the odd shift as
+    knobs for mutants."""
+    def g(p, x, y, r):
+        return lo(x, y) <= r < lo(x, y) + min(x, y, p - x, p - y)
+
+    z = b.twist - a.twist
+    m0 = a.shift - b.shift - 2 * z.level
+    for p, x, y, r in zip(a.weights.p, a.ell, b.ell, z.coeffs):
+        if not g(p, x, y, r):
+            if not g(p, x, p - y, (r + p - y) % p):
+                return {}
+            m0 += odd
+    return {m0: 1}
+
+
+def test_mutated_rules_disagree_with_the_search():
+    # the rule without the max in lo, and with e_i = +1, must each disagree
+    # with the retired search on the pairs it decides
+    pairs = []
+    for p in ((3, 4), (4, 5), (3, 4, 5)):
+        ws = WeightSystem(p)
+        pairs += [(StableObject(ws, o.ell, o.twist, m), b) for o in probe_objects(ws) for m in range(-2, 3) for b in cuboid_objects(ws)]
+    decided = [(a, b, ref) for a, b in pairs if (ref := _ref_hom_dim(a, b)) is not None]
+    assert len(decided) == len(pairs) - 50 - 340
+    # the restatement is the rule, so a disagreement below is the mutation's
+    assert all(_rule_series(a, b) == hom_series(a, b) for a, b in pairs)
+    mutants = {"lo = b - a": {"lo": lambda x, y: y - x}, "e_i = +1": {"odd": 1}}
+    wrong = {name: sum(_rule_series(a, b, **knobs).get(0, 0) != ref for a, b, ref in decided) for name, knobs in mutants.items()}
+    assert all(wrong.values()), wrong
+
+
+def test_hom_answers_read_no_canonical_form(monkeypatch):
+    # the rule reads ell, raw twist coefficients and shifts: no canonical
+    # form, Serre functor, normalization or grading arithmetic per pair
+    rng = random.Random(20261026)
+    pairs = []
+    for p in RANDOM_TYPES:
+        ws = WeightSystem(p)
+        objs = [_random_object(rng, ws) for _ in range(40)] + [zero_object(ws)]
+        pairs += [(rng.choice(objs), rng.choice(objs)) for _ in range(60)]
+    assert any(hom_series(a, b) for a, b in pairs)
+    calls = collections.Counter()
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in ((StableObject, "canonical"), (StableObject, "serre"), (grading, "normalize"), (stable, "normalize"), (GradeElement, "__add__"), (GradeElement, "__sub__")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    for a, b in pairs:
+        hom_series(a, b)
+        hom_dim(a, b)
+    assert U(W34, (1, 1)).canonical() and calls["canonical"] == 1  # the counters count
+    del calls["canonical"]
+    assert not calls, calls
+
+
+def test_hom_series_is_the_same_on_every_representative():
+    rng = random.Random(20261027)
+    for p in RANDOM_TYPES + [(2, 2, 2), (2, 3, 4, 5)]:
+        ws = WeightSystem(p)
+        for _ in range(100):
+            a, b = _random_object(rng, ws), _random_object(rng, ws)
+            want = hom_series(a, b)
+            assert hom_series(a.canonical(), b.canonical()) == want, (str(a), str(b))
+            for i in range(ws.n):
+                assert hom_series(a.reflect(i), b) == hom_series(a, b.reflect(i)) == want, (str(a), str(b), i)

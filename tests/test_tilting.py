@@ -22,6 +22,7 @@ from bpsing.tilting import (
     same_family,
     verify_tilting,
 )
+from kunneth_ref import ref_kunneth_hom
 
 W34 = WeightSystem((3, 4))
 W345 = WeightSystem((3, 4, 5))
@@ -351,21 +352,41 @@ def test_verify_reports_match_the_per_shift_reference():
 
 
 def test_failing_report_matches_the_per_shift_reference():
-    # probe objects of (4,5) make a family with unknown pairs and
-    # rigidity failures, on a window wider than the reach of its Homs
+    # probe objects of (4,5) make a family with rigidity failures and with
+    # pairs that the retired search leaves unknown, on a window wider than
+    # the reach of its Homs; the calculus decides those pairs at every
+    # shift, as the Kunneth count does
+    from test_stable import _ref_hom_dim
+
     ws = WeightSystem((4, 5))
     objs = probe_objects(ws)[::5]
     fam = TiltingFamily(ws, "probes", tuple(map(str, objs)), tuple(o.canonical() for o in objs))
+    left = [(a, b) for a in fam.objects for b in fam.objects if _ref_hom_dim(a, b) is None]
+    assert left
     for window in ((-3, 4), None):
         report = verify_tilting(fam, window)
-        assert report.unknown_entries and report.rigidity_failures
+        assert not report.unknown_entries and report.rigidity_failures
         assert report.to_json() == _ref_verify_json(fam, window)
+        shifts = range(report.window[0], report.window[1] + 1)
+        for a, b in left:
+            assert [hom_dim(a, b.suspend(m)) for m in shifts] == [ref_kunneth_hom(a, b, m) for m in shifts], (str(a), str(b))
+
+
+def _glue_hom_pairs(ladder, fam1, fam2, k1, k2):
+    """The (source, target) pairs whose Homs glue's two obstructions read."""
+    for objb in fam2.objects:
+        red = reduce(ladder, 1, k1, insert(ladder, 2, k2, objb))
+        yield from ((red, obja) for obja in fam1.objects)
+    for obja in fam1.objects:
+        red = reduce(ladder, 2, k2 + 1, insert(ladder, 1, k1, obja))
+        yield from ((objb, red) for objb in fam2.objects)
 
 
 def test_glue_reports_match_the_per_shift_reference():
     from test_acceptance import _types_with_cuboid_at_most
+    from test_stable import _ref_hom_dim
 
-    checked, lines = 0, [0, 0, 0]
+    checked, lines, left = 0, [0, 0, 0], 0
     for i, p in enumerate(_types_with_cuboid_at_most(24)):
         ws = WeightSystem(p)
         if ws.p[-1] < 3:
@@ -379,5 +400,12 @@ def test_glue_reports_match_the_per_shift_reference():
         assert (report.obstruction_b, report.obstruction_b_prime, report.unknown) == ref, (p, k1, k2)
         checked += 1
         lines = [n + len(r) for n, r in zip(lines, ref)]
-    # arbitrary steps k1, k2 leave obstructions in both directions and unknowns
-    assert checked > 100 and min(lines) > 0
+        # the pairs the retired search leaves unknown, against the Kunneth count
+        shifts = [m for m in range(window[0], window[1] + 1) if m != 0]
+        for x, y in _glue_hom_pairs(ladder, fam1, fam2, k1, k2):
+            if _ref_hom_dim(x, y) is None:
+                left += 1
+                assert [hom_dim(x, y.suspend(m)) for m in shifts] == [ref_kunneth_hom(x, y, m) for m in shifts], (p, str(x), str(y))
+    # arbitrary steps k1, k2 leave obstructions in both directions, and
+    # pairs that only the rule decides, which are no longer unknown
+    assert checked > 100 and min(lines[:2]) > 0 and lines[2] == 0 and left > 0
