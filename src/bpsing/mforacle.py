@@ -23,20 +23,26 @@ check compares the same pairs and multiplies along the rows.  No
 
 Each term of the Hom complex is a layout: one block per generator pair
 (slot, a, b) of nonnegative degree, ``(coeffs, level, offset, size)``,
-whose monomials are indexed by the weak compositions of the level.
-Terms m - 1 and m + 1 pair the same generators one level apart, so the
-m + 1 layout is the m - 1 layout one level up and their degrees are
-borrowed once; a pair that no layout can use (level below -1, or below
-0 for the middle term) is dropped as it is borrowed.  A differential
-is described one piece at a time, a piece being one source block and
-one matrix entry, d_F by row or d_G by column: the entry sends the
-block's monomials into one target block, through a position map that
-depends only on the number of variables, the level and the carry of
-the entry's exponents past the weights.  The pieces of a factorization
-pair are cached per matrix objects and parity, which all twists of the
-pair share; the position maps are cached too, and every cache is
-bounded.  A target block of another degree than the product raises
-``ValueError``, on every call, cached rank or not.
+whose monomials are indexed by the weak compositions of the level, so
+a block's size depends on its level alone and is read from one cached
+basis per (weights, level).  Terms m - 1 and m + 1 pair the same
+generators one level apart, so the m + 1 layout is the m - 1 layout
+one level up and their degrees are borrowed once; a pair that no
+layout can use (level below -1, or below 0 for the middle term) is
+dropped as it is borrowed.  A differential is described one piece at
+a time, a piece being one source block and one matrix entry, d_F by
+row or d_G by column: the entry sends the block's monomials into one
+target block, through a position map that depends only on the number
+of variables, the level and the carry of the entry's exponents past
+the weights.  The carry, the product's coeffs and its rise in level,
+sum(carry), do not depend on the source level, so their table is keyed
+on (weights, coeffs, exponents) and the level is added per piece: a
+sweep over twist levels reuses the landings of its first level.  The
+pieces of a factorization pair are cached per matrix objects and
+parity, which all twists of the pair share; the position maps are
+cached too, and every cache is bounded.  A target block of another
+degree than the product raises ``ValueError``, on every call, cached
+rank or not.
 
 The description of a differential is its recipe: the number of
 variables, the shape, and per piece the flat start of its block pair,
@@ -46,7 +52,9 @@ ranks are cached by (recipe, q) in one more bounded cache, exactly,
 with no digest: a sweep over many pairs that meet the same small
 complexes assembles and eliminates each distinct one once.  The
 modulus is part of the key, so a second-prime audit still ranks every
-matrix at both primes.
+matrix at both primes.  Many pieces share a (source level, carry), and
+so a position map: the assembly groups them and writes each group with
+one map lookup and one broadcast add, not one of each per piece.
 
 ``mf_of`` builds the untwisted tensor factorization of U^ell once per
 weight system, ell and shift parity, in a bounded cache, and realizes
@@ -98,9 +106,11 @@ symbolic calculus (both directions must be suspected):
 2. recheck the oracle conventions on the failing weight system: the
    [2] = (c) profile self-check, the two-periodicity identity, and
    that the differentials of the Hom complex compose to zero;
-3. replay the symbolic answer by hand through the rewriting moves it
-   reports (reflections, transfer, Serre swap) and test each single
-   move by profile equality of the two presentations;
+3. replay the closed-form rule of ``stable._support`` by hand, one
+   coordinate at a time against that coordinate's factor in
+   ``kunneth_series``: which case of ``stable._g`` holds (e_i = 0,
+   e_i = -1, or a zero factor), then ell(z) and the shifts that place
+   the single nonzero shift m0;
 4. shrink to the smallest weight system exhibiting the mismatch and
    compare against an independent count (for one or two variables the
    Hom spaces are small enough to enumerate directly).
@@ -408,13 +418,15 @@ def _layout(ws: WeightSystem, degrees: list[tuple[Key, Degree]], lift: int = 0) 
 
     A pair of negative level has no monomials and no block.  Block
     (slot, a, b) spans the basis elements offset .. offset + size - 1,
-    its monomials in the order of ``_monomial_basis``.
+    its monomials in the order of ``_monomial_basis``.  The size depends
+    on the level alone, so it is read from the one cached basis of the
+    zero coeffs at that level.
     """
-    layout, offset = {}, 0
+    layout, offset, zero = {}, 0, (0,) * ws.n
     for key, (coeffs, level) in degrees:
         level += lift
         if level >= 0:
-            size = len(_monomial_basis(ws, coeffs, level))
+            size = len(_monomial_basis(ws, zero, level))
             layout[key] = (coeffs, level, offset, size)
             offset += size
     return layout
@@ -445,13 +457,14 @@ def _position_map(n: int, level: int, carry: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=2**12)
-def _landing(p: tuple[int, ...], coeffs: tuple[int, ...], level: int, exps: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """The monomials of degree (coeffs, level) times the monomial
-    ``exps``: the product's coeffs and level, and the carry of the
-    exponents past the weights, which names the position map."""
+def _landing(p: tuple[int, ...], coeffs: tuple[int, ...], exps: tuple[int, ...]) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """The monomials of a degree with these coeffs times the monomial
+    ``exps``: the product's coeffs, how far it raises the level, and the
+    carry of the exponents past the weights, which names the position
+    map.  None of it depends on the level, which the caller adds."""
     carry = tuple((x + y) // w for x, y, w in zip(coeffs, exps, p))
     landed = tuple((x + y) % w for x, y, w in zip(coeffs, exps, p))
-    return landed, level + sum(carry), carry
+    return landed, sum(carry), carry
 
 
 @lru_cache(maxsize=2**12)
@@ -538,9 +551,9 @@ def _recipe(f: GradedMF, g: GradedMF, k: int, cols: Layout, rows: Layout) -> Rec
     for key, (coeffs, level, offset, _) in cols.items():
         entries = iter(pieces[key])
         for target, coeff, e in zip(entries, entries, entries):
-            landed, landed_level, carry = _landing(p, coeffs, level, e)
+            landed, lift, carry = _landing(p, coeffs, e)
             block = rows.get(target)
-            if block is None or block[1] != landed_level or block[0] != landed:
+            if block is None or block[1] != level + lift or block[0] != landed:
                 raise ValueError(f"an entry maps pair {key} into pair {target}, whose block has another degree")
             out += (block[2] * ncols + offset, level, carry, coeff)
     return len(p), _dim(rows), ncols, tuple(out)
@@ -549,19 +562,28 @@ def _recipe(f: GradedMF, g: GradedMF, k: int, cols: Layout, rows: Layout) -> Rec
 def _assemble(recipe: Recipe) -> SparseMatrix:
     """The matrix of a recipe of ``_recipe``, unreduced, in coordinates:
     one flat index and one value per monomial of every piece, so where
-    pieces meet, ``rank_mod`` sums them."""
+    pieces meet, ``rank_mod`` sums them.
+
+    The pieces of one (source level, carry) share a position map ``pos``,
+    so they are written together: piece j adds coeffs[j] at flat index
+    starts[j] + ncols * pos[i] + i, for each monomial i of its block.
+    """
     n, nrows, ncols, pieces = recipe
-    at, values = (), ()
-    if pieces:
-        stay = (0,) * n
-        # piece j adds values[j] at flat index starts[j] + ncols * maps[j][i]
-        # + spans[j][i], for each monomial i of its source block
-        levels = pieces[1::4]
-        maps = [_position_map(n, level, carry) for level, carry in zip(levels, pieces[2::4])]
-        spans = [_position_map(n, level, stay) for level in levels]  # 0 .. size - 1
-        sizes = np.array([len(pos) for pos in maps], dtype=np.intp)
-        at = np.repeat(np.array(pieces[::4], dtype=np.intp), sizes) + ncols * np.concatenate(maps) + np.concatenate(spans)
-        values = np.repeat(np.array(pieces[3::4], dtype=np.int64), sizes)
+    groups = {}
+    entries = iter(pieces)
+    for start, level, carry, coeff in zip(entries, entries, entries, entries):
+        group = groups.get((level, carry))
+        if group is None:
+            group = groups[level, carry] = ([], [])
+        group[0].append(start)
+        group[1].append(coeff)
+    at, values = [], []
+    for (level, carry), (starts, coeffs) in groups.items():
+        pos = _position_map(n, level, carry)
+        at.append((np.array(starts, dtype=np.intp)[:, None] + (ncols * pos + np.arange(pos.size))).ravel())
+        values.append(np.repeat(np.array(coeffs, dtype=np.int64), pos.size))
+    if at:
+        at, values = np.concatenate(at), np.concatenate(values)
     return SparseMatrix((nrows, ncols), at, values)
 
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bpsing.grading import GradeElement, WeightSystem
-from bpsing.linalg import DEFAULT_MODULUS, PARANOIA_MODULUS, rank_mod
+from bpsing.linalg import DEFAULT_MODULUS, PARANOIA_MODULUS, SparseMatrix, rank_mod
 from bpsing.mforacle import (
     GradedMF,
     MonomialMatrix,
@@ -22,6 +23,7 @@ from bpsing.mforacle import (
     _base_mf,
     _borrow_sub,
     _check_composites,
+    _dim,
     _landing,
     _layout,
     _monomial_basis,
@@ -520,6 +522,129 @@ def test_deep_ranks_match_reference_kernel(p, level, shapes):
         assert [rank_mod(d, q) for d in diffs] == [_ref_rank_mod(d, q) for d in diffs] == DEEP_RANKS[p]
         assert [rank_mod(d, q) for d in sparse] == DEEP_RANKS[p]
     assert oracle_hom(a, b) == hom_dim(a, b)
+
+
+def _deep_pairs(p, levels, per_level):
+    # the schedule of the audit-deep benchmark: pair j twists the first
+    # argument by x_(j-1) (none for j = 0) and shifts it by j mod 2
+    ws = WeightSystem(p)
+    cub = cuboid_objects(ws)
+    for level, j in itertools.product(levels, range(per_level)):
+        coeffs = [int(i == j - 1) for i in range(ws.n)]
+        yield StableObject(ws, cub[j % len(cub)].ell, ws.element(coeffs, level), j % 2), cub[-1 - j % len(cub)]
+
+
+# the depths of the audit-deep benchmark, a few levels of each stratum
+DEEP_SWEEPS = [((3, 4), (-10, -20, -30), 4), ((2, 3, 4, 5), (-2, -3), 5)]
+
+
+@pytest.mark.parametrize("p, levels, per_level", DEEP_SWEEPS)
+def test_hom_complex_matches_reference_at_deep_levels(p, levels, per_level):
+    # the two differentials around the middle term, as oracle_hom(a, b) ranks them
+    for a, b in _deep_pairs(p, levels, per_level):
+        _assert_matches_reference(a, b, ks=range(-1, 1))
+
+
+# -- the grouped assembly against the piecewise one ---------------------------
+#
+# The assembly once looked up one position map per piece, and its
+# landing table was keyed on the source level too.  The copies below are
+# that code: recipes must come out equal, tuple for tuple, and each
+# matrix must hold the same sum at every key.
+
+
+@lru_cache(maxsize=2**12)
+def _ref_landing(p, coeffs, level, exps):
+    carry = tuple((x + y) // w for x, y, w in zip(coeffs, exps, p))
+    landed = tuple((x + y) % w for x, y, w in zip(coeffs, exps, p))
+    return landed, level + sum(carry), carry
+
+
+def _ref_recipe(f, g, k, cols, rows):
+    p = f.weights.p
+    pieces = _pieces(f.d0, f.d1, g.d0, g.d1, k % 2)
+    ncols = _dim(cols)
+    out = []
+    for key, (coeffs, level, offset, _) in cols.items():
+        entries = iter(pieces[key])
+        for target, coeff, e in zip(entries, entries, entries):
+            landed, landed_level, carry = _ref_landing(p, coeffs, level, e)
+            block = rows.get(target)
+            if block is None or block[1] != landed_level or block[0] != landed:
+                raise ValueError(f"an entry maps pair {key} into pair {target}, whose block has another degree")
+            out += (block[2] * ncols + offset, level, carry, coeff)
+    return len(p), _dim(rows), ncols, tuple(out)
+
+
+def _ref_assemble(recipe):
+    n, nrows, ncols, pieces = recipe
+    at, values = (), ()
+    if pieces:
+        stay = (0,) * n
+        levels = pieces[1::4]
+        maps = [_position_map(n, level, carry) for level, carry in zip(levels, pieces[2::4])]
+        spans = [_position_map(n, level, stay) for level in levels]
+        sizes = np.array([len(pos) for pos in maps], dtype=np.intp)
+        at = np.repeat(np.array(pieces[::4], dtype=np.intp), sizes) + ncols * np.concatenate(maps) + np.concatenate(spans)
+        values = np.repeat(np.array(pieces[3::4], dtype=np.int64), sizes)
+    return SparseMatrix((nrows, ncols), at, values)
+
+
+def _summed_entries(mat):
+    # the shape and the sum at every key, zero sums kept
+    keys, where = np.unique(mat.keys, return_inverse=True)
+    sums = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(sums, where, mat.values)
+    return mat.shape, mat.values.dtype, keys.tolist(), sums.tolist()
+
+
+def _assert_assembles_as_reference(a, b, ks):
+    f, g = mf_of(a), mf_of(b)
+    layouts = {k: _term(f, g, k) for k in range(ks.start, ks.stop + 1)}
+    for k in ks:
+        recipe = _recipe(f, g, k, layouts[k], layouts[k + 1])
+        assert recipe == _ref_recipe(f, g, k, layouts[k], layouts[k + 1]), (str(a), str(b), k)
+        assert _summed_entries(_assemble(recipe)) == _summed_entries(_ref_assemble(recipe)), (str(a), str(b), k)
+
+
+def test_grouped_assembly_matches_piecewise_on_probe_pairs():
+    ws = WeightSystem((2, 3, 4))
+    for a in probe_objects(ws):
+        for b in cuboid_objects(ws):
+            _assert_assembles_as_reference(a, b, range(-2, 3))
+
+
+@pytest.mark.parametrize("p, levels, per_level", DEEP_SWEEPS)
+def test_grouped_assembly_matches_piecewise_at_deep_levels(p, levels, per_level):
+    for a, b in _deep_pairs(p, levels, per_level):
+        _assert_assembles_as_reference(a, b, range(-1, 1))
+
+
+def test_grouped_assembly_sees_a_changed_carry():
+    n, nrows, ncols, pieces = recipe = _small_recipe()
+    # the first piece that carries; the zero carry keeps every index
+    # inside the target block
+    j = next(j for j in range(0, len(pieces), 4) if any(pieces[j + 2]))
+    other = (n, nrows, ncols, pieces[: j + 2] + ((0,) * n,) + pieces[j + 3 :])
+    assert _summed_entries(_assemble(other)) == _summed_entries(_ref_assemble(other))
+    assert _summed_entries(_assemble(other)) != _summed_entries(_assemble(recipe))
+
+
+def test_landing_is_level_free_on_a_deep_sweep():
+    # every level of the (3,4) stratum of audit-deep meets the landings
+    # of the first one, while the level-keyed table misses again
+    _landing.cache_clear()
+    _ref_landing.cache_clear()
+    misses = []
+    for level in range(-10, -31, -1):
+        for a, b in _deep_pairs((3, 4), (level,), 4):
+            f, g = mf_of(a), mf_of(b)
+            layouts = [_term(f, g, k) for k in (-1, 0, 1)]
+            for k in (-1, 0):
+                assert _recipe(f, g, k, layouts[k + 1], layouts[k + 2]) == _ref_recipe(f, g, k, layouts[k + 1], layouts[k + 2])
+        misses.append((_landing.cache_info().misses, _ref_landing.cache_info().misses))
+    assert [ours for ours, _ in misses] == [misses[0][0]] * 21
+    assert misses[-1][1] > misses[0][1]
 
 
 def test_position_map_is_a_composition_lookup():
