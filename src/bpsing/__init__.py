@@ -11,7 +11,7 @@ from .grading import (
     normalize,
 )
 from .gmod import GradedModule, adjunction_check, make_E, make_simple, module_hom_dim, phi0_module, psi0_module
-from .stable import StableObject, U, cuboid_objects, hom_dim, hom_series, knorrer_transport, parse_object, rho_k, zero_object
+from .stable import StableObject, U, cuboid_objects, hom_dim, hom_series, hom_table, knorrer_transport, parse_object, rho_k, zero_object
 from .functor import Ladder, check_recollement, insert, predict_projective_image, reduce
 from .tilting import TiltingFamily, UnknownHomError, family, glue, hom_matrix, predicted_cartan, verify_tilting
 from .qalg import (

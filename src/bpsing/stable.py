@@ -70,12 +70,26 @@ and every representative of an object gives the same answer.  The
 rule is checked against the dense one-variable oracle tables for every
 p <= 9, against the dense multi-variable oracle, and against the
 retired reflection search of the test suite on every pair it decides.
+
+``hom_table(rows, cols)`` is the same rule on every pair of two lists
+at once: it stacks ell, twist coefficients, levels and shifts into
+numpy arrays and runs the rule on (n x rows x cols) arrays, through
+the same ``_g``, which is written with operators only so that it reads
+ints and arrays alike.  The tables are int64 while every
+level, shift and weight is below 2**59 in absolute value, which bounds
+every intermediate below 2**62, and object arrays of Python ints
+otherwise, so no answer overflows.  A family's Hom matrix, its
+verification and both directions of a gluing read one table each;
+``hom_dim`` and ``hom_series`` stay the entry for a single pair, where
+an array call would cost more than the rule itself.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+
+import numpy as np
 
 from .grading import GradeElement, WeightSystem, _index, normalize
 
@@ -290,11 +304,19 @@ def knorrer_transport(obj: StableObject) -> StableObject:
 
 # -- Hom dimension calculus -------------------------------------------------
 
-def _g(p: int, a: int, b: int, r: int) -> bool:
+def _g(p, a, b, r):
     """Whether the stable Hom from k[x]/(x^a) to k[x]/(x^b)(r) over
-    k[x]/(x^p) is nonzero (one dimensional), for 0 <= r < p."""
-    lo = b - a if b > a else 0
-    return lo <= r < lo + min(a, b, p - a, p - b)
+    k[x]/(x^p) is nonzero (one dimensional), for 0 <= r < p: whether
+    max(0, b - a) <= r < min(b, p - a).
+
+    Written with operators only, the max and min as x + (y - x) * (y < x),
+    so that it reads Python ints and numpy arrays alike: ``_support``
+    asks it for one pair and ``hom_table`` for a whole table at once.
+    """
+    lo = (b - a) * (b > a)
+    c = p - a
+    hi = b + (c - b) * (c < b)
+    return (lo <= r) & (r < hi)
 
 
 def _support(a: StableObject, b: StableObject) -> tuple[int, bool]:
@@ -322,7 +344,64 @@ def _support(a: StableObject, b: StableObject) -> tuple[int, bool]:
     return m0, True
 
 
-def hom_series(a: StableObject, b: StableObject) -> dict[int, int] | None:
+# With every level, shift and weight below this bound in absolute value,
+# each intermediate of ``hom_table`` stays inside int64: |m0| is at most
+# 2 max|shift| + 4 max|level| + 2n < 2**62, and a coordinate's values are
+# below 2p.  Beyond it the table is computed on object arrays of Python ints.
+_INT64_REACH = 2**59
+
+
+def hom_table(rows, cols) -> tuple[np.ndarray, np.ndarray]:
+    """``_support`` of every pair (rows[i], cols[j]) at once, as two
+    arrays of shape (len(rows), len(cols)): m0 and nonzero, with
+    Hom(rows[i], cols[j][m]) one dimensional at m = m0[i, j] where
+    nonzero[i, j] holds, and zero at every shift where it does not
+    (m0 is then 0).
+
+    Each object becomes one row (ell, twist coefficients, level, shift),
+    with ell read as zeros on a zero object, and the rule of
+    ``_support`` runs on (n x rows x cols) arrays through the same
+    ``_g``.  m0 has dtype int64 when every level, shift and weight is
+    below 2**59 in absolute value, and dtype object (Python ints)
+    otherwise, so it is exact either way.  Objects over different
+    weight systems raise ``ValueError`` when both sides are nonempty.
+    """
+    rows, cols = list(rows), list(cols)
+    if not rows or not cols:
+        shape = (len(rows), len(cols))
+        return np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
+    k, objs = len(rows), rows + cols
+    ws = objs[0].weights
+    for o in objs:
+        if o.weights is not ws and o.weights != ws:
+            raise ValueError("mismatched weight systems")
+    n, zeros = ws.n, (0,) * ws.n
+    entries = [(*(o.ell or zeros), *o.twist.coeffs, o.twist.level, o.shift) for o in objs]
+    try:
+        data = np.array(entries, dtype=np.int64)
+        exact = -_INT64_REACH < data.min() and data.max() < _INT64_REACH and max(ws.p) < _INT64_REACH
+    except OverflowError:
+        exact = False
+    if not exact:
+        data = np.array(entries, dtype=object)
+    # one contiguous row per field, and the coordinates on the first
+    # axis of every table, so that numpy's inner loops run along the columns
+    fields = np.ascontiguousarray(data.T)
+    p = np.array(ws.p, dtype=data.dtype)[:, None, None]
+    a, b = fields[:, :k, None], fields[:, None, k:]
+    ell_a, ell_b = a[:n], b[:n]
+    r = b[n : 2 * n] - a[n : 2 * n]
+    borrow = r < 0
+    r = r + p * borrow
+    even = _g(p, ell_a, ell_b, r)
+    odd = _g(p, ell_a, p - ell_b, (r + p - ell_b) % p)
+    nonzero = (ell_a[0] != 0) & (ell_b[0] != 0) & (even | odd).all(axis=0)
+    base = fields[2 * n + 1] + 2 * fields[2 * n]  # shift + 2 level
+    m0 = base[:k, None] - base[None, k:] + (2 * borrow - ~even).sum(axis=0)
+    return m0 * nonzero, nonzero
+
+
+def hom_series(a: StableObject, b: StableObject) -> dict[int, int]:
     """Hom(a, b[m]) over every shift m at once: {m0: 1} when it is one
     dimensional at the single shift m0, and {} when it is zero at every
     shift.
@@ -334,7 +413,7 @@ def hom_series(a: StableObject, b: StableObject) -> dict[int, int] | None:
     return {m0: 1} if one else {}
 
 
-def hom_dim(a: StableObject, b: StableObject) -> int | None:
+def hom_dim(a: StableObject, b: StableObject) -> int:
     """Hom dimension between stable objects: the shift m = 0 of
     ``hom_series``, from the same rule (see ``_support``).  It decides
     every pair, so the answer is never None.

@@ -16,6 +16,7 @@ and realizes the exceptional-sequence order.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 
@@ -24,7 +25,7 @@ import numpy as np
 from .functor import Ladder, insert, reduce
 from .grading import WeightSystem, _index, normalize
 from .qalg import AlgebraPresentation, gamma_quiver, lambda_q
-from .stable import StableObject, U, hom_dim, hom_series
+from .stable import StableObject, U, hom_table
 
 
 class UnknownHomError(RuntimeError):
@@ -113,16 +114,12 @@ def family(
 
 
 def hom_matrix(fam: TiltingFamily) -> np.ndarray:
-    """H[a][b] = dim Hom(fam[a], fam[b]); raises on an unknown entry."""
-    size = fam.size
-    out = np.zeros((size, size), dtype=np.int64)
-    for a, oa in enumerate(fam.objects):
-        for b, ob in enumerate(fam.objects):
-            h = hom_dim(oa, ob)
-            if h is None:
-                raise UnknownHomError(oa, ob)
-            out[a, b] = h
-    return out
+    """H[a][b] = dim Hom(fam[a], fam[b]), from one ``hom_table`` of the
+    family against itself.  The calculus decides every pair, so no
+    entry is unknown; ``UnknownHomError`` is kept only for callers that
+    still catch it."""
+    m0, nonzero = hom_table(fam.objects, fam.objects)
+    return (nonzero & (m0 == 0)).astype(np.int64)
 
 
 def predicted_cartan(fam: TiltingFamily) -> AlgebraPresentation:
@@ -193,55 +190,49 @@ def _shift_window(ws: WeightSystem, window: tuple[int, int] | None) -> tuple[int
     return lo, hi
 
 
+def _off_zero(m0: np.ndarray, nonzero: np.ndarray, window: tuple[int, int]) -> np.ndarray:
+    """The pairs of a ``hom_table`` whose Hom is nonzero at a shift of
+    the window other than 0."""
+    return nonzero & (m0 != 0) & (window[0] <= m0) & (m0 <= window[1])
+
+
 def verify_tilting(fam: TiltingFamily, window: tuple[int, int] | None = None) -> TiltingReport:
     """Rigidity on a shift window, simple endomorphism rings, and an
     exceptional ordering by topological sort of the nonzero Homs.
 
     The window defaults to +-(2n + 4); one that does not contain 0,
-    where End is checked, raises ValueError.  Each ordered pair asks
-    one ``hom_series``, which answers every shift of the window at once
-    (nonzero at one shift at most), so the window does not multiply the
-    calculus work; a pair out of reach is unknown at every shift.
+    where End is checked, raises ValueError.  One ``hom_table`` of the
+    family against itself answers every pair at every shift (each Hom
+    is nonzero at one shift m0 at most), so the window does not
+    multiply the calculus work, and no entry is unknown.
     """
     window = _shift_window(fam.weights, window)
-    shifts = range(window[0], window[1] + 1)
-    rig, endo, unknown = [], [], []
-    size = fam.size
-    hom0 = np.zeros((size, size), dtype=np.int64)
-    for a, oa in enumerate(fam.objects):
-        for b, ob in enumerate(fam.objects):
-            series = hom_series(oa, ob)
-            if series is None:
-                unknown += [f"Hom({fam.labels[a]}, {fam.labels[b]}[{m}])" for m in shifts]
-                continue
-            h = hom0[a, b] = series.get(0, 0)
-            if a == b and h != 1:
-                endo.append(f"End({fam.labels[a]}) has dimension {h}")
-            for m, dim in sorted(series.items()):
-                if m != 0 and m in shifts:
-                    rig.append(f"Hom({fam.labels[a]}, {fam.labels[b]}[{m}]) = {dim}")
-    order = _topological_order(fam, hom0)
-    return TiltingReport(fam, window, rig, endo, unknown, order)
+    m0, nonzero = hom_table(fam.objects, fam.objects)
+    hom0 = (nonzero & (m0 == 0)).astype(np.int64)
+    labels = fam.labels
+    endo = [f"End({labels[a]}) has dimension {hom0[a, a]}" for a in range(fam.size) if hom0[a, a] != 1]
+    rig = [f"Hom({labels[a]}, {labels[b]}[{m0[a, b]}]) = 1" for a, b in zip(*np.nonzero(_off_zero(m0, nonzero, window)))]
+    return TiltingReport(fam, window, rig, endo, [], _topological_order(fam, hom0))
 
 
 def _topological_order(fam: TiltingFamily, hom0: np.ndarray) -> list[str] | None:
-    """Order with all nonzero Homs pointing forward, if one exists."""
+    """Order with all nonzero Homs pointing forward, if one exists; among
+    the free vertices the least index goes first."""
     size = fam.size
-    succ = {a: [b for b in range(size) if b != a and hom0[a, b] > 0] for a in range(size)}
-    indeg = {a: 0 for a in range(size)}
-    for a in range(size):
-        for b in succ[a]:
+    succ = [[b for b in np.flatnonzero(hom0[a]).tolist() if b != a] for a in range(size)]
+    indeg = [0] * size
+    for bs in succ:
+        for b in bs:
             indeg[b] += 1
-    queue = sorted(a for a in range(size) if indeg[a] == 0)
+    free = [a for a in range(size) if indeg[a] == 0]
     out = []
-    while queue:
-        a = queue.pop(0)
+    while free:
+        a = heapq.heappop(free)
         out.append(a)
         for b in succ[a]:
             indeg[b] -= 1
             if indeg[b] == 0:
-                queue.append(b)
-        queue.sort()
+                heapq.heappush(free, b)
     if len(out) != size:
         return None
     return [fam.labels[a] for a in out]
@@ -271,11 +262,12 @@ def glue(
     The candidate is the concatenation of the two insertion images;
     the obstruction Homs are checked in both adjoint directions, by
     reducing one image into the other reduced category, at every
-    nonzero shift of the window.  Each pair of a direction asks one
-    ``hom_series``, which answers every shift at once, so the window
-    does not multiply the calculus work.  The window defaults to +-(2n + 4);
-    one that does not contain 0 raises ValueError, as in
-    ``verify_tilting``: an empty one would ask no obstruction Hom.
+    nonzero shift of the window.  Each direction reads one
+    ``hom_table``, which answers every pair at every shift at once, so
+    the window does not multiply the calculus work, and no entry is
+    unknown.  The window defaults to +-(2n + 4); one that does not
+    contain 0 raises ValueError, as in ``verify_tilting``: an empty one
+    would ask no obstruction Hom.
     """
     ws = ladder.weights
     window = _shift_window(ws, window)
@@ -284,29 +276,16 @@ def glue(
     labels = tuple(f"psi1[{k1}]({lab})" for lab in fam1.labels) + tuple(f"psi2[{k2}]({lab})" for lab in fam2.labels)
     glued = TiltingFamily(ws, "glued", labels, tuple(o.canonical() for o in img1 + img2))
 
-    obstruction_b, obstruction_bp, unknown = [], [], []
-    shifts = [m for m in range(window[0], window[1] + 1) if m != 0]
-
-    def obstruct(x: StableObject, y: StableObject, head: str, out: list[str]) -> None:
-        # Hom(x, y[m]) at every nonzero shift m, from one series; head
-        # is the label "Hom(x, y" that each entry completes with "[m])"
-        series = hom_series(x, y)
-        if series is None:
-            unknown.extend(f"{head}[{m}])" for m in shifts)
-        else:
-            out.extend(f"{head}[{m}]) = {h}" for m, h in sorted(series.items()) if m in shifts)
-
     # direction (b): Hom(i^* j_* T2, T1[m]) with i^* = phi_{1,k1}
-    for objb, labb in zip(img2, fam2.labels):
-        red = reduce(ladder, 1, k1, objb)
-        for obja, laba in zip(fam1.objects, fam1.labels):
-            obstruct(red, obja, f"Hom(phi1({labb}), {laba}", obstruction_b)
-    # direction (b'): Hom(T2, j^sharp i_* T1[m]) with j^sharp = phi_{2,k2+1}
-    for obja, laba in zip(img1, fam1.labels):
-        red = reduce(ladder, 2, k2 + 1, obja)
-        for objb, labb in zip(fam2.objects, fam2.labels):
-            obstruct(objb, red, f"Hom({labb}, phi2({laba})", obstruction_bp)
-    return glued, GlueReport(obstruction_b, obstruction_bp, unknown)
+    m0, nonzero = hom_table([reduce(ladder, 1, k1, o) for o in img2], fam1.objects)
+    hit = _off_zero(m0, nonzero, window)
+    obstruction_b = [f"Hom(phi1({fam2.labels[i]}), {fam1.labels[j]}[{m0[i, j]}]) = 1" for i, j in zip(*np.nonzero(hit))]
+    # direction (b'): Hom(T2, j^sharp i_* T1[m]) with j^sharp = phi_{2,k2+1},
+    # listed by T1 summand first
+    m0, nonzero = hom_table(fam2.objects, [reduce(ladder, 2, k2 + 1, o) for o in img1])
+    hit = _off_zero(m0, nonzero, window)
+    obstruction_bp = [f"Hom({fam2.labels[i]}, phi2({fam1.labels[j]})[{m0[i, j]}]) = 1" for j, i in zip(*np.nonzero(hit.T))]
+    return glued, GlueReport(obstruction_b, obstruction_bp, [])
 
 
 def same_family(a: TiltingFamily, b: TiltingFamily) -> bool:

@@ -159,6 +159,7 @@ ARGS = {
     ),
     "hom_dim": (),
     "hom_series": (),
+    "hom_table": (),  # it takes lists of objects
     "hom_matrix": (),
     "hom_profile": (_modulus(lambda v: hom_profile(MF22, v)),),
     "insert": (Arg(lambda v: insert(LAD33, v, 0, RED), 1, 2), Arg(lambda v: insert(LAD33, 1, v, RED))),

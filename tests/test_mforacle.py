@@ -46,7 +46,7 @@ from bpsing.mforacle import (
     tensor_mf,
 )
 from bpsing import mforacle
-from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, hom_series, knorrer_transport, rho_k, zero_object
+from bpsing.stable import StableObject, U, cuboid_objects, hom_dim, hom_series, hom_table, knorrer_transport, rho_k, zero_object
 from kunneth_ref import criterion_1_pairs, kunneth_count, one_variable_table, ref_kunneth_hom
 from test_linalg import _dense_of, _ref_rank_mod
 
@@ -1041,6 +1041,19 @@ def test_hom_series_is_the_kunneth_series_on_probes(p):
     for a in probe_objects(ws):
         for b in cuboid_objects(ws):
             assert hom_series(a, b) == kunneth_series(a, b), (str(a), str(b))
+
+
+def test_hom_table_is_the_kunneth_series_on_567_probes():
+    # all 115,200 probe x cuboid pairs of (5,6,7), every shift at once: the
+    # calculus audited at a type where the dense oracle does not reach
+    from test_stable import _table_mismatches
+
+    ws = WeightSystem((5, 6, 7))
+    probes, cub = probe_objects(ws), cuboid_objects(ws)
+    table = hom_table(probes, cub)
+    assert table[0].shape == (960, 120) and 0 < table[1].sum() < table[1].size
+    bad = _table_mismatches(probes, cub, table, kunneth_series)
+    assert not bad, bad[:3]
 
 
 # -- the package's Kunneth count against its definition ----------------------

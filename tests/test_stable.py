@@ -6,7 +6,10 @@ import gc
 import itertools
 import math
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from bpsing.stable import (
     cuboid_objects,
     hom_dim,
     hom_series,
+    hom_table,
     knorrer_transport,
     parse_object,
     rho_k,
@@ -739,3 +743,110 @@ def test_hom_series_is_the_same_on_every_representative():
             assert hom_series(a.canonical(), b.canonical()) == want, (str(a), str(b))
             for i in range(ws.n):
                 assert hom_series(a.reflect(i), b) == hom_series(a, b.reflect(i)) == want, (str(a), str(b), i)
+
+
+# -- hom_table: the rule on every pair of two lists at once -----------------
+
+
+def _ref_g(p, a, b, r):
+    """The one-variable rule as first written, with min and a chained
+    comparison, which reads ints only."""
+    lo = b - a if b > a else 0
+    return lo <= r < lo + min(a, b, p - a, p - b)
+
+
+def test_operator_g_is_the_chained_comparison():
+    # every p <= 12 and every a, b, r: on ints one by one, and on arrays
+    # holding all of them at once
+    for p in range(2, 13):
+        grid = list(itertools.product(range(1, p), range(1, p), range(p)))
+        want = [_ref_g(p, a, b, r) for a, b, r in grid]
+        assert [stable._g(p, a, b, r) for a, b, r in grid] == want, p
+        assert all(type(stable._g(p, a, b, r)) is bool for a, b, r in grid[:5])
+        a, b, r = np.array(grid).T
+        got = stable._g(p, a, b, r)
+        assert got.dtype == bool and got.tolist() == want, p
+
+
+def _table_mismatches(rows, cols, table, series=hom_series) -> list:
+    """The pairs where a (m0, nonzero) table disagrees with the series
+    of a pair (hom_series, or the Kunneth series), or leaves a nonzero
+    m0 on a pair that is zero."""
+    m0, nonzero = table
+    assert m0.shape == nonzero.shape == (len(rows), len(cols)) and nonzero.dtype == bool
+    bad = []
+    for a, m0_row, nonzero_row in zip(rows, m0.tolist(), nonzero.tolist()):
+        for b, e, one in zip(cols, m0_row, nonzero_row):
+            if ({e: 1} if one else {}) != series(a, b) or not (one or e == 0):
+                bad.append((str(a), str(b), e, one))
+    return bad
+
+
+@pytest.mark.parametrize("p", [(4, 5), (3, 4, 5), (2, 3, 4, 5), (2, 2, 2, 2)])
+def test_hom_table_is_hom_series_on_probes(p):
+    ws = WeightSystem(p)
+    rows, cols = probe_objects(ws), cuboid_objects(ws)
+    table = hom_table(rows, cols)
+    assert table[0].dtype == np.int64
+    assert not _table_mismatches(rows, cols, table)
+
+
+def test_hom_table_is_hom_series_on_random_pairs():
+    # shifts and levels of +-2**70, and a weight of 2**61, take the
+    # object-array route, and zero objects carry twists and shifts that
+    # the table must ignore
+    rng = random.Random(20261028)
+    deep = 0
+    types = RANDOM_TYPES + [(2, 2, 2), (2,), (3, 2**61)]
+    for p in types:
+        ws = WeightSystem(p)
+        objs = [_random_object(rng, ws) for _ in range(30)]
+        objs += [zero_object(ws), StableObject(ws, None, ws.element((1,) * ws.n, 4), 3)]
+        for o in objs[:4]:
+            for level, shift in ((2**70, 0), (-(2**70), 5), (1, 2**70 + 1)):
+                objs.append(StableObject(ws, o.ell, o.twist + level * ws.c(), o.shift + shift))
+        shallow = objs[:32]
+        for rows, cols in ((shallow, shallow[::-1]), (objs, objs[5:]), (objs[-6:], shallow)):
+            table = hom_table(rows, cols)
+            far = any(max(abs(o.twist.level), abs(o.shift), *ws.p) >= 2**59 for o in rows + cols)
+            assert table[0].dtype == (object if far else np.int64)
+            assert not _table_mismatches(rows, cols, table), p
+            deep += far
+        for rows, cols in (([], objs), (objs, []), ([], [])):
+            m0, nonzero = hom_table(rows, cols)
+            assert m0.shape == nonzero.shape == (len(rows), len(cols))
+    assert deep == 2 * len(types) + 1
+
+
+def test_hom_table_needs_one_weight_system():
+    a, b = rho_k(W34), rho_k(W22)
+    for rows, cols in (([a], [b]), ([a, b], [a]), ([a], [a, U(WeightSystem((3, 5)), (1, 1))]), ([a], [rho_k(WeightSystem((2, 3, 4)))])):
+        with pytest.raises(ValueError, match="mismatched weight systems"):
+            hom_table(rows, cols)
+    # the same weights under another WeightSystem instance
+    assert hom_table([a], [rho_k(WeightSystem((3, 4)))])[1].tolist() == [[True]]
+
+
+def test_hom_table_weight_check_survives_python_O():
+    code = """
+from bpsing import WeightSystem, hom_table, rho_k
+try:
+    hom_table([rho_k(WeightSystem((3, 4)))], [rho_k(WeightSystem((2, 2)))])
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ValueError: mismatched weight systems\n"
+
+
+def test_table_without_the_odd_offset_fails_the_comparison():
+    # negative control: the rule with e_i = 0 for the odd case, as a table
+    ws = WeightSystem((3, 4, 5))
+    rows, cols = probe_objects(ws), cuboid_objects(ws)
+    series = [[_rule_series(a, b, odd=0) for b in cols] for a in rows]
+    nonzero = np.array([[bool(s) for s in row] for row in series])
+    m0 = np.array([[next(iter(s), 0) for s in row] for row in series])
+    assert not _table_mismatches(rows, cols, hom_table(rows, cols))
+    assert len(_table_mismatches(rows, cols, (m0, nonzero))) > len(rows)
