@@ -216,7 +216,8 @@ def replicated(a: AlgebraPresentation, m: int) -> AlgebraPresentation:
     for r in range(m + 1):
         for lab, s, t in a.arrows:
             arrows.append((f"{lab}@{r}", f"{s}@{r}", f"{t}@{r}"))
-    relations = tuple(f"{rel}@{r}" for r in range(m + 1) for rel in a.relations)
+    # a path relation "... s => t" names two vertices, and both get the suffix
+    relations = tuple(rel.replace(" => ", f"@{r} => ") + f"@{r}" for r in range(m + 1) for rel in a.relations)
     cartan = np.zeros(((m + 1) * k, (m + 1) * k), dtype=np.int64)
     for r in range(m + 1):
         cartan[r * k : (r + 1) * k, r * k : (r + 1) * k] = a.cartan

@@ -28,6 +28,7 @@ from .qalg import AlgebraPresentation, gamma_quiver, lambda_q
 from .stable import StableObject, U, hom_table
 
 
+# never raised: bench/workloads.py still catches it (ROADMAP items 7 and 15)
 class UnknownHomError(RuntimeError):
     def __init__(self, a: StableObject, b: StableObject):
         super().__init__(f"hom_dim could not decide Hom({a}, {b})")
@@ -116,8 +117,8 @@ def family(
 def hom_matrix(fam: TiltingFamily) -> np.ndarray:
     """H[a][b] = dim Hom(fam[a], fam[b]), from one ``hom_table`` of the
     family against itself.  The calculus decides every pair, so no
-    entry is unknown; ``UnknownHomError`` is kept only for callers that
-    still catch it."""
+    entry is unknown; ``UnknownHomError`` stays only because the
+    benchmark (``bench/workloads.py``) catches it."""
     m0, nonzero = hom_table(fam.objects, fam.objects)
     return (nonzero & (m0 == 0)).astype(np.int64)
 
@@ -152,6 +153,7 @@ class TiltingReport:
     window: tuple[int, int]
     rigidity_failures: list[str]
     endo_failures: list[str]
+    # always empty: bench/workloads.py still reads it (ROADMAP items 7 and 15)
     unknown_entries: list[str]
     order: list[str] | None
 
@@ -242,6 +244,7 @@ def _topological_order(fam: TiltingFamily, hom0: np.ndarray) -> list[str] | None
 class GlueReport:
     obstruction_b: list[str]
     obstruction_b_prime: list[str]
+    # always empty: bench/workloads.py still reads it (ROADMAP items 7 and 15)
     unknown: list[str]
 
     @property

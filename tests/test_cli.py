@@ -211,7 +211,6 @@ def test_weight_cap():
         ["quiver", "--algebra", "nakayama:3"],
         ["verify", "-p", "3,4", "--window", "-3"],
         ["oracle-check", "-p", "3,4", "--shift-window", "-1"],
-        ["ladder", "-p", "3,4", "--split", "3", "--level-bound", "-1"],
         ["oracle-check", "-p", "3,4", "--pair", "U[1,2,1]", "U[1,1]"],
         ["oracle-check", "-p", "3,4", "--pair", "U[1,2](1,1,1;0)", "U[1,1]"],
         ["oracle-check", "-p", "3,4", "--pair", "U[1]", "U[1,1]"],

@@ -31,7 +31,6 @@ from bpsing import (
     U,
     WeightSystem,
     adjunction_check,
-    check_recollement,
     dynkin_path_algebra,
     family,
     gamma_quiver,
@@ -141,7 +140,7 @@ ARGS = {
         Arg(lambda v: W34.element((0, 0), v)),
     ),
     "adjunction_check": (Arg(lambda v: adjunction_check(LAD33.emb1, [make_E(LAD33.weights, (2, 2))], [make_E(RED.weights, (1, 1))], v), 0),),
-    "check_recollement": (Arg(lambda v: check_recollement(LAD23, v), 0, base=0),),
+    "check_recollement": (),
     "coxeter_polynomial": (),
     "cuboid_objects": (),
     "dichotomy": (),

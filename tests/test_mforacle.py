@@ -681,7 +681,7 @@ except ValueError as exc:
 """
     tests = Path(__file__).resolve().parent
     path = f"{tests.parent / 'src'}{os.pathsep}{tests}"
-    out = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
+    out = subprocess.run([sys.executable, "-B", "-O", "-c", code], env={"PYTHONPATH": path}, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("True ValueError: an entry maps pair"), out.stdout
 

@@ -240,7 +240,7 @@ for _, algebras in qalg.COXETER_SUITES["dynkin"]():
 print(built, need)
 """
     src = Path(bpsing.__file__).resolve().parent.parent
-    out = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    out = subprocess.run([sys.executable, "-B", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     at_import, suite = out.stdout.splitlines()
     assert at_import == "0"

@@ -130,6 +130,20 @@ def test_replicated_structure():
     assert (dup.cartan[3:, 3:] == c).all()
 
 
+@pytest.mark.parametrize("base", [nakayama(3, 2), lambda_q(W34, (2, 2))], ids=["A3(2)", "Lambda(3,4)(2,2)"])
+def test_replicated_relations_name_its_vertices(base):
+    # the copy suffix used to go on the target vertex only, so a relation
+    # named a source vertex that does not exist and to_dot drew no edge for it
+    for m in (1, 2):
+        alg = replicated(base, m)
+        paths = [rel for rel in alg.relations if " => " in rel]
+        assert len(paths) == (m + 1) * len(base.relations)
+        for rel in paths:
+            left, _, right = rel.partition(" => ")
+            assert left.split()[-1] in alg.vertices and right in alg.vertices, rel
+        assert alg.to_dot().count("style=dashed") == len(paths)
+
+
 def test_gamma_quiver_shapes():
     g1 = gamma_quiver(W345, 0)
     assert g1.size == 24

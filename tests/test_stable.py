@@ -836,7 +836,7 @@ except ValueError as exc:
     print("ValueError:", exc)
 """
     src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    out = subprocess.run([sys.executable, "-B", "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout == "ValueError: mismatched weight systems\n"
 

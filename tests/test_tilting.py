@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bpsing.functor import Ladder, check_recollement
+from bpsing.functor import Ladder
 from bpsing.grading import WeightSystem
 from bpsing.qalg import gamma_quiver, lambda_q, matrix_csv, nakayama
 from bpsing.functor import insert, reduce
@@ -210,12 +210,6 @@ def test_windows_and_glue_steps_are_integers():
     for k1, k2 in ((True, 0), (2, 0.0)):
         with pytest.raises(TypeError, match="k"):
             glue(lad, *fams, k1, k2, window=(-1, 1))
-
-
-def test_recollement_rejects_negative_level_bound():
-    # level bound -1 leaves no level on which to check the composite
-    with pytest.raises(ValueError, match="negative"):
-        check_recollement(Ladder(W34, 3), level_bound=-1)
 
 
 def test_corrupted_family_fails():
