@@ -11,12 +11,14 @@ pair by conjugating with degree twists:
 Each functor acts on the degree of a projective R(y) by one map,
 ``predict_projective_image``.  On a U-family object U^ell(y)[m] the
 twist y moves exactly as R(y) does and the shift m stays; of ell only
-the last exponent ell_n changes, by integer arithmetic on ell_n, the
-split weights and y_n + k modulo the last weight of the source
-(``reduce`` and ``insert`` give the cases).  Together the functors
-assemble into an infinite ladder of recollements of period p_n, whose
-defining identities are what ``check_recollement`` verifies; as both
-functors commute with the twist by c = [2], level 0 stands for all.
+the last exponent ell_n changes, to the count of support degrees that
+the functor's degree map keeps (``reduce`` and ``insert`` give the
+rules).  Each result is the representation so built, the image of the
+cuboid module under ``gmod``'s phi_0 or psi_0; ``is_same`` compares
+results.  Together the functors assemble into an infinite ladder of
+recollements of period p_n, whose defining identities are what
+``check_recollement`` verifies; as both functors commute with the
+twist by c = [2], level 0 stands for all.
 """
 
 from __future__ import annotations
@@ -59,14 +61,14 @@ def reduce(ladder: Ladder, j: int, k: int, obj: StableObject) -> StableObject:
     """Apply phi_{j,k} to a U-family object.
 
     The twist y moves as the projective R(y) does (see
-    ``predict_projective_image``) and the shift stays.  Of ell only the
-    last exponent ell_n changes: with gap = p_n - p_{j,n} and
-    y_n = (twist_n + k) mod p_n it drops by
-
-      * gap when y_n = 0, and the image is zero unless ell_n > gap;
-      * ell_n - y_n clamped to [0, gap] when 0 < y_n < p_{j,n};
-      * y_n - p_{j,n} otherwise, and the image is zero unless
-        y_n - p_{j,n} < ell_n < y_n.
+    ``predict_projective_image``) and the shift stays.  Of ell only
+    ell_n changes, by the window rule: phi_0 reads the full degree
+    theta(x) + gap x_n at reduced degree x, gap = p_n - p_{j,n}, so it
+    keeps the support degrees w_n in [0, ell_n) of a window of p_{j,n}
+    consecutive residues mod p_n from c = (y_n + k + gap) mod p_n on.
+    Their count, the new ell_n, adds the part of the window that wraps
+    past p_n.  A count of 0 or p_{j,n} (free over the last reduced
+    variable, so projective) gives zero.
     """
     ws = ladder.weights
     emb = ladder.emb(j)
@@ -76,30 +78,22 @@ def reduce(ladder: Ladder, j: int, k: int, obj: StableObject) -> StableObject:
         raise ValueError("object does not live over the full system")
     if obj.is_zero:
         return zero_object(src)
-    pjn = emb.split_weight
-    gap = ws.p[-1] - pjn
-    yn = (obj.twist.coeffs[-1] + k) % ws.p[-1]
-    ln = obj.ell[-1]
-    if yn == 0:
-        if ln <= gap:
-            return zero_object(src)
-        m = gap
-    elif yn < pjn:
-        m = min(max(ln - yn, 0), gap)
-    elif yn - pjn < ln < yn:
-        m = yn - pjn
-    else:
+    pn, pjn, ln = ws.p[-1], emb.split_weight, obj.ell[-1]
+    c = (obj.twist.coeffs[-1] + k + pn - pjn) % pn
+    count = max(0, min(c + pjn, ln) - c) + max(0, min(c + pjn - pn, ln))
+    if count in (0, pjn):
         return zero_object(src)
     twist = predict_projective_image(ladder, "reduce", j, k, obj.twist)
-    return StableObject(src, obj.ell[:-1] + (ln - m,), twist, obj.shift).canonical()
+    return StableObject(src, obj.ell[:-1] + (count,), twist, obj.shift)
 
 
 def insert(ladder: Ladder, j: int, k: int, obj: StableObject) -> StableObject:
     """Apply psi_{j,k} to a U-family object over the reduced system.
 
     The twist y moves as the projective R(y) does and the shift stays.
-    Of ell only the last exponent ell_n changes: it grows by
-    p_n - p_{j,n} when (twist_n + k) mod p_{j,n} < ell_n.
+    Of ell only ell_n changes, by psi_0's band: psi_0 stretches a fiber
+    of last coefficient 0 into gap + 1 = p_n - p_{j,n} + 1 degrees, so
+    ell_n grows by gap when (y_n + k) mod p_{j,n} < ell_n.
     """
     ws = ladder.weights
     emb = ladder.emb(j)
@@ -112,7 +106,7 @@ def insert(ladder: Ladder, j: int, k: int, obj: StableObject) -> StableObject:
     if (obj.twist.coeffs[-1] + k) % emb.split_weight < ell[-1]:
         ell = ell[:-1] + (ell[-1] + ws.p[-1] - emb.split_weight,)
     twist = predict_projective_image(ladder, "insert", j, k, obj.twist)
-    return StableObject(ws, ell, twist, obj.shift).canonical()
+    return StableObject(ws, ell, twist, obj.shift)
 
 
 def predict_projective_image(ladder: Ladder, direction: str, j: int, k: int, y: GradeElement) -> GradeElement:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ class TiltingFamily:
     weights: WeightSystem
     kind: str
     labels: tuple[str, ...]
-    objects: tuple[StableObject, ...]  # canonical forms, family order
+    objects: tuple[StableObject, ...]  # as built, family order
 
     @property
     def size(self) -> int:
@@ -111,7 +112,7 @@ def family(
             ell = tuple(wi + 1 if i in subset else 1 for i, wi in enumerate(w))
             members.append(U(ws, ell, normalize(ws, x), -sum(x)))
         name = {tuple(range(n)): "cuboid", (): "koszul"}.get(subset, f"extended:{','.join(str(i) for i in subset)}")
-    return TiltingFamily(ws, name, tuple(map(str, members)), tuple(o.canonical() for o in members))
+    return TiltingFamily(ws, name, tuple(map(str, members)), tuple(members))
 
 
 def hom_matrix(fam: TiltingFamily) -> np.ndarray:
@@ -277,7 +278,7 @@ def glue(
     img1 = [insert(ladder, 1, k1, o) for o in fam1.objects]
     img2 = [insert(ladder, 2, k2, o) for o in fam2.objects]
     labels = tuple(f"psi1[{k1}]({lab})" for lab in fam1.labels) + tuple(f"psi2[{k2}]({lab})" for lab in fam2.labels)
-    glued = TiltingFamily(ws, "glued", labels, tuple(o.canonical() for o in img1 + img2))
+    glued = TiltingFamily(ws, "glued", labels, tuple(img1 + img2))
 
     # direction (b): Hom(i^* j_* T2, T1[m]) with i^* = phi_{1,k1}
     m0, nonzero = hom_table([reduce(ladder, 1, k1, o) for o in img2], fam1.objects)
@@ -292,8 +293,5 @@ def glue(
 
 
 def same_family(a: TiltingFamily, b: TiltingFamily) -> bool:
-    """Equality as multisets of canonical objects."""
-    if a.weights != b.weights:
-        return False
-    key = lambda o: (o.ell is None, o.ell or (), o.twist.coeffs, o.twist.level, o.shift)
-    return sorted(map(key, a.objects)) == sorted(map(key, b.objects))
+    """Equality as multisets of objects, by their canonical forms."""
+    return a.weights == b.weights and Counter(o.canonical() for o in a.objects) == Counter(o.canonical() for o in b.objects)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import io
 import json
 import re
@@ -305,10 +306,30 @@ def test_readme_shows_every_command():
     assert {argv[0] for argv in README_LINES} == {"describe", "tilt", "endo", "verify", "ladder", "glue", "coxeter", "oracle-check", "quiver"}
 
 
+# sha256 of repr((exit code, stdout, stderr)) of each README command,
+# first 16 hex digits: a change to any output byte shows here
+README_DIGESTS = {
+    "describe -p 3,4": "f43d22e4ad8a9a26",
+    "tilt -p 3,4 --kind koszul": "10b8807e5d2fd757",
+    "endo -p 3,4 --kind cuboid": "09e71c1793577a33",
+    "endo -p 3,4,5 --kind replicated:2": "1c575d1d7e218580",
+    "verify -p 3,4 --kind extended:1 --window 6": "6d852dc67a002939",
+    "ladder -p 3,4 --split 3": "fd4061cd41e0a053",
+    "glue -p 3,4": "5d4b979191671063",
+    "coxeter --suite happel-seidel": "9cd85ecdbb6e0b91",
+    "coxeter --suite replicated": "4da994d2e3b14bad",
+    "coxeter --suite dynkin": "e5ff9a43912419b4",
+    "oracle-check -p 2,3": "73cbf7eff9e1ec40",
+    "quiver -p 3,4 --algebra lambda:2,2 --dot": "cad9ab0fff3f88ab",
+    "quiver --algebra nakayama:6,3 --csv": "c889401687f043c1",
+}
+
+
 @pytest.mark.parametrize("argv", README_LINES, ids=" ".join)
 def test_readme_command_line(capsys, argv):
-    code, out, _ = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 0 and out
+    assert hashlib.sha256(repr((code, out, err)).encode()).hexdigest()[:16] == README_DIGESTS[" ".join(argv)]
 
 
 def test_readme_library_sketch(capsys):
