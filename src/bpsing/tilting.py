@@ -131,7 +131,12 @@ def predicted_cartan(fam: TiltingFamily) -> AlgebraPresentation:
     extended family over I (the cuboid: all, Koszul: none) predicts
     ``lambda_q(ws, q)`` with q_i = p_i - 1 for i in I and
     min(2, p_i - 1) off I: the tensor product of the Nakayama algebras
-    A_(p_i-1)(q_i) in coordinate order.
+    A_(p_i-1)(q_i) in coordinate order, which the algebra records as its
+    factors.  Either algebra builds its arrows and relations only when
+    they are read, so a caller that compares the Cartan pays for the
+    vertex labels and the Cartan alone: for ``lambda_q`` the Kronecker
+    product of the factors' band matrices, for ``gamma_quiver`` the
+    replicated Cartan of its base.
     """
     ws = fam.weights
     kind, _, arg = fam.kind.partition(":")

@@ -2,6 +2,10 @@
 
 import functools
 import itertools
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,12 +81,13 @@ def _ref_lambda_cartan(ws, qvec):
 
 
 def _ref_dynkin_cartan(alg):
-    # reachability: clipped powers of the adjacency matrix
+    # reachability: clipped powers of the adjacency matrix, which reads
+    # an arrow s -> t as the entry C[t][s]
     k = alg.size
     index = {v: i for i, v in enumerate(alg.vertices)}
     adj = np.zeros((k, k), dtype=np.int64)
     for _, s, t in alg.arrows:
-        adj[index[s], index[t]] = 1
+        adj[index[t], index[s]] = 1
     reach = np.eye(k, dtype=np.int64)
     power = np.eye(k, dtype=np.int64)
     for _ in range(k):
@@ -156,21 +161,146 @@ def test_gamma_quiver_shapes():
     assert src == "(2,3,4)@1" and tgt == "(2,1,1)@0"
 
 
-def test_arrows_follow_the_cartan_convention():
-    # an arrow s -> t needs C[t][s] >= 1; q_i >= 2 wherever p_i >= 3, so
-    # that each coordinate arrow survives its truncation
+def _convention_types():
+    # q_i >= 2 wherever p_i >= 3, so that each coordinate arrow survives
+    # its truncation
     from test_acceptance import _types_with_cuboid_at_most
 
     types = _types_with_cuboid_at_most(24) + [(2, 5), (3, 3), (2, 2, 3), (3, 4, 5), (2, 3, 4, 5), (5, 6, 7)]
-    algebras = []
     for p in dict.fromkeys(types):
-        ws = WeightSystem(p)
-        algebras += [lambda_q(ws, qvec) for qvec in itertools.product(*[range(min(2, w - 1), w) for w in p])]
+        yield WeightSystem(p), list(itertools.product(*[range(min(2, w - 1), w) for w in p]))
+
+
+def test_arrows_follow_the_cartan_convention():
+    # an arrow s -> t needs C[t][s] >= 1; nilpotency m = 1 kills every arrow
+    algebras = [nakayama(n, m) for n in range(1, 7) for m in range(min(2, n), n + 1)]
+    algebras += [dynkin_path_algebra(letter, rank) for letter, rank in (("A", 1), ("A", 5), ("D", 4), ("E", 6), ("E", 7), ("E", 8))]
+    algebras += [replicated(nakayama(4, 2), 2), replicated(lambda_q(W34, (2, 2)), 1)]
+    algebras += [alg for suite in COXETER_SUITES.values() for _, row in suite() for _, alg in row]
+    for ws, qvecs in _convention_types():
+        algebras += [lambda_q(ws, qvec) for qvec in qvecs]
         algebras += [gamma_quiver(ws, t) for t in range(ws.n)]
     for alg in algebras:
         index = {v: i for i, v in enumerate(alg.vertices)}
         for label, s, t in alg.arrows:
             assert alg.cartan[index[t], index[s]] >= 1, (alg.name, label, s, t)
+
+
+def _ref_lambda_quiver(ws, qvec):
+    # the eager construction of the arrows and relations, as it was
+    # before they were built on read
+    box = list(itertools.product(*[range(w - 2, -1, -1) for w in ws.p]))
+    label = {x: "(" + ",".join(str(v) for v in x) + ")" for x in box}
+    in_box = set(box)
+    arrows = []
+    relations = []
+    for x in box:
+        for i in range(ws.n):
+            y = x[:i] + (x[i] + 1,) + x[i + 1 :]
+            if y in in_box:
+                arrows.append((f"x{i + 1}", label[x], label[y]))
+    for x in box:
+        for i in range(ws.n):
+            for j in range(i + 1, ws.n):
+                y = list(x)
+                y[i] += 1
+                y[j] += 1
+                if tuple(y) in in_box:
+                    relations.append(f"x{i + 1}x{j + 1}=x{j + 1}x{i + 1} {label[x]} => {label[tuple(y)]}")
+        for i in range(ws.n):
+            y = x[:i] + (x[i] + qvec[i],) + x[i + 1 :]
+            if y in in_box:
+                relations.append(f"x{i + 1}^{qvec[i]} {label[x]} => {label[y]}")
+    return tuple(arrows), tuple(relations)
+
+
+def _ref_replicated_quiver(base, m):
+    arrows = []
+    for r in range(m + 1):
+        for lab, s, t in base.arrows:
+            arrows.append((f"{lab}@{r}", f"{s}@{r}", f"{t}@{r}"))
+    relations = tuple(rel.replace(" => ", f"@{r} => ") + f"@{r}" for r in range(m + 1) for rel in base.relations)
+    return tuple(arrows), relations
+
+
+def _ref_gamma_quiver(ws, t):
+    n = ws.n
+    pt = ws.p[t]
+    others = [i for i in range(n) if i != t]
+    slab = [tuple(w + 1 for w in x) for x in ws.box() if x[t] == pt - 2]
+    label = {}
+    for copy in range(pt - 2, -1, -1):
+        for ell in slab:
+            label[(ell, copy)] = "(" + ",".join(str(v) for v in ell) + f")@{copy}"
+    slab_set = set(slab)
+    arrows = []
+    for copy in range(pt - 1):
+        for ell in slab:
+            for i in others:
+                tgt = ell[:i] + (ell[i] + 1,) + ell[i + 1 :]
+                if tgt in slab_set:
+                    arrows.append((f"x{i + 1}", label[(ell, copy)], label[(tgt, copy)]))
+    top, bottom = slab[0], slab[-1]
+    connecting = "*".join(f"x{i + 1}" for i in others) or "1"
+    for copy in range(pt - 2):
+        arrows.append((connecting, label[(top, copy + 1)], label[(bottom, copy)]))
+    relations = [f"x{i + 1}x{j + 1}=x{j + 1}x{i + 1}" for i in others for j in others if i < j]
+    relations += [f"x{i + 1}^{ws.p[i]}=0" for i in others]
+    return tuple(arrows), tuple(relations)
+
+
+def test_quivers_built_on_read_equal_the_eager_ones():
+    for ws, qvecs in _convention_types():
+        for qvec in qvecs:
+            alg = lambda_q(ws, qvec)
+            assert (alg.arrows, alg.relations) == _ref_lambda_quiver(ws, qvec), (ws, qvec)
+            for m in (1, 2):
+                assert (replicated(alg, m).arrows, replicated(alg, m).relations) == _ref_replicated_quiver(alg, m), (ws, qvec, m)
+        for t in range(ws.n):
+            g = gamma_quiver(ws, t)
+            assert (g.arrows, g.relations) == _ref_gamma_quiver(ws, t), (ws, t)
+
+
+def test_a_builder_runs_once_on_first_read():
+    calls = []
+
+    def arrows():
+        calls.append("arrows")
+        return [("a", "2", "1")]
+
+    alg = AlgebraPresentation("built", ("1", "2"), arrows, lambda: calls.append("relations") or ["2 => 1"], nakayama(2, 2).cartan)
+    assert calls == [] and alg.size == 2
+    assert alg.arrows == (("a", "2", "1"),) and alg.arrows is alg.arrows
+    assert alg.relations == ("2 => 1",) and alg.relations is alg.relations
+    assert calls == ["arrows", "relations"]
+    # a builder whose arrow misses the vertices raises on every read
+    bad = AlgebraPresentation("bad", ("1", "2"), lambda: [("a", "1", "3")], (), np.eye(2, dtype=np.int64))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="does not join two vertices"):
+            bad.arrows
+
+
+def test_invariants_build_no_quiver():
+    # the Coxeter suites and the predicted algebras read the Cartan and
+    # the factors only
+    from bpsing.tilting import family, predicted_cartan
+
+    algebras = [alg for suite in COXETER_SUITES.values() for _, row in suite() for _, alg in row]
+    for alg in algebras:
+        coxeter_polynomial(alg)
+    for ws in (W34, W345):
+        kinds = [("cuboid", {}), ("koszul", {}), ("extended", {"subset": (0,)})] + [("replicated", {"t": t}) for t in range(ws.n)]
+        algebras += [predicted_cartan(family(ws, kind, **kwargs)) for kind, kwargs in kinds]
+    lazy = [alg for alg in algebras if alg.name.startswith(("Lambda", "Gamma")) or "^(" in alg.name]
+    assert len(lazy) == 36
+    assert all(callable(alg._arrows) and callable(alg._relations) for alg in lazy)
+
+
+def test_lambda_q_records_its_factors():
+    assert lambda_q(W345, (2, 3, 1)).factors == ((2, 2), (3, 3), (4, 1))
+    assert gamma_quiver(W345, 0).factors == replicated(lambda_q(W34, (2, 2)), 1).factors == nakayama(3, 2).factors == ()
+    with pytest.raises(ValueError, match="do not match the vertex count"):
+        AlgebraPresentation("bad", ("1", "2"), (), (), nakayama(2, 2).cartan, ((2, 2), (2, 2)))
 
 
 def test_gamma_34_is_nakayama_up_to_coxeter():
@@ -225,7 +355,7 @@ def test_coxeter_inverts_the_cartan_once(monkeypatch):
     inverted = []
     inverse = qalg.inverse_unimodular
     monkeypatch.setattr(qalg, "inverse_unimodular", lambda c: inverted.append(c) or inverse(c))
-    coxeter_polynomial(lambda_q(W345, (2, 3, 4)))
+    coxeter_polynomial(gamma_quiver(W345, 0))
     assert len(inverted) == 1
 
 
@@ -244,6 +374,53 @@ def test_coxeter_polynomials_of_456_agree():
         inverse_t = np.array(inverse_unimodular(c.T), dtype=object)
         assert (inverse_t @ c.T == np.eye(60, dtype=int)).all()
         assert coeffs[1] == (inverse_t @ c).trace()  # c_1 = -tr(-C^(-T) C)
+
+
+def _by_kernel(alg):
+    # the same Cartan without recorded factors takes the multimodular kernel
+    return coxeter_polynomial(AlgebraPresentation(alg.name, alg.vertices, (), (), alg.cartan))
+
+
+def test_power_sums_equal_the_kernel():
+    algebras = [alg for suite in COXETER_SUITES.values() for _, row in suite() for _, alg in row if alg.factors]
+    assert len(algebras) == 14
+    algebras += [lambda_q(W345, qvec) for qvec in itertools.product(range(1, 3), range(1, 4), range(1, 5))]
+    algebras += [lambda_q(WeightSystem((4, 5, 6)), (3, 4, 5)), lambda_q(WeightSystem((5,)), (2,)), lambda_q(WeightSystem((2, 2, 2, 2)), (1, 1, 1, 1))]
+    for alg in algebras:
+        assert coxeter_polynomial(alg) == _by_kernel(alg), alg.name
+
+
+def test_power_sums_with_the_wrong_sign_disagree():
+    # -C^(-T) C = -(-1)^n Phi_1 (x) ... (x) Phi_n; the sign +(-1)^n gives
+    # the polynomial of -Phi, on both parities of n
+    from bpsing.qalg import _band, _from_power_sums, _trace_powers
+
+    for p in ((3, 4), (3, 4, 5), (2, 3, 4, 5)):
+        alg = lambda_q(WeightSystem(p), [w - 1 for w in p])
+        sums = [(-1) ** (len(p) * j) for j in range(1, alg.size + 1)]
+        for m, q in alg.factors:
+            c = np.array(_band(m, q).tolist(), dtype=object)
+            phi = -(np.array(inverse_unimodular(c), dtype=object).T @ c)
+            sums = [s * t for s, t in zip(sums, _trace_powers(phi, alg.size))]
+        assert _from_power_sums(sums) != _by_kernel(alg).coeffs, p
+
+
+def test_newton_remainder_raises():
+    from bpsing.qalg import _from_power_sums
+
+    assert _from_power_sums([]) == (1,)
+    assert _from_power_sums([-1, -1]) == (1, 1, 1)  # x^2 + x + 1
+    with pytest.raises(ArithmeticError, match="Newton's identity 2 leaves the remainder 1"):
+        _from_power_sums([0, 1])
+
+
+def test_coxeter_polynomial_of_4567_cuboid_is_fast():
+    # the 360-vertex cuboid algebra, beyond the reach of the kernel
+    alg = lambda_q(WeightSystem((4, 5, 6, 7)), (3, 4, 5, 6))
+    start = time.perf_counter()
+    poly = coxeter_polynomial(alg)
+    assert time.perf_counter() - start < 1.0
+    assert poly.degree == 360 and poly.coeffs == poly.coeffs[::-1]
 
 
 def test_coxeter_deterministic():
@@ -366,3 +543,32 @@ def test_presentation_rejects_a_repeated_vertex():
     # to_dot's index used to merge the two vertices silently
     with pytest.raises(ValueError, match="vertex label '1' is repeated"):
         AlgebraPresentation("bad", ("1", "2", "1"), (("a", "1", "2"),), (), np.eye(3, dtype=np.int64))
+
+
+def test_quiver_and_newton_checks_survive_python_O():
+    # one factor's power sum s_2 off by one makes Newton's identity 2
+    # leave a remainder
+    code = """
+import numpy as np
+from bpsing import qalg
+from bpsing.grading import WeightSystem
+
+trace_powers = qalg._trace_powers
+qalg._trace_powers = lambda phi, count: [t + (j == 1) for j, t in enumerate(trace_powers(phi, count))]
+try:
+    qalg.coxeter_polynomial(qalg.lambda_q(WeightSystem((5,)), (4,)))
+except ArithmeticError as exc:
+    print("ArithmeticError:", exc)
+bad = qalg.AlgebraPresentation("bad", ("1", "2"), lambda: [("a", "1", "3")], (), np.eye(2, dtype=np.int64))
+try:
+    bad.arrows
+except ValueError as exc:
+    print("ValueError:", exc)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-B", "-O", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "ArithmeticError: Newton's identity 2 leaves the remainder 1: the power sums are not those of an integer matrix",
+        "ValueError: arrow 'a' from '1' to '3' does not join two vertices",
+    ]
