@@ -14,28 +14,32 @@ the subdiagonal.  Every quiver follows one arrow convention: an arrow
 s -> t means C[t][s] >= 1.  ``lambda_q``, ``replicated`` and
 ``gamma_quiver`` build their arrows and relations on first read, so an
 algebra whose quiver nobody prints costs its vertex labels and its
-Cartan only.
+Cartan only.  At nilpotency 1 an arrow would be a relation itself, so
+``nakayama(n, 1)`` draws no arrow and ``lambda_q`` none along a
+coordinate with q_i = 1: every quiver is the Gabriel quiver.
 
 Coxeter polynomials are characteristic polynomials of -C^(-T) C in
-exact integer arithmetic.  An algebra with recorded factors takes the
-power sums tr(Phi^j) = (-(-1)^n)^j prod_i tr(Phi_i^j) of its n
-factors' Coxeter matrices Phi_i, and Newton's identities turn them
-into the coefficients.  Every other algebra (``gamma_quiver``,
+exact integer arithmetic, by one algorithm: the power sums
+tr(Phi^j) of the Coxeter matrix, turned into the coefficients by
+Newton's identities.  An algebra with recorded factors takes
+tr(Phi^j) = (-(-1)^n)^j prod_i tr(Phi_i^j) from its n factors'
+Coxeter matrices Phi_i; every other algebra (``gamma_quiver``,
 ``nakayama``, ``dynkin_path_algebra``, ``replicated`` and hand-built
-ones) takes the multimodular ``charpoly_int``: C is inverted once, and
--C^(-1) C^T, a second integer matrix with the same polynomial, is
-computed on every call as a self-check of the kernel.  The polynomial
-is invariant under simultaneous vertex permutation and under the
-transpose convention.  ``COXETER_SUITES`` holds the one definition of
-each derived-equivalence suite: Happel-Seidel, the cuboid algebra
-Lambda(p - 1) against every Gamma^t, and the Dynkin and replicated
-pairs.
+ones) inverts C once and takes the traces of its own Phi, on object
+arrays of Python ints.  Either way the result must be
+self-reciprocal, as the Coxeter polynomial of a unimodular Cartan
+is.  The polynomial is invariant under simultaneous vertex
+permutation and under the transpose convention.  ``COXETER_SUITES``
+holds the one definition of each derived-equivalence suite:
+Happel-Seidel, the cuboid algebra Lambda(p - 1) against every
+Gamma^t, and the Dynkin and replicated pairs.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grading import WeightSystem, _index
-from .linalg import charpoly_int, integer_matrix, inverse_unimodular
+from .linalg import integer_matrix, inverse_unimodular
 
 
 @dataclass(frozen=True)
@@ -90,15 +94,24 @@ class AlgebraPresentation:
     ``arrows`` ((label, source, target) triples) and ``relations`` are
     each given as a tuple, validated at construction, or as a
     zero-argument builder, called, validated and cached on first read.
-    ``factors`` records the (size, nilpotency) of each Nakayama factor,
-    in Kronecker order, when the algebra is their tensor product and
-    ``cartan`` the Kronecker product of their Cartans; it is empty
-    otherwise.
+    The Cartan is given either as ``cartan`` or, for a tensor product of
+    Nakayama algebras, by ``factors``: the (size, nilpotency) of each
+    factor, in Kronecker order, whose band matrices' Kronecker product
+    is then built as the Cartan, so the two cannot disagree.  Giving
+    both raises ``ValueError``; ``factors`` is empty for an algebra
+    given by its Cartan.
     """
 
-    def __init__(self, name: str, vertices, arrows, relations, cartan, factors=()) -> None:
+    def __init__(self, name: str, vertices, arrows, relations, cartan=None, factors=()) -> None:
         self.name = name
         self.vertices = tuple(vertices)
+        self.factors = tuple((_index(size, "factor size", 1), _index(q, "nilpotency", 1)) for size, q in factors)
+        if self.factors:
+            if cartan is not None:
+                raise ValueError("give the Cartan or the Nakayama factors, not both")
+            if math.prod(size for size, _ in self.factors) != len(self.vertices):
+                raise ValueError(f"Nakayama factors {self.factors} do not match the vertex count")
+            cartan = _kron(_band(*f) for f in self.factors)
         c = integer_matrix(cartan)
         if c.shape != (len(self.vertices), len(self.vertices)):
             raise ValueError("Cartan matrix size does not match the vertex count")
@@ -109,9 +122,6 @@ class AlgebraPresentation:
         if len(set(self.vertices)) != len(self.vertices):
             repeated = next(v for i, v in enumerate(self.vertices) if v in self.vertices[:i])
             raise ValueError(f"vertex label {repeated!r} is repeated")
-        self.factors = tuple(factors)
-        if self.factors and math.prod(size for size, _ in self.factors) != len(self.vertices):
-            raise ValueError(f"Nakayama factors {self.factors} do not match the vertex count")
         self._arrows = arrows if callable(arrows) else self._checked_arrows(arrows)
         self._relations = relations if callable(relations) else tuple(relations)
 
@@ -205,11 +215,12 @@ def nakayama(n: int, m: int) -> AlgebraPresentation:
     """The equioriented A_n path algebra modulo paths of length m.
 
     Its arrows run from i + 1 to i, so that C[t][s] >= 1 for each arrow
-    s -> t, and each relation is the path of length m ending at i."""
+    s -> t, and each relation is the path of length m ending at i.  At
+    m = 1 every arrow would be a relation, so there are neither."""
     n, m = _index(n, "n", 1), _index(m, "m", 1)
     vertices = tuple(str(i + 1) for i in range(n))
-    arrows = tuple((f"a{i + 1}", str(i + 2), str(i + 1)) for i in range(n - 1))
-    relations = tuple(f"{i + 1 + m} => {i + 1}" for i in range(n - m))
+    arrows = tuple((f"a{i + 1}", str(i + 2), str(i + 1)) for i in range(n - 1) if m > 1)
+    relations = tuple(f"{i + 1 + m} => {i + 1}" for i in range(n - m) if m > 1)
     return AlgebraPresentation(f"A{n}({m})", vertices, arrows, relations, _band(n, m))
 
 
@@ -223,56 +234,55 @@ def lambda_q(ws: WeightSystem, qvec) -> AlgebraPresentation:
     with nilpotency q_i, which it records as its factors, and the
     descending box order is the Kronecker order of their vertices, so
     the Cartan is the Kronecker product of their band matrices.  The
-    arrows and relations are built on first read.
+    arrows and relations are built on first read, along the coordinates
+    with q_i > 1 only: at q_i = 1 the arrow x_i is itself a relation.
     """
     qvec = tuple(qvec)
     if len(qvec) != ws.n:
         raise ValueError(f"truncation exponents {qvec} have length {len(qvec)}, weights {ws} have length {ws.n}")
     qvec = tuple(_index(qq, "truncation exponent", 1, w - 1) for qq, w in zip(qvec, ws.p))
-    factors = tuple((w - 1, qq) for w, qq in zip(ws.p, qvec))
     box = ws.box()
     label = {x: "(" + ",".join(map(str, x)) + ")" for x in box}
-    cartan = _kron(_band(*f) for f in factors)
+    exponents = {i: qq for i, qq in enumerate(qvec) if qq > 1}
     return AlgebraPresentation(
         f"Lambda{ws}{qvec}",
         label.values(),
-        lambda: _box_arrows(box, label),
-        lambda: _box_relations(box, label, qvec),
-        cartan,
-        factors,
+        lambda: _box_arrows(box, label, exponents),
+        lambda: _box_relations(box, label, exponents),
+        factors=[(w - 1, qq) for w, qq in zip(ws.p, qvec)],
     )
 
 
-def _box_arrows(box, label):
-    """The coordinate arrows x -> x + e_i of the box."""
+def _box_arrows(box, label, coords):
+    """The arrows x -> x + e_i of the box along the coordinates i in
+    ``coords``."""
     in_box = set(box)
     arrows = []
     for x in box:
-        for i in range(len(x)):
+        for i in coords:
             y = x[:i] + (x[i] + 1,) + x[i + 1 :]
             if y in in_box:
                 arrows.append((f"x{i + 1}", label[x], label[y]))
     return arrows
 
 
-def _box_relations(box, label, qvec):
+def _box_relations(box, label, exponents):
     """The commutativity squares of the box, then the truncations
-    x_i^q_i, vertex by vertex."""
+    x_i^q_i, vertex by vertex, along the coordinates i of ``exponents``
+    (a dict i -> q_i)."""
     in_box = set(box)
-    n = len(qvec)
     relations = []
     for x in box:
-        for i in range(n):
-            for j in range(i + 1, n):
-                y = list(x)
-                y[i] += 1
-                y[j] += 1
-                if tuple(y) in in_box:
-                    relations.append(f"x{i + 1}x{j + 1}=x{j + 1}x{i + 1} {label[x]} => {label[tuple(y)]}")
-        for i in range(n):
-            y = x[:i] + (x[i] + qvec[i],) + x[i + 1 :]
+        for i, j in itertools.combinations(exponents, 2):
+            y = list(x)
+            y[i] += 1
+            y[j] += 1
+            if tuple(y) in in_box:
+                relations.append(f"x{i + 1}x{j + 1}=x{j + 1}x{i + 1} {label[x]} => {label[tuple(y)]}")
+        for i, q in exponents.items():
+            y = x[:i] + (x[i] + q,) + x[i + 1 :]
             if y in in_box:
-                relations.append(f"x{i + 1}^{qvec[i]} {label[x]} => {label[y]}")
+                relations.append(f"x{i + 1}^{q} {label[x]} => {label[y]}")
     return relations
 
 
@@ -329,25 +339,16 @@ def gamma_quiver(ws: WeightSystem, t: int) -> AlgebraPresentation:
     pt = ws.p[t]
     others = [i for i in range(n) if i != t]
     slab = [tuple(w + 1 for w in x) for x in ws.box() if x[t] == pt - 2]
-    label = {}
-    for copy in range(pt - 2, -1, -1):
-        for ell in slab:
-            label[(ell, copy)] = "(" + ",".join(str(v) for v in ell) + f")@{copy}"
+    copies = range(pt - 2, -1, -1)
+    label = {copy: {ell: "(" + ",".join(map(str, ell)) + f")@{copy}" for ell in slab} for copy in copies}
 
     def arrows():
-        slab_set = set(slab)
-        out = []
-        for copy in range(pt - 1):
-            for ell in slab:
-                for i in others:
-                    tgt = ell[:i] + (ell[i] + 1,) + ell[i + 1 :]
-                    if tgt in slab_set:
-                        out.append((f"x{i + 1}", label[(ell, copy)], label[(tgt, copy)]))
+        # coordinate t is constant on the slab, so only the others move
+        out = [arrow for copy in range(pt - 1) for arrow in _box_arrows(slab, label[copy], others)]
         top, bottom = slab[0], slab[-1]
         # the empty product when n = 1
         connecting = "*".join(f"x{i + 1}" for i in others) or "1"
-        for copy in range(pt - 2):
-            out.append((connecting, label[(top, copy + 1)], label[(bottom, copy)]))
+        out += [(connecting, label[copy + 1][top], label[copy][bottom]) for copy in range(pt - 2)]
         return out
 
     def relations():
@@ -357,7 +358,8 @@ def gamma_quiver(ws: WeightSystem, t: int) -> AlgebraPresentation:
     # the Cartan of lambda_q(p - 1) on the other coordinates; with none,
     # the empty Kronecker product is the ground field's [[1]]
     base = _kron(_band(ws.p[i] - 1, ws.p[i] - 1) for i in others)
-    return AlgebraPresentation(f"Gamma^{t + 1}{ws}", label.values(), arrows, relations, _replicated_cartan(base, pt - 2))
+    vertices = [v for copy in copies for v in label[copy].values()]
+    return AlgebraPresentation(f"Gamma^{t + 1}{ws}", vertices, arrows, relations, _replicated_cartan(base, pt - 2))
 
 
 def dynkin_path_algebra(letter: str, rank: int) -> AlgebraPresentation:
@@ -434,22 +436,28 @@ COXETER_SUITES = {
 
 
 def coxeter_polynomial(a: AlgebraPresentation) -> IntPolynomial:
-    """Characteristic polynomial of -C^(-T) C, exact (see the module
-    docstring): from power sums when ``a`` records its Nakayama
-    factors, otherwise by the kernel, checked against -C^(-1) C^T."""
-    if a.factors:
-        return IntPolynomial(_tensor_coxeter(a.factors))
-    k = a.size
-    c = np.array(a.cartan.tolist(), dtype=object).reshape(k, k)
-    inv = np.array(inverse_unimodular(c), dtype=object).reshape(k, k)
-    coeffs = charpoly_int(-(inv.T @ c))
-    if charpoly_int(-(inv @ c.T)) != coeffs:
-        raise RuntimeError("Coxeter polynomial must not depend on the transpose convention")
+    """Characteristic polynomial of Phi = -C^(-T) C, exact (see the
+    module docstring): Newton's identities on the power sums
+    tr(Phi^j), from the recorded Nakayama factors when ``a`` has them
+    and from Phi itself otherwise.  C Phi^(-1) C^(-1) = Phi^T and
+    det Phi = (-1)^k make the polynomial self-reciprocal, c_i = c_(k-i);
+    a result that is not raises ``ArithmeticError``."""
+    sums = _tensor_power_sums(a.factors) if a.factors else _trace_powers(_coxeter_matrix(a.cartan), a.size)
+    coeffs = _from_power_sums(sums)
+    if coeffs != coeffs[::-1]:
+        raise ArithmeticError(f"the Coxeter polynomial {coeffs} of {a.name} is not self-reciprocal")
     return IntPolynomial(coeffs)
 
 
-def _tensor_coxeter(factors) -> tuple[int, ...]:
-    """The Coxeter polynomial of a tensor product of Nakayama algebras.
+def _coxeter_matrix(cartan: np.ndarray) -> np.ndarray:
+    """-C^(-T) C as an object array of Python ints."""
+    c = np.array(cartan.tolist(), dtype=object).reshape(cartan.shape)
+    return -(np.array(inverse_unimodular(c), dtype=object).reshape(c.shape).T @ c)
+
+
+def _tensor_power_sums(factors) -> list[int]:
+    """The power sums of the Coxeter matrix of a tensor product of
+    Nakayama algebras.
 
     C = C_1 (x) ... (x) C_n gives -C^(-T) C = -(-1)^n Phi_1 (x) ... (x)
     Phi_n, Phi_i the Coxeter matrix of factor i, and the trace of a
@@ -459,19 +467,22 @@ def _tensor_coxeter(factors) -> tuple[int, ...]:
     sign = -((-1) ** len(factors))
     sums = [sign**j for j in range(1, size + 1)]
     for m, q in factors:
-        c = np.array(_band(m, q).tolist(), dtype=object)
-        phi = -(np.array(inverse_unimodular(c), dtype=object).T @ c)
-        sums = list(map(operator.mul, sums, _trace_powers(phi, size)))
-    return _from_power_sums(sums)
+        sums = list(map(operator.mul, sums, _trace_powers(_coxeter_matrix(_band(m, q)), size)))
+    return sums
 
 
 def _trace_powers(phi: np.ndarray, count: int) -> list[int]:
-    """tr(Phi^j) for j = 1..count, in Python ints."""
-    traces, power = [], phi
-    for _ in range(count):
-        traces.append(int(power.trace()))
-        power = power @ phi
-    return traces
+    """tr(Phi^j) for j = 1..count, in Python ints, two from each power:
+    tr(A B) is the sum of the entries of A o B^T, so Phi^(a+1) gives
+    tr(Phi^(2a+1)) against Phi^a and tr(Phi^(2a+2)) against itself,
+    and the last power formed is Phi^ceil(count / 2)."""
+    traces, before, power = [], np.eye(len(phi), dtype=object), phi
+    while True:
+        transposed = power.T.ravel()
+        traces += [before.ravel().dot(transposed), power.ravel().dot(transposed)]
+        if len(traces) >= count:
+            return traces[:count]
+        before, power = power, power @ phi
 
 
 def _from_power_sums(sums) -> tuple[int, ...]:

@@ -1,13 +1,10 @@
 """Exact linear algebra: modular ranks, the modulus guard and the integer kernels."""
 
-import math
 import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bpsing import linalg
 from bpsing.grading import WeightSystem
@@ -15,7 +12,6 @@ from bpsing.linalg import (
     DEFAULT_MODULUS,
     PARANOIA_MODULUS,
     SparseMatrix,
-    charpoly_int,
     _exact_div,
     _gauss_jordan,
     check_modulus,
@@ -27,6 +23,7 @@ from bpsing.linalg import (
 )
 from bpsing.mforacle import _assemble, _layout, _pair_degrees, _recipe, mf_of
 from bpsing.stable import U, StableObject
+from test_qalg import _ref_inverse_unimodular
 
 
 def _low_rank(rng, rows, cols, rank):
@@ -314,50 +311,12 @@ def test_rank_mod_accepts_array_likes():
     assert rank_mod([[2**70, 1], [1, 1]], 3) == 1
     assert rank_mod([[]], DEFAULT_MODULUS) == 0
 
-# -- the integer kernels against the direct loops ---------------------------
+# -- the integer kernel against the direct loop ------------------------------
 #
-# The references below are a Fraction-based Gauss-Jordan inverse and the
-# Faddeev-LeVerrier loop in Python ints, exact at every step with no bound
-# and no prime.  The fraction-free ``inverse_unimodular`` and the
-# multimodular ``charpoly_int`` (the same recursion mod primes, lifted by
-# CRT within a Hadamard bound) must give the same answers and raise on the
-# same inputs.
-
-
-def _ref_inverse_unimodular(a):
-    n = len(a)
-    m = [[Fraction(int(a[i][j])) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    out = [[m[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise ValueError("matrix is not unimodular over the integers")
-    return [[int(x) for x in row] for row in out]
-
-
-def _ref_charpoly_int(a):
-    n = len(a)
-    a = [[int(x) for x in row] for row in a]
-    coeffs = [1]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-        tr = sum(am[i][i] for i in range(n))
-        if tr % k:
-            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
-        c = -tr // k
-        coeffs.append(c)
-        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
-    return tuple(coeffs)
+# The reference is a Fraction-based Gauss-Jordan inverse, exact at every
+# step; it lives with the Coxeter tests in test_qalg, which use it too.
+# The fraction-free ``inverse_unimodular`` must give the same answers and
+# raise on the same inputs.
 
 
 def _random_unimodular(rng, n):
@@ -391,70 +350,14 @@ def test_kernels_match_references_on_random_integer_matrices():
     for n in range(13):
         for _ in range(6):
             a = rng.integers(-5, 6, (n, n)).tolist()
-            got = charpoly_int(a)
-            assert got == _ref_charpoly_int(a), a
-            assert all(type(x) is int for x in got)
             # mostly not unimodular: both must raise, with the same message
             assert _outcome(inverse_unimodular, a) == _outcome(_ref_inverse_unimodular, a), a
-
-
-_SQUARE = st.integers(0, 14).flatmap(
-    lambda n: st.lists(st.lists(st.integers(-(2**62), 2**62), min_size=n, max_size=n), min_size=n, max_size=n)
-)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(_SQUARE)
-def test_charpoly_matches_reference(a):
-    assert charpoly_int(a) == _ref_charpoly_int(a)
-
-
-def test_charpoly_matches_reference_at_larger_sizes():
-    rng = np.random.default_rng(37)
-    for n in range(13, 31):
-        # small entries and entries up to 2**n, which take up to 43 primes
-        hi = 5 if n % 2 else 2**n
-        a = rng.integers(-hi, hi + 1, (n, n)).tolist()
-        assert charpoly_int(a) == _ref_charpoly_int(a), n
-
-
-@pytest.mark.parametrize("sign", [1, -1])
-def test_charpoly_of_diagonal_needs_three_primes(sign):
-    # (x - b)^n has coefficients comb(n, k) (-b)^k, of both signs when
-    # b > 0; each b below needs three primes by the bound, and every b but
-    # the first has a coefficient beyond p_0 p_1 / 2, which two cannot hold
-    two = linalg._prime(0) * linalg._prime(1)
-    for b in (two // 2, two // 2 + 1, two - 1, two, two + 1, 3 * two):
-        b *= sign
-        for n in (1, 2, 3):
-            a = [[b if i == j else 0 for j in range(n)] for i in range(n)]
-            assert charpoly_int(a) == tuple(math.comb(n, k) * (-b) ** k for k in range(n + 1)), (b, n)
-
-
-def test_charpoly_rejects_matrices_beyond_the_int64_bounds():
-    # a read-only view of zeros: rejected before any entry is read
-    a = np.broadcast_to(np.int8(0), (2**13, 2**13))
-    with pytest.raises(ValueError, match="int64 bounds"):
-        charpoly_int(a)
-
-
-def test_primes_lie_in_one_range(monkeypatch):
-    primes = [linalg._prime(i) for i in range(40)]
-    assert primes == sorted(primes, reverse=True) and primes[0] == 2**25 - 39
-    assert all(linalg.is_prime(p) and 2**24 < p < 2**25 for p in primes)
-    assert not any(linalg.is_prime(x) for x in range(primes[-1] + 1, 2**25) if x not in primes)
-    # past the last prime above 2**24 there is none
-    build = linalg._prime.__wrapped__
-    monkeypatch.setattr(linalg, "_prime", lambda i: 2**24 + 3)
-    with pytest.raises(ValueError, match="range is left"):
-        build(1)
 
 
 def test_kernels_accept_numpy_input():
     a = np.array([[2, 1], [1, 1]], dtype=np.int64)
     assert inverse_unimodular(a) == [[1, -1], [-1, 2]]
-    assert charpoly_int(a) == (1, -3, 1)
-    assert type(inverse_unimodular(a)[0][0]) is int and type(charpoly_int(a)[1]) is int
+    assert type(inverse_unimodular(a)[0][0]) is int
 
 
 def test_inverse_error_cases():
@@ -476,14 +379,12 @@ def test_kernels_reject_non_square_input():
     for a in ([[1, 0, 5], [0, 1, 7]], [[1, 2, 9], [3, 4, 9]], [[1, 2], [3]], [[1], [2]], [[]]):
         with pytest.raises(ValueError, match="not square"):
             inverse_unimodular(a)
-        with pytest.raises(ValueError, match="not square"):
-            charpoly_int(a)
 
 
 @pytest.mark.parametrize("a", [[1, 2], 5, np.array([1, 2]), np.array(5)])
 def test_kernels_reject_input_that_is_not_2d(a):
     # the same ValueError that rank_mod gives, not a TypeError from len
-    for kernel in (inverse_unimodular, charpoly_int, rank_exact):
+    for kernel in (inverse_unimodular, rank_exact):
         with pytest.raises(ValueError, match="2-D"):
             kernel(a)
     with pytest.raises(ValueError, match="2-D"):
@@ -495,7 +396,6 @@ def test_kernels_stay_exact_beyond_int64():
     big = 2**62 + 1
     a = [[1, big], [0, 1]]
     assert inverse_unimodular(a) == [[1, -big], [0, 1]]
-    assert charpoly_int([[big, 0], [0, big]]) == (1, -2 * big, big * big)
 
 
 def test_inexact_division_raises():
@@ -608,19 +508,17 @@ def test_residues_reduce_before_the_cast():
 def test_empty_list_is_the_empty_matrix_everywhere():
     assert rank_mod([], DEFAULT_MODULUS) == rank_exact([]) == 0
     assert inverse_unimodular([]) == []
-    assert charpoly_int([]) == (1,)
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: inverse_unimodular([[1.5, 0], [0, 1]]),
-        lambda: charpoly_int(np.array([[2.9]])),
         lambda: rank_exact([[0.4, 0], [0, 1]]),
         lambda: rank_exact([[1], [1, 1]]),
         lambda: rank_exact(np.array([[1, 0.5]], dtype=object)),
     ],
-    ids=["inverse-float", "charpoly-float", "rank-float", "rank-ragged", "rank-object-float"],
+    ids=["inverse-float", "rank-float", "rank-ragged", "rank-object-float"],
 )
 def test_kernels_reject_non_integer_matrices(call):
     # each used to truncate its input silently

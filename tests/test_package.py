@@ -2,7 +2,6 @@
 
 import ast
 import re
-import subprocess
 import sys
 from pathlib import Path
 
@@ -210,42 +209,6 @@ def test_public_definitions_are_used():
             if not any(id(n) not in own and _referenced(n) == defined for t in trees.values() for n in ast.walk(t)):
                 dead.append(f"{path.name}:{defined}")
     assert dead == []
-
-
-def test_primes_are_built_on_demand():
-    # a prime built at import would cost every run, which setup_s would
-    # show; the dynkin suite builds as many as its largest Hadamard
-    # bound needs, and no more
-    code = """
-import contextlib, io, math
-import numpy as np
-import bpsing
-from bpsing import cli, linalg, qalg
-print(linalg._prime.cache_info().misses)
-with contextlib.redirect_stdout(io.StringIO()):
-    cli.main(["coxeter", "--suite", "dynkin"])
-built = linalg._prime.cache_info().currsize
-need = 0
-for _, algebras in qalg.COXETER_SUITES["dynkin"]():
-    for _, a in algebras:
-        c = np.array(a.cartan.tolist(), dtype=object)
-        inverse = np.array(linalg.inverse_unimodular(c), dtype=object)
-        for phi in (-(inverse.T @ c), -(inverse @ c.T)):
-            bound = math.prod(2 + math.isqrt(int(s)) for s in (phi * phi).sum(axis=1))
-            count, product = 0, 1
-            while product <= 2 * bound:
-                product *= linalg._prime(count)
-                count += 1
-            need = max(need, count)
-print(built, need)
-"""
-    src = Path(bpsing.__file__).resolve().parent.parent
-    out = subprocess.run([sys.executable, "-B", "-c", code], env={"PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    at_import, suite = out.stdout.splitlines()
-    assert at_import == "0"
-    built, need = map(int, suite.split())
-    assert built == need >= 1
 
 
 def test_bench_shim_targets_exist(monkeypatch):

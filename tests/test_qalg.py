@@ -5,6 +5,7 @@ import itertools
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -162,18 +163,18 @@ def test_gamma_quiver_shapes():
 
 
 def _convention_types():
-    # q_i >= 2 wherever p_i >= 3, so that each coordinate arrow survives
-    # its truncation
+    # every truncation, q_i = 1 included
     from test_acceptance import _types_with_cuboid_at_most
 
     types = _types_with_cuboid_at_most(24) + [(2, 5), (3, 3), (2, 2, 3), (3, 4, 5), (2, 3, 4, 5), (5, 6, 7)]
     for p in dict.fromkeys(types):
-        yield WeightSystem(p), list(itertools.product(*[range(min(2, w - 1), w) for w in p]))
+        yield WeightSystem(p), list(itertools.product(*[range(1, w) for w in p]))
 
 
 def test_arrows_follow_the_cartan_convention():
-    # an arrow s -> t needs C[t][s] >= 1; nilpotency m = 1 kills every arrow
-    algebras = [nakayama(n, m) for n in range(1, 7) for m in range(min(2, n), n + 1)]
+    # an arrow s -> t needs C[t][s] >= 1, at nilpotency 1 too, where the
+    # quiver draws no arrow that its relations would kill
+    algebras = [nakayama(n, m) for n in range(1, 7) for m in range(1, n + 1)]
     algebras += [dynkin_path_algebra(letter, rank) for letter, rank in (("A", 1), ("A", 5), ("D", 4), ("E", 6), ("E", 7), ("E", 8))]
     algebras += [replicated(nakayama(4, 2), 2), replicated(lambda_q(W34, (2, 2)), 1)]
     algebras += [alg for suite in COXETER_SUITES.values() for _, row in suite() for _, alg in row]
@@ -188,26 +189,27 @@ def test_arrows_follow_the_cartan_convention():
 
 def _ref_lambda_quiver(ws, qvec):
     # the eager construction of the arrows and relations, as it was
-    # before they were built on read
+    # before they were built on read, along the coordinates with q_i > 1
     box = list(itertools.product(*[range(w - 2, -1, -1) for w in ws.p]))
     label = {x: "(" + ",".join(str(v) for v in x) + ")" for x in box}
     in_box = set(box)
+    moving = [i for i in range(ws.n) if qvec[i] > 1]
     arrows = []
     relations = []
     for x in box:
-        for i in range(ws.n):
+        for i in moving:
             y = x[:i] + (x[i] + 1,) + x[i + 1 :]
             if y in in_box:
                 arrows.append((f"x{i + 1}", label[x], label[y]))
     for x in box:
-        for i in range(ws.n):
-            for j in range(i + 1, ws.n):
+        for i in moving:
+            for j in [j for j in moving if j > i]:
                 y = list(x)
                 y[i] += 1
                 y[j] += 1
                 if tuple(y) in in_box:
                     relations.append(f"x{i + 1}x{j + 1}=x{j + 1}x{i + 1} {label[x]} => {label[tuple(y)]}")
-        for i in range(ws.n):
+        for i in moving:
             y = x[:i] + (x[i] + qvec[i],) + x[i + 1 :]
             if y in in_box:
                 relations.append(f"x{i + 1}^{qvec[i]} {label[x]} => {label[y]}")
@@ -300,7 +302,21 @@ def test_lambda_q_records_its_factors():
     assert lambda_q(W345, (2, 3, 1)).factors == ((2, 2), (3, 3), (4, 1))
     assert gamma_quiver(W345, 0).factors == replicated(lambda_q(W34, (2, 2)), 1).factors == nakayama(3, 2).factors == ()
     with pytest.raises(ValueError, match="do not match the vertex count"):
-        AlgebraPresentation("bad", ("1", "2"), (), (), nakayama(2, 2).cartan, ((2, 2), (2, 2)))
+        AlgebraPresentation("bad", ("1", "2"), (), (), factors=((2, 2), (2, 2)))
+
+
+def test_factors_are_the_one_source_of_the_cartan():
+    # the identity Cartan with the factor A_2(2) recorded used to get
+    # A_2(2)'s polynomial x^2 + x + 1, not the identity's x^2 + 2x + 1
+    with pytest.raises(ValueError, match="not both"):
+        AlgebraPresentation("x", ("1", "2"), (), (), np.eye(2, dtype=np.int64), factors=((2, 2),))
+    alg = AlgebraPresentation("x", ("1", "2"), (), (), factors=((2, 2),))
+    assert alg.cartan.tolist() == nakayama(2, 2).cartan.tolist() and alg.cartan.dtype == np.int64
+    assert coxeter_polynomial(alg).coeffs == (1, 1, 1)
+    assert coxeter_polynomial(AlgebraPresentation("x", ("1", "2"), (), (), np.eye(2, dtype=np.int64))).coeffs == (1, 2, 1)
+    for bad in (((2, 0),), ((2, 2.0),), ((True, 2), (2, 2))):
+        with pytest.raises((TypeError, ValueError)):
+            AlgebraPresentation("bad", ("1", "2"), (), (), factors=bad)
 
 
 def test_gamma_34_is_nakayama_up_to_coxeter():
@@ -340,15 +356,6 @@ def test_coxeter_polynomial_of_empty_algebra():
     assert coxeter_polynomial(empty).coeffs == (1,)
 
 
-def test_coxeter_transpose_check_fires(monkeypatch):
-    from bpsing import qalg
-
-    answers = iter([(1, 1, 1), (1, 0, 1)])
-    monkeypatch.setattr(qalg, "charpoly_int", lambda phi: next(answers))
-    with pytest.raises(RuntimeError, match="transpose convention"):
-        coxeter_polynomial(nakayama(2, 2))
-
-
 def test_coxeter_inverts_the_cartan_once(monkeypatch):
     from bpsing import qalg
 
@@ -361,7 +368,7 @@ def test_coxeter_inverts_the_cartan_once(monkeypatch):
 
 def test_coxeter_polynomials_of_456_agree():
     # beyond every suite: the 60-vertex cuboid algebra of (4,5,6) against
-    # Gamma^1..Gamma^3, checked without trusting charpoly_int
+    # Gamma^1..Gamma^3, its first coefficient checked from the inverse
     ws = WeightSystem((4, 5, 6))
     algebras = [lambda_q(ws, (3, 4, 5))] + [gamma_quiver(ws, t) for t in range(ws.n)]
     assert [a.size for a in algebras] == [60] * 4
@@ -376,33 +383,116 @@ def test_coxeter_polynomials_of_456_agree():
         assert coeffs[1] == (inverse_t @ c).trace()  # c_1 = -tr(-C^(-T) C)
 
 
-def _by_kernel(alg):
-    # the same Cartan without recorded factors takes the multimodular kernel
+def _unfactored(alg):
+    # the same Cartan without recorded factors takes the traces of its own Phi
     return coxeter_polynomial(AlgebraPresentation(alg.name, alg.vertices, (), (), alg.cartan))
 
 
-def test_power_sums_equal_the_kernel():
+def _factored_algebras():
     algebras = [alg for suite in COXETER_SUITES.values() for _, row in suite() for _, alg in row if alg.factors]
     assert len(algebras) == 14
     algebras += [lambda_q(W345, qvec) for qvec in itertools.product(range(1, 3), range(1, 4), range(1, 5))]
     algebras += [lambda_q(WeightSystem((4, 5, 6)), (3, 4, 5)), lambda_q(WeightSystem((5,)), (2,)), lambda_q(WeightSystem((2, 2, 2, 2)), (1, 1, 1, 1))]
+    return algebras
+
+
+def test_power_sums_equal_the_kernel():
+    for alg in _factored_algebras():
+        assert coxeter_polynomial(alg) == _unfactored(alg), alg.name
+
+
+# -- the Coxeter polynomial against the direct loops -------------------------
+#
+# The references below are a Fraction-based Gauss-Jordan inverse and the
+# Faddeev-LeVerrier loop in Python ints, exact at every step with no bound
+# and no prime.  ``_ref_coxeter`` builds -C^(-T) C from them and reads its
+# characteristic polynomial, by neither the power sums nor Newton's
+# identities of ``coxeter_polynomial``.
+
+
+def _ref_inverse_unimodular(a):
+    n = len(a)
+    m = [[Fraction(int(a[i][j])) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            raise ValueError("matrix is singular")
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    out = [[m[i][n + j] for j in range(n)] for i in range(n)]
+    if any(x.denominator != 1 for row in out for x in row):
+        raise ValueError("matrix is not unimodular over the integers")
+    return [[int(x) for x in row] for row in out]
+
+
+def _ref_charpoly_int(a):
+    n = len(a)
+    a = [[int(x) for x in row] for row in a]
+    coeffs = [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        tr = sum(am[i][i] for i in range(n))
+        if tr % k:
+            raise ArithmeticError("Faddeev-LeVerrier division must be exact")
+        c = -tr // k
+        coeffs.append(c)
+        m = [[am[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
+    return tuple(coeffs)
+
+
+def _ref_coxeter(cartan):
+    c = [[int(x) for x in row] for row in cartan]
+    n = len(c)
+    inverse = _ref_inverse_unimodular(c)
+    return _ref_charpoly_int([[-sum(inverse[t][i] * c[t][j] for t in range(n)) for j in range(n)] for i in range(n)])
+
+
+def test_coxeter_polynomial_equals_the_exact_reference():
+    algebras = [alg for suite in COXETER_SUITES.values() for _, row in suite() for _, alg in row]
+    algebras += _factored_algebras()
     for alg in algebras:
-        assert coxeter_polynomial(alg) == _by_kernel(alg), alg.name
+        assert coxeter_polynomial(alg).coeffs == _ref_coxeter(alg.cartan), alg.name
+    # seeded unitriangular Cartans, the upper triangle in 0..3, under a
+    # simultaneous permutation of the vertices
+    rng = np.random.default_rng(41)
+    for n in range(13):
+        for _ in range(4):
+            perm = rng.permutation(n)
+            cartan = (np.triu(rng.integers(0, 4, (n, n)), 1) + np.eye(n, dtype=np.int64))[perm][:, perm]
+            alg = AlgebraPresentation("random", [str(i) for i in range(n)], (), (), cartan)
+            assert coxeter_polynomial(alg).coeffs == _ref_coxeter(cartan), cartan.tolist()
 
 
 def test_power_sums_with_the_wrong_sign_disagree():
     # -C^(-T) C = -(-1)^n Phi_1 (x) ... (x) Phi_n; the sign +(-1)^n gives
     # the polynomial of -Phi, on both parities of n
-    from bpsing.qalg import _band, _from_power_sums, _trace_powers
+    from bpsing.qalg import _band, _coxeter_matrix, _from_power_sums, _trace_powers
 
     for p in ((3, 4), (3, 4, 5), (2, 3, 4, 5)):
         alg = lambda_q(WeightSystem(p), [w - 1 for w in p])
         sums = [(-1) ** (len(p) * j) for j in range(1, alg.size + 1)]
         for m, q in alg.factors:
-            c = np.array(_band(m, q).tolist(), dtype=object)
-            phi = -(np.array(inverse_unimodular(c), dtype=object).T @ c)
-            sums = [s * t for s, t in zip(sums, _trace_powers(phi, alg.size))]
-        assert _from_power_sums(sums) != _by_kernel(alg).coeffs, p
+            sums = [s * t for s, t in zip(sums, _trace_powers(_coxeter_matrix(_band(m, q)), alg.size))]
+        assert _from_power_sums(sums) != _unfactored(alg).coeffs, p
+
+
+def test_trace_powers_take_two_traces_per_product():
+    from bpsing.qalg import _trace_powers
+
+    phi = np.array([[2, -1, 0], [1, 0, 3], [-2, 1, 1]], dtype=object)
+    power, naive = np.eye(3, dtype=object), []
+    for _ in range(7):
+        power = power @ phi
+        naive.append(int(power.trace()))
+    for count in range(1, 8):
+        got = _trace_powers(phi, count)
+        assert got == naive[:count] and all(type(t) is int for t in got), count
 
 
 def test_newton_remainder_raises():
@@ -415,7 +505,7 @@ def test_newton_remainder_raises():
 
 
 def test_coxeter_polynomial_of_4567_cuboid_is_fast():
-    # the 360-vertex cuboid algebra, beyond the reach of the kernel
+    # the 360-vertex cuboid algebra, from its three factors' traces
     alg = lambda_q(WeightSystem((4, 5, 6, 7)), (3, 4, 5, 6))
     start = time.perf_counter()
     poly = coxeter_polynomial(alg)
@@ -547,7 +637,8 @@ def test_presentation_rejects_a_repeated_vertex():
 
 def test_quiver_and_newton_checks_survive_python_O():
     # one factor's power sum s_2 off by one makes Newton's identity 2
-    # leave a remainder
+    # leave a remainder; a polynomial that is not self-reciprocal fails
+    # the guard on the factor path and on the unfactored path
     code = """
 import numpy as np
 from bpsing import qalg
@@ -559,6 +650,13 @@ try:
     qalg.coxeter_polynomial(qalg.lambda_q(WeightSystem((5,)), (4,)))
 except ArithmeticError as exc:
     print("ArithmeticError:", exc)
+qalg._trace_powers = trace_powers
+qalg._from_power_sums = lambda sums: (1, 2, 3)
+for alg in (qalg.lambda_q(WeightSystem((3,)), (2,)), qalg.nakayama(2, 2)):
+    try:
+        qalg.coxeter_polynomial(alg)
+    except ArithmeticError as exc:
+        print("ArithmeticError:", exc)
 bad = qalg.AlgebraPresentation("bad", ("1", "2"), lambda: [("a", "1", "3")], (), np.eye(2, dtype=np.int64))
 try:
     bad.arrows
@@ -570,5 +668,7 @@ except ValueError as exc:
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines() == [
         "ArithmeticError: Newton's identity 2 leaves the remainder 1: the power sums are not those of an integer matrix",
+        "ArithmeticError: the Coxeter polynomial (1, 2, 3) of Lambda(3)(2,) is not self-reciprocal",
+        "ArithmeticError: the Coxeter polynomial (1, 2, 3) of A2(2) is not self-reciprocal",
         "ValueError: arrow 'a' from '1' to '3' does not join two vertices",
     ]
