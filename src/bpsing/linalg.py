@@ -60,10 +60,11 @@ PARANOIA_MODULUS = 65537
 # workload, the sparse rounds lost on all 210 of up to 4000 cells
 # (7.5-100% nonzero) and won on 226 of the 230 larger ones (0.4-5.1%
 # nonzero); thresholds from 1/12 to 1/20 gave the least total time.
-# The module Hom systems of ``gmod`` in the ladder checks are at least
-# 1/12 nonzero up to (2,3,4,5) and all stay dense; over (5,6,7) they
-# fall to 1/60, and 32 of the 100 that its five splits rank take the
-# sparse rounds.
+# The module Hom systems of ``gmod`` in the ladder checks, joined from
+# the two modules' coordinate actions, are at least 1/12 nonzero up to
+# (2,3,4,5) and all stay dense; over (5,6,7) they fall to 1/60, and 32
+# of the 100 that its five splits rank take the sparse rounds (12 of
+# 80 over (4,5,6), 14 of 80 over (3,4,5,6)).
 DENSE = 16
 
 
